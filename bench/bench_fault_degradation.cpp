@@ -121,7 +121,11 @@ RunResult Run(SimTimeMs down_ms, bool with_policy, const char* degrade,
       if (staleness > kBoundMs) ++out.unsatisfiable;
     }
   }
-  out.stats = sys->cache_stats();
+  // Link-wide resilience counters, as the cache publishes them.
+  obs::MetricsRegistry& m = sys->metrics();
+  out.stats.remote_retries = m.counter("rcc.remote.retries")->value();
+  out.stats.remote_timeouts = m.counter("rcc.remote.timeouts")->value();
+  out.stats.breaker_opens = m.counter("rcc.remote.breaker_opens")->value();
   if (dump_name != nullptr) DumpMetricsJson(*sys, dump_name);
   return out;
 }

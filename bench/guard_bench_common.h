@@ -150,7 +150,6 @@ inline double RunPlan(RccSystem* sys, const QueryPlan& plan, int iters,
     total->setup_ms += stats.setup_ms;
     total->run_ms += stats.run_ms;
     total->shutdown_ms += stats.shutdown_ms;
-    total->Accumulate(stats);
   }
   return best;
 }

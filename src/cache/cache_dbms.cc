@@ -290,19 +290,6 @@ ExecContext CacheDbms::MakeExecContext(ExecStats* stats,
   return ctx;
 }
 
-Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(const QueryPlan& plan,
-                                                     SimTimeMs timeline_floor,
-                                                     DegradeMode degrade,
-                                                     obs::QueryTrace* trace,
-                                                     uint64_t session_tag) {
-  PreparedExecOptions opts;
-  opts.timeline_floor = timeline_floor;
-  opts.degrade = degrade;
-  opts.trace = trace;
-  opts.session_tag = session_tag;
-  return ExecutePrepared(plan, opts);
-}
-
 Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
     const QueryPlan& plan, const PreparedExecOptions& opts) {
   const SimTimeMs timeline_floor = opts.timeline_floor;
@@ -358,12 +345,8 @@ Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
     ctx.note_local_serve = nullptr;
     ctx.snapshot_pin.reset();
   }
-  // Failed queries still spent retries / tripped the breaker; account for
-  // them in the link-wide counters (worker threads accumulate under a lock).
-  {
-    std::lock_guard<std::mutex> stats_guard(stats_mutex_);
-    cumulative_stats_.Accumulate(out.stats);
-  }
+  // Failed queries still spent retries / tripped the breaker; the registry
+  // counts them too.
   RecordQueryMetrics(out.stats, backend_->clock()->Now());
   if (sink_ != nullptr) {
     AnswerObservation ans;
@@ -401,15 +384,6 @@ Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
   out.executed_at = backend_->clock()->Now();
   out.max_seen_heartbeat = out.stats.max_seen_heartbeat;
   return out;
-}
-
-Result<CacheQueryOutcome> CacheDbms::Execute(const SelectStmt& stmt,
-                                             SimTimeMs timeline_floor,
-                                             DegradeMode degrade,
-                                             obs::QueryTrace* trace,
-                                             uint64_t session_tag) {
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan, Prepare(stmt));
-  return ExecutePrepared(plan, timeline_floor, degrade, trace, session_tag);
 }
 
 void CacheDbms::SetMetricsRegistry(obs::MetricsRegistry* registry) {

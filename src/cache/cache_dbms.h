@@ -32,6 +32,44 @@ struct CacheQueryOutcome {
   SimTimeMs max_seen_heartbeat = -1;
 };
 
+/// Everything CacheDbms::ExecutePrepared needs. `trace`, when non-null,
+/// receives the query's structured event trace (guard probes, switch
+/// decisions, retry/breaker events, degraded serves, and — in serial mode —
+/// replication deliveries landing mid-query).
+struct PreparedExecOptions {
+  /// Timeline floor; < 0 disables timeline mode.
+  SimTimeMs timeline_floor = -1;
+  /// Mode the query *behaves* under — refusal ladder, degraded serves.
+  /// For a cached plan this is the mode the plan was created under.
+  DegradeMode degrade = DegradeMode::kNone;
+  /// Mode recorded in the audit history (defaults to `degrade`). The
+  /// session's *current* mode: under a correct cache key the two always
+  /// agree, so any divergence (a plan created under ALWAYS served while
+  /// the session is at NONE — the RCC_PLANCACHE_MUTATE planted bug) shows
+  /// up as a degraded serve recorded under a mode that never authorized
+  /// one, which the conformance oracle's R3 rule rejects.
+  std::optional<DegradeMode> audit_degrade;
+  obs::QueryTrace* trace = nullptr;
+  /// Issuing session in the audit history (0 = anonymous caller).
+  uint64_t session_tag = 0;
+  /// Execution-time parameter values for kParam slots of a cached plan.
+  const std::vector<Value>* params = nullptr;
+  /// Real-time cancellation deadline (default: none). Checked at executor
+  /// batch boundaries and in the remote retry loop; an expired statement
+  /// answers DeadlineExceeded and releases its snapshot pin immediately.
+  Deadline deadline;
+  /// Overload-shedding hint from the admission layer: prefer the permitted
+  /// degraded-local branch over a remote round-trip (see
+  /// SwitchUnionIterator::ServeDegraded — guard semantics are never
+  /// weakened).
+  bool shed_hint = false;
+  /// Audit query id pre-allocated by the caller (the fleet router opens
+  /// the query with BeginQuery so its route observation and this
+  /// execution's guard/serve/answer events correlate). 0 = allocate here,
+  /// as every non-routed caller does.
+  uint64_t history_query_id = 0;
+};
+
 /// MTCache: the mid-tier database cache (paper §3). It holds a shadow
 /// catalog (back-end schema + statistics, empty tables), materialized views
 /// maintained by transactional replication, currency regions with local
@@ -119,60 +157,11 @@ class CacheDbms {
   Result<QueryPlan> Prepare(const SelectStmt& stmt,
                             const OptimizerOptions& opts) const;
 
-  /// Executes a prepared plan. `timeline_floor` < 0 disables timeline mode;
-  /// `degrade` controls stale-serve behaviour when the remote branch fails.
-  /// `trace`, when non-null, receives the query's structured event trace
-  /// (guard probes, switch decisions, retry/breaker events, degraded serves,
-  /// and — in serial mode — replication deliveries landing mid-query).
-  /// `session_tag` identifies the issuing session in the audit history
-  /// (0 = anonymous caller).
+  /// Declared at namespace scope so it can default the argument below.
+  using PreparedExecOptions = rcc::PreparedExecOptions;
+  /// Executes a prepared plan.
   Result<CacheQueryOutcome> ExecutePrepared(
-      const QueryPlan& plan, SimTimeMs timeline_floor = -1,
-      DegradeMode degrade = DegradeMode::kNone,
-      obs::QueryTrace* trace = nullptr, uint64_t session_tag = 0);
-
-  /// Everything ExecutePrepared needs, in struct form (the plan-cache fast
-  /// path has more knobs than positional arguments stay readable for).
-  struct PreparedExecOptions {
-    SimTimeMs timeline_floor = -1;
-    /// Mode the query *behaves* under — refusal ladder, degraded serves.
-    /// For a cached plan this is the mode the plan was created under.
-    DegradeMode degrade = DegradeMode::kNone;
-    /// Mode recorded in the audit history (defaults to `degrade`). The
-    /// session's *current* mode: under a correct cache key the two always
-    /// agree, so any divergence (a plan created under ALWAYS served while
-    /// the session is at NONE — the RCC_PLANCACHE_MUTATE planted bug) shows
-    /// up as a degraded serve recorded under a mode that never authorized
-    /// one, which the conformance oracle's R3 rule rejects.
-    std::optional<DegradeMode> audit_degrade;
-    obs::QueryTrace* trace = nullptr;
-    uint64_t session_tag = 0;
-    /// Execution-time parameter values for kParam slots of a cached plan.
-    const std::vector<Value>* params = nullptr;
-    /// Real-time cancellation deadline (default: none). Checked at executor
-    /// batch boundaries and in the remote retry loop; an expired statement
-    /// answers DeadlineExceeded and releases its snapshot pin immediately.
-    Deadline deadline;
-    /// Overload-shedding hint from the admission layer: prefer the permitted
-    /// degraded-local branch over a remote round-trip (see
-    /// SwitchUnionIterator::ShedEligible — guard semantics are never
-    /// weakened).
-    bool shed_hint = false;
-    /// Audit query id pre-allocated by the caller (the fleet router opens
-    /// the query with BeginQuery so its route observation and this
-    /// execution's guard/serve/answer events correlate). 0 = allocate here,
-    /// as every non-routed caller does.
-    uint64_t history_query_id = 0;
-  };
-  Result<CacheQueryOutcome> ExecutePrepared(const QueryPlan& plan,
-                                            const PreparedExecOptions& opts);
-
-  /// Full pipeline: resolve + optimize + execute.
-  Result<CacheQueryOutcome> Execute(const SelectStmt& stmt,
-                                    SimTimeMs timeline_floor = -1,
-                                    DegradeMode degrade = DegradeMode::kNone,
-                                    obs::QueryTrace* trace = nullptr,
-                                    uint64_t session_tag = 0);
+      const QueryPlan& plan, const PreparedExecOptions& opts = {});
 
   /// -- concurrent batch mode ---------------------------------------------------
 
@@ -240,11 +229,6 @@ class CacheDbms {
   ExecContext MakeExecContext(ExecStats* stats, SimTimeMs timeline_floor = -1,
                               DegradeMode degrade = DegradeMode::kNone,
                               obs::QueryTrace* trace = nullptr) const;
-
-  /// Counters accumulated over every query executed through this cache
-  /// (retries, timeouts, degraded serves, breaker trips, ...).
-  const ExecStats& cumulative_stats() const { return cumulative_stats_; }
-  void ResetCumulativeStats() { cumulative_stats_.Reset(); }
 
   /// -- observability -----------------------------------------------------------
 
@@ -335,10 +319,6 @@ class CacheDbms {
   /// concurrent-batch mode (the frozen clock means no deliveries fire
   /// mid-batch, and workers would race on one pointer).
   obs::QueryTrace* active_trace_ = nullptr;
-  ExecStats cumulative_stats_;
-  /// Guards cumulative_stats_: queries of a concurrent batch accumulate from
-  /// worker threads.
-  std::mutex stats_mutex_;
   /// Serializes the remote channel (policy retries/breaker, injector RNG,
   /// back-end executor stats are all single-threaded state).
   mutable std::mutex remote_mutex_;

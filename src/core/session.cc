@@ -2,25 +2,34 @@
 
 #include <cctype>
 #include <functional>
+#include <optional>
+#include <string_view>
 
 #include "common/strings.h"
-#include "core/statement_router.h"
 #include "exec/switch_union.h"
-#include "obs/explain.h"
-#include "plan/plan_cache.h"
 #include "sql/parser.h"
 
 namespace rcc {
 
 namespace {
 
+/// Skips what the lexer skips between tokens: whitespace and `--` line
+/// comments.
 size_t SkipSpace(const std::string& s, size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+  while (i < s.size()) {
+    if (std::isspace(static_cast<unsigned char>(s[i]))) {
+      ++i;
+    } else if (s.compare(i, 2, "--") == 0) {
+      while (i < s.size() && s[i] != '\n') ++i;
+    } else {
+      break;
+    }
+  }
   return i;
 }
 
 /// Consumes `word` (case-insensitive, whole-word) at *pos after skipping
-/// whitespace; advances *pos past it on match.
+/// whitespace and comments; advances *pos past it on match.
 bool MatchWord(const std::string& s, size_t* pos, const char* word) {
   size_t i = SkipSpace(s, *pos);
   size_t j = 0;
@@ -39,9 +48,9 @@ bool MatchWord(const std::string& s, size_t* pos, const char* word) {
 }
 
 /// Recognizes SELECT and EXPLAIN [ANALYZE] SELECT statements without
-/// parsing. `*body` is set to the offset of the SELECT keyword, so the
-/// substring from there is a plain SELECT whose byte offsets match what the
-/// plan cache normalizes.
+/// parsing — every text the parser reads as one. `*body` is set to the
+/// offset of the SELECT keyword, so the substring from there is a plain
+/// SELECT whose byte offsets match what the plan cache normalizes.
 bool SniffSelect(const std::string& sql, size_t* body, bool* is_explain,
                  bool* is_analyze) {
   size_t pos = 0;
@@ -54,82 +63,77 @@ bool SniffSelect(const std::string& sql, size_t* body, bool* is_explain,
   return true;
 }
 
+bool IsSetSeparator(char c) {
+  return c == ' ' || c == '=' || c == ';' || c == '\t' || c == '\n' ||
+         c == '\r';
+}
+
+/// Recognizes `SET <name> [=] <value>`: exactly three words separated by
+/// spaces, tabs, line breaks, `=` or `;`, the first one SET.
+bool SplitSet(std::string_view sql, std::string_view* name,
+              std::string_view* value) {
+  std::string_view words[3];
+  size_t count = 0;
+  size_t i = 0;
+  while (i < sql.size()) {
+    if (IsSetSeparator(sql[i])) {
+      ++i;
+      continue;
+    }
+    size_t start = i;
+    while (i < sql.size() && !IsSetSeparator(sql[i])) ++i;
+    if (count == 3) return false;
+    words[count++] = sql.substr(start, i - start);
+    if (count == 1 && !EqualsIgnoreCase(words[0], "SET")) return false;
+  }
+  if (count != 3) return false;
+  *name = words[1];
+  *value = words[2];
+  return true;
+}
+
 }  // namespace
 
-bool Session::ParseSetDegrade(const std::string& sql, DegradeMode* mode) {
-  // Normalize "=", tabs and the trailing ";" to spaces, then tokenize.
-  std::string normalized = sql;
-  for (char& c : normalized) {
-    if (c == '=' || c == ';' || c == '\t' || c == '\n' || c == '\r') c = ' ';
-  }
-  std::vector<std::string> words;
-  for (const std::string& piece : Split(normalized, ' ')) {
-    if (!piece.empty()) words.push_back(piece);
-  }
-  if (words.size() != 3 || !EqualsIgnoreCase(words[0], "SET") ||
-      !EqualsIgnoreCase(words[1], "DEGRADE")) {
-    return false;
-  }
-  if (EqualsIgnoreCase(words[2], "NONE")) {
-    *mode = DegradeMode::kNone;
-  } else if (EqualsIgnoreCase(words[2], "BOUNDED")) {
-    *mode = DegradeMode::kBounded;
-  } else if (EqualsIgnoreCase(words[2], "ALWAYS")) {
-    *mode = DegradeMode::kAlways;
+std::optional<QueryResult> Session::ApplySet(const std::string& sql) {
+  std::string_view name;
+  std::string_view value;
+  if (!SplitSet(sql, &name, &value)) return std::nullopt;
+  QueryResult out;
+  if (EqualsIgnoreCase(name, "DEGRADE")) {
+    DegradeMode mode;
+    if (EqualsIgnoreCase(value, "NONE")) {
+      mode = DegradeMode::kNone;
+    } else if (EqualsIgnoreCase(value, "BOUNDED")) {
+      mode = DegradeMode::kBounded;
+    } else if (EqualsIgnoreCase(value, "ALWAYS")) {
+      mode = DegradeMode::kAlways;
+    } else {
+      return std::nullopt;
+    }
+    set_degrade_mode(mode);
+    out.message = "degrade mode " + std::string(DegradeModeName(mode));
+  } else if (EqualsIgnoreCase(name, "TRACE")) {
+    const bool on = EqualsIgnoreCase(value, "ON");
+    if (!on && !EqualsIgnoreCase(value, "OFF")) return std::nullopt;
+    set_trace_enabled(on);
+    out.message = on ? "trace ON" : "trace OFF";
+  } else if (EqualsIgnoreCase(name, "DEADLINE")) {
+    // A bare non-negative integer (milliseconds); anything else is not a
+    // SET DEADLINE statement and falls through to the SQL parser's error.
+    int64_t ms = 0;
+    for (char c : value) {
+      if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
+      ms = ms * 10 + (c - '0');
+      if (ms > 86400000) return std::nullopt;  // cap at 24h: overflow/typos
+    }
+    set_deadline_ms(ms);
+    out.message = ms > 0 ? "deadline " + std::to_string(ms) + "ms"
+                         : "deadline OFF";
   } else {
-    return false;
+    return std::nullopt;
   }
-  return true;
-}
-
-bool Session::ParseSetTrace(const std::string& sql, bool* on) {
-  std::string normalized = sql;
-  for (char& c : normalized) {
-    if (c == '=' || c == ';' || c == '\t' || c == '\n' || c == '\r') c = ' ';
-  }
-  std::vector<std::string> words;
-  for (const std::string& piece : Split(normalized, ' ')) {
-    if (!piece.empty()) words.push_back(piece);
-  }
-  if (words.size() != 3 || !EqualsIgnoreCase(words[0], "SET") ||
-      !EqualsIgnoreCase(words[1], "TRACE")) {
-    return false;
-  }
-  if (EqualsIgnoreCase(words[2], "ON")) {
-    *on = true;
-  } else if (EqualsIgnoreCase(words[2], "OFF")) {
-    *on = false;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool Session::ParseSetDeadline(const std::string& sql, int64_t* ms) {
-  std::string normalized = sql;
-  for (char& c : normalized) {
-    if (c == '=' || c == ';' || c == '\t' || c == '\n' || c == '\r') c = ' ';
-  }
-  std::vector<std::string> words;
-  for (const std::string& piece : Split(normalized, ' ')) {
-    if (!piece.empty()) words.push_back(piece);
-  }
-  if (words.size() != 3 || !EqualsIgnoreCase(words[0], "SET") ||
-      !EqualsIgnoreCase(words[1], "DEADLINE")) {
-    return false;
-  }
-  // A bare non-negative integer (milliseconds); anything else is not a
-  // SET DEADLINE statement and falls through to the SQL parser's error.
-  const std::string& value = words[2];
-  if (value.empty()) return false;
-  int64_t parsed = 0;
-  for (char c : value) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-    parsed = parsed * 10 + (c - '0');
-    if (parsed > 86400000) return false;  // cap at 24h: reject overflow/typos
-  }
-  *ms = parsed;
-  return true;
+  out.executed_at = system_->Now();
+  return out;
 }
 
 Deadline Session::ResolveDeadline(const StatementOptions& opts) const {
@@ -144,156 +148,27 @@ Result<QueryResult> Session::Execute(const std::string& sql,
                                      const StatementOptions& opts) {
   // Session options are handled before SQL parsing (like BEGIN TIMEORDERED,
   // they configure the session rather than run a query).
-  DegradeMode mode;
-  if (ParseSetDegrade(sql, &mode)) {
-    set_degrade_mode(mode);
-    QueryResult out;
-    out.message =
-        std::string("degrade mode ") + std::string(DegradeModeName(mode));
-    out.executed_at = system_->Now();
-    return out;
-  }
-  bool trace_on;
-  if (ParseSetTrace(sql, &trace_on)) {
-    set_trace_enabled(trace_on);
-    QueryResult out;
-    out.message = trace_on ? "trace ON" : "trace OFF";
-    out.executed_at = system_->Now();
-    return out;
-  }
-  int64_t deadline_ms_value = 0;
-  if (ParseSetDeadline(sql, &deadline_ms_value)) {
-    set_deadline_ms(deadline_ms_value);
-    QueryResult out;
-    out.message = deadline_ms_value > 0
-                      ? "deadline " + std::to_string(deadline_ms_value) + "ms"
-                      : "deadline OFF";
-    out.executed_at = system_->Now();
-    return out;
-  }
-  // SELECT (and EXPLAIN [ANALYZE] SELECT) text goes through the plan cache;
-  // everything else takes the full parse.
-  bool is_explain = false;
-  bool is_analyze = false;
+  if (std::optional<QueryResult> set = ApplySet(sql)) return std::move(*set);
+  SelectRequest req;
   size_t body_pos = 0;
-  if (SniffSelect(sql, &body_pos, &is_explain, &is_analyze)) {
-    return ExecuteSelectSql(sql.substr(body_pos), is_explain, is_analyze,
-                            opts);
+  if (!SniffSelect(sql, &body_pos, &req.explain, &req.analyze)) {
+    RCC_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
+    return ExecuteStatement(stmt);
   }
-  RCC_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  return ExecuteStatement(stmt, opts);
-}
-
-Result<QueryResult> Session::ExecuteSelectSql(const std::string& body,
-                                              bool is_explain, bool is_analyze,
-                                              const StatementOptions& opts) {
   // Read the session modes exactly once: a concurrent SET DEGRADE / BEGIN
-  // TIMEORDERED takes effect at the next query's admission, never mid-query
-  // (the cache lookup, audit mode and floor handling below must agree).
-  const DegradeMode session_degrade = degrade_mode();
-  const bool session_timeordered = in_timeordered();
-  // Fleet routing: plain SELECTs dispatch through the router, which prepares
-  // on the chosen node (per-node plan caches — the anchor's cache key would
-  // be wrong for a peer's view set). EXPLAIN stays local: it describes the
-  // anchor's plan, not a dispatch decision.
-  if (router_ != nullptr && !is_explain) {
-    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(body));
-    return ExecuteRouted(*select, session_degrade, session_timeordered, opts);
-  }
-  CacheDbms* cache = system_->cache();
-  PlanCache& plan_cache = cache->plan_cache();
-  PlanCache::LookupResult looked =
-      plan_cache.Lookup(body, session_degrade, session_timeordered);
-  std::shared_ptr<const PlanCacheEntry> entry;
-  std::vector<Value> params;
-  bool cached = false;
-  if (looked.hit.has_value()) {
-    entry = looked.hit->entry;
-    params = std::move(looked.hit->params);
-    cached = true;
-  } else {
-    ParseOptions popts;
-    popts.record_literal_offsets = true;
-    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(body, popts));
-    RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache->Prepare(*select));
-    auto owned = std::make_shared<QueryPlan>(std::move(plan));
-    auto fresh = std::make_shared<PlanCacheEntry>();
-    if (looked.norm.ok) {
-      ParameterizeOutcome po =
-          ParameterizePlan(owned.get(), looked.norm.slots, cache->catalog());
-      fresh->parameterized = po.parameterized;
-      for (const ParamSlot& slot : looked.norm.slots) {
-        fresh->creation_values.push_back(slot.value);
-      }
-    }
-    fresh->plan = owned;
-    fresh->created_degrade = session_degrade;
-    fresh->created_timeordered = session_timeordered;
-    entry = fresh;
-    params = fresh->creation_values;
-    plan_cache.Insert(looked.norm, body, session_degrade, session_timeordered,
-                      std::move(fresh), looked.version_at_lookup);
-  }
-  const QueryPlan& plan = *entry->plan;
-  if (is_explain && !is_analyze) {
-    QueryResult out;
-    out.shape = plan.Shape();
-    out.plan_text = plan.DescribeTree();
-    out.constraint = plan.resolved.constraint;
-    out.message = obs::RenderExplain(plan, cached);
-    out.executed_at = system_->Now();
-    return out;
-  }
-  SimTimeMs floor = session_timeordered ? timeline_floor() : -1;
-  std::shared_ptr<obs::QueryTrace> trace;
-  if (trace_enabled() || is_analyze) {
-    trace = std::make_shared<obs::QueryTrace>();
-  }
-  CacheDbms::PreparedExecOptions eo;
-  eo.timeline_floor = floor;
-  // The query *behaves* under the mode the plan was created for and is
-  // *audited* under the session's current mode. On every legitimate hit the
-  // two agree — the cache key separates degrade modes — so the split is
-  // invisible; under the RCC_PLANCACHE_MUTATE build (key drops the mode)
-  // they diverge and the conformance oracle sees a degraded serve recorded
-  // under a mode that never authorized one.
-  eo.degrade = entry->created_degrade;
-  eo.audit_degrade = session_degrade;
-  eo.trace = trace.get();
-  eo.session_tag = id_;
-  eo.params = &params;
-  eo.deadline = ResolveDeadline(opts);
-  eo.shed_hint = opts.shed_hint;
-  RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                       cache->ExecutePrepared(plan, eo));
-  if (session_timeordered) RaiseFloor(outcome.max_seen_heartbeat);
-  QueryResult result = MakeQueryResult(std::move(outcome));
-  if (is_analyze) {
-    result.message =
-        obs::RenderExplainAnalyze(plan, result.stats, *trace, cached);
-  }
-  result.trace = std::move(trace);
-  return result;
+  // TIMEORDERED takes effect at the next query's admission, never mid-query.
+  req.body = std::string_view(sql).substr(body_pos);
+  req.degrade = degrade_mode();
+  if (in_timeordered()) req.floor_cell = &timeline_floor_;
+  req.trace = trace_enabled();
+  req.session_tag = id_;
+  req.deadline = ResolveDeadline(opts);
+  req.shed_hint = opts.shed_hint;
+  req.router = router_;
+  return system_->ExecuteSelect(req);
 }
 
-Result<QueryResult> Session::ExecuteRouted(const SelectStmt& stmt,
-                                           DegradeMode degrade,
-                                           bool timeordered,
-                                           const StatementOptions& opts) {
-  RoutedStatementOptions ro;
-  ro.timeline_floor = timeordered ? timeline_floor() : -1;
-  ro.degrade = degrade;
-  ro.session_tag = id_;
-  ro.deadline = ResolveDeadline(opts);
-  ro.shed_hint = opts.shed_hint;
-  RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                       router_->RouteSelect(stmt, ro));
-  if (timeordered) RaiseFloor(outcome.max_seen_heartbeat);
-  return MakeQueryResult(std::move(outcome));
-}
-
-Result<QueryResult> Session::ExecuteStatement(const Statement& stmt,
-                                              const StatementOptions& opts) {
+Result<QueryResult> Session::ExecuteStatement(const Statement& stmt) {
   QueryResult out;
   switch (stmt.kind) {
     case StatementKind::kInsert:
@@ -318,61 +193,13 @@ Result<QueryResult> Session::ExecuteStatement(const Statement& stmt,
       }
       out.message = "timeline consistency OFF";
       return out;
-    case StatementKind::kExplain:
-      return ExecuteExplain(stmt);
     case StatementKind::kSelect:
+    case StatementKind::kExplain:
       break;
   }
-
-  const bool session_timeordered = in_timeordered();
-  if (router_ != nullptr) {
-    return ExecuteRouted(*stmt.select, degrade_mode(), session_timeordered,
-                         opts);
-  }
-  CacheDbms* cache = system_->cache();
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache->Prepare(*stmt.select));
-  std::shared_ptr<obs::QueryTrace> trace;
-  if (trace_enabled()) trace = std::make_shared<obs::QueryTrace>();
-  CacheDbms::PreparedExecOptions eo;
-  eo.timeline_floor = session_timeordered ? timeline_floor() : -1;
-  eo.degrade = degrade_mode();
-  eo.trace = trace.get();
-  eo.session_tag = id_;
-  eo.deadline = ResolveDeadline(opts);
-  eo.shed_hint = opts.shed_hint;
-  RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                       cache->ExecutePrepared(plan, eo));
-  if (session_timeordered) RaiseFloor(outcome.max_seen_heartbeat);
-  QueryResult result = MakeQueryResult(std::move(outcome));
-  result.trace = std::move(trace);
-  return result;
-}
-
-Result<QueryResult> Session::ExecuteExplain(const Statement& stmt) {
-  CacheDbms* cache = system_->cache();
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache->Prepare(*stmt.select));
-  if (!stmt.explain_analyze) {
-    QueryResult out;
-    out.shape = plan.Shape();
-    out.plan_text = plan.DescribeTree();
-    out.constraint = plan.resolved.constraint;
-    out.message = obs::RenderExplain(plan);
-    out.executed_at = system_->Now();
-    return out;
-  }
-  // ANALYZE: execute for real (timeline floor advances exactly as a plain
-  // SELECT would), with a statement-scoped trace regardless of SET TRACE.
-  const bool session_timeordered = in_timeordered();
-  SimTimeMs floor = session_timeordered ? timeline_floor() : -1;
-  auto trace = std::make_shared<obs::QueryTrace>();
-  RCC_ASSIGN_OR_RETURN(
-      CacheQueryOutcome outcome,
-      cache->ExecutePrepared(plan, floor, degrade_mode(), trace.get(), id_));
-  if (session_timeordered) RaiseFloor(outcome.max_seen_heartbeat);
-  QueryResult result = MakeQueryResult(std::move(outcome));
-  result.message = obs::RenderExplainAnalyze(plan, result.stats, *trace);
-  result.trace = std::move(trace);
-  return result;
+  // The plan cache keys on statement text, so queries enter from theirs.
+  return Status::InvalidArgument(
+      "SELECT and EXPLAIN run through Session::Execute");
 }
 
 std::vector<Result<QueryResult>> Session::ExecuteBatch(

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,8 +13,6 @@
 #include "semantics/model.h"
 
 namespace rcc {
-
-class StatementRouter;
 
 /// An application session against the cache DBMS. Parses statements,
 /// runs the C&C-aware pipeline, and implements timeline consistency
@@ -48,20 +47,19 @@ class Session {
     bool shed_hint = false;
   };
 
-  /// Executes one SQL statement (SELECT with optional currency clause, or
-  /// BEGIN/END TIMEORDERED).
+  /// Executes one SQL statement: SET, SELECT with optional currency clause,
+  /// EXPLAIN [ANALYZE], DML, or BEGIN/END TIMEORDERED. SELECT and EXPLAIN
+  /// text runs through RccSystem::ExecuteSelect, the one SELECT pipeline.
   Result<QueryResult> Execute(const std::string& sql) {
     return Execute(sql, StatementOptions{});
   }
   Result<QueryResult> Execute(const std::string& sql,
                               const StatementOptions& opts);
 
-  /// Executes a pre-parsed statement.
-  Result<QueryResult> ExecuteStatement(const Statement& stmt) {
-    return ExecuteStatement(stmt, StatementOptions{});
-  }
-  Result<QueryResult> ExecuteStatement(const Statement& stmt,
-                                       const StatementOptions& opts);
+  /// Executes a pre-parsed DML or BEGIN/END TIMEORDERED statement. SELECT
+  /// and EXPLAIN are refused here: they run from their text through Execute,
+  /// because the plan cache keys on it.
+  Result<QueryResult> ExecuteStatement(const Statement& stmt);
 
   /// Executes a batch of SELECT statements concurrently on the system's
   /// worker pool (RccSystem::ExecuteConcurrent), applying this session's
@@ -146,48 +144,14 @@ class Session {
   StatementRouter* router() const { return router_; }
 
  private:
-  /// Recognizes "SET DEGRADE [=] <mode>" (handled before SQL parsing).
-  static bool ParseSetDegrade(const std::string& sql, DegradeMode* mode);
-  /// Recognizes "SET TRACE [=] ON|OFF" (handled before SQL parsing).
-  static bool ParseSetTrace(const std::string& sql, bool* on);
-  /// Recognizes "SET DEADLINE [=] <ms>" (handled before SQL parsing);
-  /// 0 disables the session deadline.
-  static bool ParseSetDeadline(const std::string& sql, int64_t* ms);
+  /// Applies SET DEGRADE [=] NONE|BOUNDED|ALWAYS, SET TRACE [=] ON|OFF or
+  /// SET DEADLINE [=] <ms> (handled before SQL parsing; a deadline of 0
+  /// turns it off, values above 24 h are not a SET). nullopt when `sql` is
+  /// none of them.
+  std::optional<QueryResult> ApplySet(const std::string& sql);
   /// Resolves the effective deadline for one statement: per-request override
   /// > session SET DEADLINE > caller default, anchored at opts.enqueued_at.
   Deadline ResolveDeadline(const StatementOptions& opts) const;
-  /// EXPLAIN [ANALYZE]: renders the plan (and, for ANALYZE, executes the
-  /// query and renders its trace and stats) into QueryResult::message.
-  Result<QueryResult> ExecuteExplain(const Statement& stmt);
-  /// SELECT (or EXPLAIN [ANALYZE] SELECT) text through the system-wide plan
-  /// cache: a hit executes the cached plan with bound parameters, skipping
-  /// the lex→parse→resolve→optimize front end entirely; a miss builds,
-  /// parameterizes and publishes the plan. `body` starts at the SELECT
-  /// keyword so parse-time literal offsets line up with the cache key's
-  /// parameter slots.
-  Result<QueryResult> ExecuteSelectSql(const std::string& body,
-                                       bool is_explain, bool is_analyze,
-                                       const StatementOptions& opts);
-  /// Dispatches one parsed SELECT through the installed router, carrying the
-  /// session's floor/degrade/deadline exactly as the local path would, and
-  /// raises the timeline floor from the routed outcome.
-  Result<QueryResult> ExecuteRouted(const SelectStmt& stmt,
-                                    DegradeMode degrade, bool timeordered,
-                                    const StatementOptions& opts);
-
-  /// CAS-max: lifts the timeline floor to `seen` unless another query
-  /// already published something higher. A plain store would let a slow
-  /// query with an older snapshot *regress* the floor behind a faster
-  /// concurrent one, breaking the "never read older than already seen"
-  /// guarantee of §2.3.
-  void RaiseFloor(SimTimeMs seen) {
-    SimTimeMs cur = timeline_floor_.load(std::memory_order_relaxed);
-    while (seen > cur &&
-           !timeline_floor_.compare_exchange_weak(cur, seen,
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_relaxed)) {
-    }
-  }
 
   RccSystem* system_;
   uint64_t id_;
@@ -197,8 +161,8 @@ class Session {
   // legitimately race with Execute/ExecuteBatch.
   std::atomic<bool> timeordered_{false};
   std::atomic<bool> trace_enabled_{false};
-  /// Atomic because ExecuteBatch workers CAS-max their observed snapshot
-  /// times into it concurrently; the serial path uses it like a plain field.
+  /// Atomic because concurrent statements CAS-max their observed snapshot
+  /// times into it (RccSystem::ExecuteSelect).
   std::atomic<SimTimeMs> timeline_floor_{-1};
   std::atomic<DegradeMode> degrade_mode_{DegradeMode::kNone};
   /// Session statement deadline (real ms); 0 = none. Atomic for the same

@@ -8,7 +8,7 @@
 namespace rcc {
 
 /// Session-level options a routed statement carries: the same knobs
-/// Session::ExecuteSelectSql would hand to the local CacheDbms, minus the
+/// RccSystem::ExecuteSelect would hand to the local CacheDbms, minus the
 /// plan-cache machinery (plans are per-node, so the router's nodes cache
 /// independently).
 struct RoutedStatementOptions {

@@ -6,6 +6,9 @@
 #include <utility>
 
 #include "core/session.h"
+#include "core/statement_router.h"
+#include "obs/explain.h"
+#include "plan/plan_cache.h"
 #include "sql/parser.h"
 
 namespace rcc {
@@ -45,7 +48,10 @@ ThreadPool* RccSystem::EnsurePool(int workers) {
 namespace {
 
 /// Raises `*cell` to at least `seen`. Raising is commutative and monotone,
-/// so concurrent calls from any interleaving converge to the same maximum.
+/// so concurrent calls from any interleaving converge to the same maximum —
+/// a plain store would let a slow query with an older snapshot regress the
+/// floor behind a faster one, breaking §2.3's "never read older than
+/// already seen".
 void RaiseFloor(std::atomic<SimTimeMs>* cell, SimTimeMs seen) {
   SimTimeMs cur = cell->load(std::memory_order_relaxed);
   while (seen > cur &&
@@ -54,7 +60,107 @@ void RaiseFloor(std::atomic<SimTimeMs>* cell, SimTimeMs seen) {
   }
 }
 
+/// The floor a statement starts from, read when it is about to execute.
+SimTimeMs FloorOf(const SelectRequest& req) {
+  if (req.floor_cell == nullptr) return req.floor;
+  return std::max(req.floor, req.floor_cell->load(std::memory_order_acquire));
+}
+
 }  // namespace
+
+Result<QueryResult> RccSystem::ExecuteSelect(const SelectRequest& req) {
+  // Fleet routing: plain SELECTs dispatch through the router, which prepares
+  // on the chosen node (the anchor's cache key would be wrong for a peer's
+  // view set). EXPLAIN stays local: it describes the anchor's plan, not a
+  // dispatch decision.
+  if (req.router != nullptr && !req.explain) {
+    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(req.body));
+    RoutedStatementOptions ro;
+    ro.timeline_floor = FloorOf(req);
+    ro.degrade = req.degrade;
+    ro.session_tag = req.session_tag;
+    ro.deadline = req.deadline;
+    ro.shed_hint = req.shed_hint;
+    RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
+                         req.router->RouteSelect(*select, ro));
+    if (req.floor_cell != nullptr) {
+      RaiseFloor(req.floor_cell, outcome.max_seen_heartbeat);
+    }
+    return MakeQueryResult(std::move(outcome));
+  }
+  const bool timeordered = req.floor_cell != nullptr || req.floor >= 0;
+  PlanCache& plan_cache = cache_.plan_cache();
+  PlanCache::LookupResult looked =
+      plan_cache.Lookup(req.body, req.degrade, timeordered);
+  std::shared_ptr<const PlanCacheEntry> entry;
+  std::vector<Value> params;
+  const bool cached = looked.hit.has_value();
+  if (cached) {
+    entry = looked.hit->entry;
+    params = std::move(looked.hit->params);
+  } else {
+    ParseOptions popts;
+    popts.record_literal_offsets = true;
+    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(req.body, popts));
+    RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache_.Prepare(*select));
+    auto owned = std::make_shared<QueryPlan>(std::move(plan));
+    auto fresh = std::make_shared<PlanCacheEntry>();
+    if (looked.norm.ok) {
+      ParameterizeOutcome po =
+          ParameterizePlan(owned.get(), looked.norm.slots, cache_.catalog());
+      fresh->parameterized = po.parameterized;
+      for (const ParamSlot& slot : looked.norm.slots) {
+        fresh->creation_values.push_back(slot.value);
+      }
+    }
+    fresh->plan = owned;
+    fresh->created_degrade = req.degrade;
+    fresh->created_timeordered = timeordered;
+    entry = fresh;
+    params = fresh->creation_values;
+    plan_cache.Insert(looked.norm, req.body, req.degrade, timeordered,
+                      std::move(fresh), looked.version_at_lookup);
+  }
+  const QueryPlan& plan = *entry->plan;
+  if (req.explain && !req.analyze) {
+    QueryResult out;
+    out.shape = plan.Shape();
+    out.plan_text = plan.DescribeTree();
+    out.constraint = plan.resolved.constraint;
+    out.message = obs::RenderExplain(plan, cached);
+    out.executed_at = Now();
+    return out;
+  }
+  std::shared_ptr<obs::QueryTrace> trace;
+  if (req.trace || req.analyze) trace = std::make_shared<obs::QueryTrace>();
+  CacheDbms::PreparedExecOptions eo;
+  eo.timeline_floor = FloorOf(req);
+  // The query *behaves* under the mode the plan was created for and is
+  // *audited* under the session's current mode. On every legitimate hit the
+  // two agree — the cache key separates degrade modes — so the split is
+  // invisible; under the RCC_PLANCACHE_MUTATE build (key drops the mode)
+  // they diverge and the conformance oracle sees a degraded serve recorded
+  // under a mode that never authorized one.
+  eo.degrade = entry->created_degrade;
+  eo.audit_degrade = req.degrade;
+  eo.trace = trace.get();
+  eo.session_tag = req.session_tag;
+  eo.params = &params;
+  eo.deadline = req.deadline;
+  eo.shed_hint = req.shed_hint;
+  RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
+                       cache_.ExecutePrepared(plan, eo));
+  if (req.floor_cell != nullptr) {
+    RaiseFloor(req.floor_cell, outcome.max_seen_heartbeat);
+  }
+  QueryResult result = MakeQueryResult(std::move(outcome));
+  if (req.analyze) {
+    result.message =
+        obs::RenderExplainAnalyze(plan, result.stats, *trace, cached);
+  }
+  result.trace = std::move(trace);
+  return result;
+}
 
 std::vector<Result<QueryResult>> RccSystem::ExecuteConcurrent(
     const std::vector<std::string>& sqls, const ConcurrentBatchOptions& opts) {
@@ -64,22 +170,16 @@ std::vector<Result<QueryResult>> RccSystem::ExecuteConcurrent(
   // only its own element, so result order is input order by construction.
   std::vector<std::optional<Result<QueryResult>>> slots(sqls.size());
 
-  auto run_one = [this, &sqls, &opts](size_t i) -> Result<QueryResult> {
-    // Parsing is pure, so it runs inside the worker task too.
-    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(sqls[i]));
-    RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache_.Prepare(*select));
-    SimTimeMs floor = opts.timeline_floor;
-    if (opts.floor_cell != nullptr) {
-      floor = std::max(floor,
-                       opts.floor_cell->load(std::memory_order_acquire));
-    }
-    RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                         cache_.ExecutePrepared(plan, floor, opts.degrade,
-                                                nullptr, opts.session_tag));
-    if (opts.floor_cell != nullptr && outcome.max_seen_heartbeat >= 0) {
-      RaiseFloor(opts.floor_cell, outcome.max_seen_heartbeat);
-    }
-    return MakeQueryResult(std::move(outcome));
+  // Every item runs the SELECT pipeline from its full text; a non-SELECT
+  // misses the plan cache and fails in the parser.
+  auto run_one = [this, &sqls, &opts](size_t i) {
+    SelectRequest req;
+    req.body = sqls[i];
+    req.degrade = opts.degrade;
+    req.floor = opts.timeline_floor;
+    req.floor_cell = opts.floor_cell;
+    req.session_tag = opts.session_tag;
+    return ExecuteSelect(req);
   };
 
   cache_.BeginConcurrentBatch();

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "backend/backend_server.h"
@@ -14,6 +15,32 @@
 namespace rcc {
 
 class Session;
+class StatementRouter;
+
+/// One SELECT, or EXPLAIN [ANALYZE] SELECT, for RccSystem::ExecuteSelect,
+/// with the session state it runs under.
+struct SelectRequest {
+  /// Statement text from the SELECT keyword on, so parse-time literal
+  /// offsets line up with the plan cache's parameter slots.
+  std::string_view body;
+  bool explain = false;
+  bool analyze = false;
+  DegradeMode degrade = DegradeMode::kNone;
+  /// Timeline floor the statement starts from (< 0: none). With
+  /// `floor_cell` set it also reads the cell as its floor and CAS-maxes its
+  /// observed snapshot time back into it. Either one makes the statement
+  /// time-ordered.
+  SimTimeMs floor = -1;
+  std::atomic<SimTimeMs>* floor_cell = nullptr;
+  /// Attach a structured trace to the result (EXPLAIN ANALYZE always does).
+  bool trace = false;
+  /// Audit-history session tag (0 = anonymous).
+  uint64_t session_tag = 0;
+  Deadline deadline;
+  bool shed_hint = false;
+  /// When set, a plain SELECT dispatches through it; EXPLAIN stays local.
+  StatementRouter* router = nullptr;
+};
 
 /// Options for RccSystem::ExecuteConcurrent.
 struct ConcurrentBatchOptions {
@@ -77,6 +104,12 @@ class RccSystem {
   /// Creates an application session against the cache.
   std::unique_ptr<Session> CreateSession();
 
+  /// The SELECT pipeline every SELECT, EXPLAIN [ANALYZE] and batch item runs
+  /// through: plan-cache lookup — or parse, prepare, parameterize and insert
+  /// on a miss — then bind, execute and build the answer. With a router the
+  /// plain SELECT is parsed and dispatched through it instead.
+  Result<QueryResult> ExecuteSelect(const SelectRequest& req);
+
   /// Executes a batch of read-only statements concurrently on a fixed worker
   /// pool and returns one result per statement, in input order.
   ///
@@ -92,10 +125,6 @@ class RccSystem {
   std::vector<Result<QueryResult>> ExecuteConcurrent(
       const std::vector<std::string>& sqls,
       const ConcurrentBatchOptions& opts = {});
-
-  /// Link-wide resilience counters accumulated across every query executed
-  /// through the cache (retries, timeouts, breaker trips, degraded serves).
-  const ExecStats& cache_stats() const { return cache_.cumulative_stats(); }
 
   /// Process metrics of this system instance (per-system rather than global,
   /// so parallel tests and benches never bleed counters into each other).

@@ -1,7 +1,5 @@
 #include "exec/exec_context.h"
 
-#include <algorithm>
-
 namespace rcc {
 
 std::string_view DegradeModeName(DegradeMode mode) {
@@ -14,35 +12,6 @@ std::string_view DegradeModeName(DegradeMode mode) {
       return "always";
   }
   return "unknown";
-}
-
-void ExecStats::Accumulate(const ExecStats& other) {
-  rows_returned += other.rows_returned;
-  remote_queries += other.remote_queries;
-  guard_evaluations += other.guard_evaluations;
-  switch_local += other.switch_local;
-  switch_remote += other.switch_remote;
-  switch_remote_attempted += other.switch_remote_attempted;
-  remote_retries += other.remote_retries;
-  remote_timeouts += other.remote_timeouts;
-  breaker_opens += other.breaker_opens;
-  degraded_serves += other.degraded_serves;
-  shed_serves += other.shed_serves;
-  deadline_timeouts += other.deadline_timeouts;
-  guard_unknown_region += other.guard_unknown_region;
-  guard_quarantined_region += other.guard_quarantined_region;
-  degraded_staleness_ms = std::max(degraded_staleness_ms,
-                                   other.degraded_staleness_ms);
-  // Phase timings are additive real-time costs, exactly like the counters:
-  // batch-accumulated stats must report the total executor time spent, not
-  // silently zero it (ExecuteConcurrent callers sum per-query objects).
-  setup_ms += other.setup_ms;
-  run_ms += other.run_ms;
-  shutdown_ms += other.shutdown_ms;
-  // The timeline-consistency floor input (paper §2.3): the merged object must
-  // reflect the newest snapshot either side has seen, or sessions that
-  // accumulate per-query stats would lose their floor.
-  max_seen_heartbeat = std::max(max_seen_heartbeat, other.max_seen_heartbeat);
 }
 
 Result<bool> RowIterator::NextBatch(RowBatch* out, size_t max_rows) {

@@ -126,10 +126,6 @@ struct ExecStats {
   SimTimeMs max_seen_heartbeat = -1;
 
   void Reset() { *this = ExecStats(); }
-  /// Accumulates another stats object: counters and phase timings sum (both
-  /// are additive real costs), degraded_staleness_ms and max_seen_heartbeat
-  /// max-merge.
-  void Accumulate(const ExecStats& other);
 };
 
 /// Everything an iterator tree needs at run time. The engine layer (cache /

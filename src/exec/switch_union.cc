@@ -1,5 +1,6 @@
 #include "exec/switch_union.h"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -9,14 +10,6 @@
 namespace rcc {
 
 namespace {
-
-#ifdef RCC_SIM_MUTATE
-/// Mutation smoke test (build with -DRCC_SIM_MUTATE=ON): the guard accepts
-/// heartbeats one refresh interval older than the bound allows. The
-/// conformance oracle must flag runs of this build; if it doesn't, the
-/// oracle is vacuous.
-constexpr SimTimeMs kSimMutateSkewMs = 15000;
-#endif
 
 /// Reports a serving decision to the audit sink, attributing the operands
 /// delivered by `branch` to `region` (kBackendRegion = remote fetch).
@@ -40,6 +33,24 @@ void RecordServe(ExecContext* ctx, const PhysicalOp& branch, RegionId region,
   ctx->history->OnServe(obs);
 }
 
+/// Judges the guard region's certified heartbeat on the query's pinned
+/// snapshot. A context without a health hook counts the region as healthy.
+CurrencyVerdict ProbeRegion(const PhysicalOp& op, const ExecContext* ctx) {
+  RegionHealth health = ctx->region_health ? ctx->region_health(op.guard_region)
+                                           : RegionHealth::kHealthy;
+  return JudgeCurrency(ctx->local_heartbeat(op.guard_region), health,
+                       ctx->clock->Now(), op.guard_bound_ms,
+                       ctx->timeline_floor_ms);
+}
+
+/// Counts a probe that found no certified heartbeat, breaking out the ones
+/// whose certification the replication pipeline withdrew.
+void CountUncertified(ExecStats* stats, const CurrencyVerdict& v) {
+  if (stats == nullptr || v.known) return;
+  ++stats->guard_unknown_region;
+  if (v.withdrawn) ++stats->guard_quarantined_region;
+}
+
 }  // namespace
 
 bool SwitchUnionIterator::EvaluateGuard(const PhysicalOp& op,
@@ -55,56 +66,34 @@ bool SwitchUnionIterator::EvaluateGuard(const PhysicalOp& op,
   // a no-op once the query has served local rows from the region (served
   // data stays on its snapshot; see ExecContext::refresh_region).
   if (ctx->refresh_region) ctx->refresh_region(op.guard_region);
-  std::optional<SimTimeMs> hb_opt = ctx->local_heartbeat(op.guard_region);
-  // Health is advisory (stats, trace, EXPLAIN ANALYZE): the refusal itself
-  // rides on the certified heartbeat turning nullopt, so engines that don't
-  // track health still get correct guard verdicts.
-  std::optional<RegionHealth> health;
-  if (ctx->region_health) health = ctx->region_health(op.guard_region);
+  // An unknown heartbeat (region undefined, never synced, or certification
+  // withdrawn) never qualifies — explicitly, not via a fake "stale since
+  // time 0" value. Health only explains why, in stats and trace.
+  const CurrencyVerdict v = ProbeRegion(op, ctx);
   if (ctx->stats != nullptr) ++ctx->stats->guard_evaluations;
-  SimTimeMs now = ctx->clock->Now();
-  bool fresh_enough;
-  if (!hb_opt.has_value()) {
-    // Unknown region (undefined, or defined mid-run and never synced): the
-    // guard cannot certify any freshness, so the local branch never
-    // qualifies — explicitly, not via a fake "stale since time 0" value.
-    if (ctx->stats != nullptr) {
-      ++ctx->stats->guard_unknown_region;
-      if (health.has_value() && !HeartbeatValid(*health)) {
-        ++ctx->stats->guard_quarantined_region;
-      }
-    }
-    fresh_enough = false;
-  } else {
-    SimTimeMs hb = *hb_opt;
-#ifdef RCC_SIM_MUTATE
-    fresh_enough = hb + kSimMutateSkewMs > now - op.guard_bound_ms;
-#else
-    fresh_enough = hb > now - op.guard_bound_ms;
-#endif
-    // Timeline consistency: never fall behind what the session already saw.
-    if (ctx->timeline_floor_ms >= 0 && hb < ctx->timeline_floor_ms) {
-      fresh_enough = false;
-    }
-  }
+  CountUncertified(ctx->stats, v);
+  const bool fresh_enough = v.Fresh();
   if (ctx->guard_probe_hist != nullptr) {
     ctx->guard_probe_hist->Observe(
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count());
   }
+  const SimTimeMs now = ctx->clock->Now();
   if (ctx->trace != nullptr) {
     std::string hb_str =
-        hb_opt.has_value() ? FormatSimTime(*hb_opt) : std::string("unknown");
+        v.known ? FormatSimTime(v.heartbeat) : std::string("unknown");
     std::string detail =
         StrPrintf("region=%d heartbeat=%s bound=%s floor=%s verdict=%s",
                   op.guard_region, hb_str.c_str(),
                   FormatSimTime(op.guard_bound_ms).c_str(),
                   FormatSimTime(ctx->timeline_floor_ms).c_str(),
                   fresh_enough ? "local" : "stale");
-    if (health.has_value()) {
-      detail += StrPrintf(" health=%s",
-                          std::string(RegionHealthName(*health)).c_str());
+    if (ctx->region_health) {
+      detail += StrPrintf(
+          " health=%s",
+          std::string(RegionHealthName(ctx->region_health(op.guard_region)))
+              .c_str());
     }
     ctx->trace->Record(obs::TraceEventKind::kGuardProbe, now,
                        std::move(detail), op.guard_region);
@@ -114,8 +103,8 @@ bool SwitchUnionIterator::EvaluateGuard(const PhysicalOp& op,
     gobs.query_id = ctx->history_query_id;
     gobs.region = op.guard_region;
     gobs.at = now;
-    gobs.heartbeat_known = hb_opt.has_value();
-    gobs.heartbeat = hb_opt.value_or(-1);
+    gobs.heartbeat_known = v.known;
+    gobs.heartbeat = v.heartbeat;
     gobs.bound_ms = op.guard_bound_ms;
     gobs.floor_ms = ctx->timeline_floor_ms;
     gobs.verdict_local = fresh_enough;
@@ -167,17 +156,17 @@ Status SwitchUnionIterator::Open(const EvalScope* outer) {
       RecordServe(ctx_, *op_.children[0], op_.guard_region,
                   /*local=*/true, /*degraded=*/false,
                   ctx_->local_heartbeat(op_.guard_region));
-    } else {
+    } else if (ctx_->shed_hint && DegradeAllowed()) {
       // Overload shedding: under admission pressure, prefer the (permitted)
-      // degraded-local branch over a remote round-trip. Eligibility runs the
-      // exact DegradeToLocal ladder; when it says no, the statement executes
-      // remote exactly as without the hint — shedding can only re-order
-      // permitted branches, never manufacture a refusal or stretch a bound.
-      SimTimeMs hb = -1;
-      SimTimeMs staleness = 0;
-      bool within_bound = false;
-      if (ShedEligible(&hb, &staleness, &within_bound)) {
-        return ShedServeLocal(outer, hb, staleness, within_bound);
+      // degraded-local branch over a remote round-trip. The guard probe that
+      // routed us remote ran a moment ago on the same pinned snapshot, so no
+      // refresh is needed. When the degrade rule says no, the statement
+      // executes remote exactly as without the hint — shedding can only
+      // re-order permitted branches, never manufacture a refusal or stretch
+      // a bound.
+      const CurrencyVerdict v = ProbeRegion(op_, ctx_);
+      if (v.Permits(ctx_->degrade)) {
+        return ServeDegraded(outer, v, /*shed=*/true, Status::OK());
       }
     }
   }
@@ -195,189 +184,97 @@ Status SwitchUnionIterator::Open(const EvalScope* outer) {
   return st;
 }
 
-bool SwitchUnionIterator::ShedEligible(SimTimeMs* hb_out,
-                                       SimTimeMs* staleness_out,
-                                       bool* within_bound_out) {
-  if (!ctx_->shed_hint || local_ == nullptr) return false;
-  // The ladder's permission checks, evaluated non-fatally. The guard probe
-  // that routed us remote ran a moment ago on the same pinned snapshot, so
-  // no extra refresh is needed — the re-read below observes the identical
-  // published version the (recorded) probe judged.
-  if (ctx_->degrade == DegradeMode::kNone) return false;
-  if (served_remote_) return false;
-  std::optional<SimTimeMs> hb_opt = ctx_->local_heartbeat(op_.guard_region);
-  // Unknown or withdrawn heartbeat (never synced, quarantined, resyncing):
-  // the replica's staleness is uncertifiable, so there is nothing safe to
-  // shed to — same rule that makes DegradeToLocal refuse here.
-  if (!hb_opt.has_value()) return false;
-  if (ctx_->region_health &&
-      !HeartbeatValid(ctx_->region_health(op_.guard_region))) {
-    return false;
-  }
-  SimTimeMs hb = *hb_opt;
-  SimTimeMs now = ctx_->clock->Now();
-  // The timeline floor is never relaxed — not by SET DEGRADE ALWAYS, and
-  // not by overload either.
-  if (ctx_->timeline_floor_ms >= 0 && hb < ctx_->timeline_floor_ms) {
-    return false;
-  }
-  bool within_bound = hb > now - op_.guard_bound_ms;
-  // Past the bound, only kAlways may serve stale-flagged data (paper §1);
-  // kBounded sheds solely within the bound, which the guard verdict already
-  // ruled out on this snapshot.
-  if (!within_bound && ctx_->degrade != DegradeMode::kAlways) return false;
-  *hb_out = hb;
-  *staleness_out = now - hb;
-  *within_bound_out = within_bound;
-  return true;
-}
-
-Status SwitchUnionIterator::ShedServeLocal(const EvalScope* outer,
-                                           SimTimeMs hb, SimTimeMs staleness,
-                                           bool within_bound) {
-  // Mirror of the DegradeToLocal serve block, with the shed flag raised:
-  // later re-opens (inner side of nested-loop joins) stick to the local
-  // branch so all probes read one snapshot.
-  cached_decision_ = 1;
-  if (ctx_->stats != nullptr) {
-    ++ctx_->stats->degraded_serves;
-    ++ctx_->stats->shed_serves;
-    // The guard directed the statement remote (already counted in
-    // switch_remote_attempted), but the local branch serves it.
-    ++ctx_->stats->switch_local;
-    if (staleness > ctx_->stats->degraded_staleness_ms) {
-      ctx_->stats->degraded_staleness_ms = staleness;
-    }
-    if (hb > ctx_->stats->max_seen_heartbeat) {
-      ctx_->stats->max_seen_heartbeat = hb;
-    }
-  }
-  if (ctx_->trace != nullptr) {
-    ctx_->trace->Record(
-        obs::TraceEventKind::kShedServe, ctx_->clock->Now(),
-        StrPrintf("region=%d staleness=%s within_bound=%s",
-                  op_.guard_region, FormatSimTime(staleness).c_str(),
-                  within_bound ? "yes" : "no"),
-        op_.guard_region);
-  }
-  if (ctx_->note_local_serve) ctx_->note_local_serve(op_.guard_region);
-  RecordServe(ctx_, *op_.children[0], op_.guard_region,
-              /*local=*/true, /*degraded=*/true, hb, /*shed=*/true);
-  chosen_ = local_.get();
-  return chosen_->Open(outer);
-}
-
-Status SwitchUnionIterator::DegradeToLocal(const EvalScope* outer,
-                                           Status remote_error) {
-  if (ctx_->degrade == DegradeMode::kNone || local_ == nullptr) {
-    return remote_error;
-  }
-  if (served_remote_) {
-    // An earlier probe of this execution already produced remote rows;
-    // switching branches mid-join would mix snapshots within one operand.
-    return remote_error;
-  }
-  // Re-probe the guard: the retry policy may have waited through a
-  // replication delivery, so the local view can be fresher than at the first
-  // probe (possibly even within the bound again). Re-pin to the current
-  // published snapshot first so the re-probe and the rows it certifies are
-  // one version.
-  if (ctx_->refresh_region) ctx_->refresh_region(op_.guard_region);
-  std::optional<SimTimeMs> hb_opt = ctx_->local_heartbeat(op_.guard_region);
-  if (ctx_->stats != nullptr) ++ctx_->stats->guard_evaluations;
-  if (!hb_opt.has_value()) {
-    if (ctx_->region_health) {
-      RegionHealth health = ctx_->region_health(op_.guard_region);
-      if (!HeartbeatValid(health)) {
-        // Quarantined/resyncing: the replication pipeline withdrew the
-        // heartbeat, so even SET DEGRADE ALWAYS refuses — the replica may be
-        // mid-rebuild and its staleness bound is unknowable.
-        if (ctx_->stats != nullptr) {
-          ++ctx_->stats->guard_unknown_region;
-          ++ctx_->stats->guard_quarantined_region;
-        }
-        return Status::Unavailable(
-            "cannot degrade: region " + std::to_string(op_.guard_region) +
-            " is " + std::string(RegionHealthName(health)) +
-            " (replication pipeline invalidated its heartbeat); remote "
-            "branch failed with: " +
-            remote_error.ToString());
-      }
-    }
-    // No local heartbeat was ever installed: the replica's staleness is
-    // unknown, so there is nothing safe to degrade to in any mode.
-    if (ctx_->stats != nullptr) ++ctx_->stats->guard_unknown_region;
-    return Status::Unavailable(
-        "cannot degrade: region " + std::to_string(op_.guard_region) +
-        " has no local heartbeat (never synced), staleness unknown; remote "
-        "branch failed with: " +
-        remote_error.ToString());
-  }
-  SimTimeMs hb = *hb_opt;
-  SimTimeMs now = ctx_->clock->Now();
-  SimTimeMs staleness = now - hb;
-  bool within_bound = hb > now - op_.guard_bound_ms;
-  // The timeline-consistency floor is never relaxed, not even in kAlways
-  // mode: serving data older than what the session already saw would break
-  // the §2.3 contract outright rather than merely stretch a bound.
-  if (ctx_->timeline_floor_ms >= 0 && hb < ctx_->timeline_floor_ms) {
-    return Status::ConstraintViolation(
-        "cannot degrade: local replica of region " +
-        std::to_string(op_.guard_region) + " (heartbeat " +
-        FormatSimTime(hb) + ") is older than the session timeline floor " +
-        FormatSimTime(ctx_->timeline_floor_ms) +
-        "; remote branch failed with: " + remote_error.ToString());
-  }
-  if (!within_bound && ctx_->degrade == DegradeMode::kBounded) {
-    return Status::Unavailable(
-        "cannot degrade within bound: local replica of region " +
-        std::to_string(op_.guard_region) + " is " + FormatSimTime(staleness) +
-        " stale, bound is " + FormatSimTime(op_.guard_bound_ms) +
-        "; remote branch failed with: " + remote_error.ToString());
-  }
+Status SwitchUnionIterator::ServeDegraded(const EvalScope* outer,
+                                          const CurrencyVerdict& v, bool shed,
+                                          const Status& remote_error) {
   // Serve the local view, flagged stale (the paper's "return the data but
   // with an error code"). Later re-opens (inner side of nested-loop joins)
   // must stick to the local branch so all probes read one snapshot.
   cached_decision_ = 1;
   if (ctx_->stats != nullptr) {
     ++ctx_->stats->degraded_serves;
+    if (shed) ++ctx_->stats->shed_serves;
     // The query was directed at the remote branch (switch_remote_attempted)
     // but is finally served by the local one; record the serving branch
     // truthfully instead of leaving it counted as a remote switch.
     ++ctx_->stats->switch_local;
-    if (staleness > ctx_->stats->degraded_staleness_ms) {
-      ctx_->stats->degraded_staleness_ms = staleness;
-    }
-    if (hb > ctx_->stats->max_seen_heartbeat) {
-      ctx_->stats->max_seen_heartbeat = hb;
-    }
+    ctx_->stats->degraded_staleness_ms =
+        std::max(ctx_->stats->degraded_staleness_ms, v.staleness);
+    ctx_->stats->max_seen_heartbeat =
+        std::max(ctx_->stats->max_seen_heartbeat, v.heartbeat);
   }
   if (ctx_->trace != nullptr) {
-    ctx_->trace->Record(
-        obs::TraceEventKind::kDegradedServe, now,
-        StrPrintf("region=%d staleness=%s within_bound=%s remote_error=%s",
-                  op_.guard_region, FormatSimTime(staleness).c_str(),
-                  within_bound ? "yes" : "no",
-                  remote_error.ToString().c_str()),
-        op_.guard_region);
+    std::string detail =
+        StrPrintf("region=%d staleness=%s within_bound=%s", op_.guard_region,
+                  FormatSimTime(v.staleness).c_str(),
+                  v.within_bound ? "yes" : "no");
+    if (!shed) detail += " remote_error=" + remote_error.ToString();
+    ctx_->trace->Record(shed ? obs::TraceEventKind::kShedServe
+                             : obs::TraceEventKind::kDegradedServe,
+                        ctx_->clock->Now(), std::move(detail),
+                        op_.guard_region);
   }
   if (ctx_->note_local_serve) ctx_->note_local_serve(op_.guard_region);
   RecordServe(ctx_, *op_.children[0], op_.guard_region,
-              /*local=*/true, /*degraded=*/true, hb);
+              /*local=*/true, /*degraded=*/true, v.heartbeat, shed);
   chosen_ = local_.get();
   return chosen_->Open(outer);
+}
+
+Status SwitchUnionIterator::DegradeToLocal(const EvalScope* outer,
+                                           Status remote_error) {
+  if (!DegradeAllowed()) return remote_error;
+  // Re-probe the guard: the retry policy may have waited through a
+  // replication delivery, so the local view can be fresher than at the first
+  // probe (possibly even within the bound again). Re-pin to the current
+  // published snapshot first so the re-probe and the rows it certifies are
+  // one version.
+  if (ctx_->refresh_region) ctx_->refresh_region(op_.guard_region);
+  const CurrencyVerdict v = ProbeRegion(op_, ctx_);
+  if (ctx_->stats != nullptr) ++ctx_->stats->guard_evaluations;
+  CountUncertified(ctx_->stats, v);
+  if (v.Permits(ctx_->degrade)) {
+    return ServeDegraded(outer, v, /*shed=*/false, remote_error);
+  }
+  const std::string region = std::to_string(op_.guard_region);
+  const std::string cause =
+      "; remote branch failed with: " + remote_error.ToString();
+  if (!v.known && v.withdrawn) {
+    // Quarantined/resyncing: the replication pipeline withdrew the
+    // heartbeat, so even SET DEGRADE ALWAYS refuses — the replica may be
+    // mid-rebuild and its staleness bound is unknowable.
+    return Status::Unavailable(
+        "cannot degrade: region " + region + " is " +
+        std::string(RegionHealthName(ctx_->region_health(op_.guard_region))) +
+        " (replication pipeline invalidated its heartbeat)" + cause);
+  }
+  if (!v.known) {
+    // No local heartbeat was ever installed: the replica's staleness is
+    // unknown, so there is nothing safe to degrade to in any mode.
+    return Status::Unavailable(
+        "cannot degrade: region " + region +
+        " has no local heartbeat (never synced), staleness unknown" + cause);
+  }
+  if (v.below_floor) {
+    // The timeline-consistency floor is never relaxed, not even in kAlways
+    // mode: serving data older than what the session already saw would
+    // break the §2.3 contract outright rather than merely stretch a bound.
+    return Status::ConstraintViolation(
+        "cannot degrade: local replica of region " + region + " (heartbeat " +
+        FormatSimTime(v.heartbeat) + ") is older than the session timeline " +
+        "floor " + FormatSimTime(ctx_->timeline_floor_ms) + cause);
+  }
+  // kBounded past the bound.
+  return Status::Unavailable(
+      "cannot degrade within bound: local replica of region " + region +
+      " is " + FormatSimTime(v.staleness) + " stale, bound is " +
+      FormatSimTime(op_.guard_bound_ms) + cause);
 }
 
 Status SwitchUnionIterator::CheckCertificationHeld() {
   if (chosen_ != local_.get() || !ctx_->local_heartbeat) return Status::OK();
   if (ctx_->local_heartbeat(op_.guard_region).has_value()) return Status::OK();
-  if (ctx_->stats != nullptr) {
-    ++ctx_->stats->guard_unknown_region;
-    if (ctx_->region_health &&
-        !HeartbeatValid(ctx_->region_health(op_.guard_region))) {
-      ++ctx_->stats->guard_quarantined_region;
-    }
-  }
+  CountUncertified(ctx_->stats, ProbeRegion(op_, ctx_));
   return Status::Unavailable(
       "region " + std::to_string(op_.guard_region) +
       " withdrew its heartbeat certification while the local branch was "

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "exec/currency_verdict.h"
 #include "exec/exec_context.h"
 
 namespace rcc {
@@ -44,20 +45,20 @@ class SwitchUnionIterator : public RowIterator {
   /// `remote_error`. The timeline floor is enforced in every mode.
   Status DegradeToLocal(const EvalScope* outer, Status remote_error);
 
-  /// Overload shedding (ctx->shed_hint): before opening the remote branch,
-  /// checks whether the degraded-local ladder would *permit* serving local
-  /// right now — same rules as DegradeToLocal (degrade mode, certified
-  /// heartbeat, pipeline health, timeline floor, currency bound), just
-  /// evaluated non-fatally. Returns true and fills the probe values when a
-  /// shed serve is allowed; false means "execute remote normally". Never
-  /// turns a permitted statement into a refusal.
-  bool ShedEligible(SimTimeMs* hb, SimTimeMs* staleness, bool* within_bound);
+  /// Whether the degrade ladder may run at all: a mode other than NONE, a
+  /// local branch, and no remote rows served yet by this execution (a
+  /// branch switch mid-join would mix snapshots within one operand).
+  bool DegradeAllowed() const {
+    return ctx_->degrade != DegradeMode::kNone && local_ != nullptr &&
+           !served_remote_;
+  }
 
-  /// Serves the local branch as a pre-emptive shed (degraded + shed flags,
-  /// kShedServe trace, shed serve audit record), pinning later re-opens to
-  /// the local branch exactly like a failure-driven degrade.
-  Status ShedServeLocal(const EvalScope* outer, SimTimeMs hb,
-                        SimTimeMs staleness, bool within_bound);
+  /// Serves the local branch flagged degraded — after a remote failure, or
+  /// pre-emptively under overload (`shed`: ctx->shed_hint with a verdict the
+  /// degrade rule permits; guard semantics are never weakened). Later
+  /// re-opens stick to the local branch.
+  Status ServeDegraded(const EvalScope* outer, const CurrencyVerdict& v,
+                       bool shed, const Status& remote_error);
 
   /// When serving the local branch: one acquire-load of the region's
   /// certified heartbeat. Refuses only if certification was *withdrawn*

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/currency_verdict.h"
 #include "fleet/fleet.h"
 
 namespace rcc {
@@ -96,13 +97,12 @@ Result<CacheQueryOutcome> FleetRouter::RouteSelect(
             if (region != nullptr) hb = region->Snapshot()->heartbeat;
           }
 #endif
-          p.heartbeat_known = hb.has_value();
-          p.heartbeat = hb.value_or(-1);
-          p.eligible =
-              p.heartbeat_known &&
-              !(p.floor_ms >= 0 && p.heartbeat < p.floor_ms) &&
-              (p.heartbeat > now - p.bound_ms ||
-               opts.degrade == DegradeMode::kAlways);
+          const CurrencyVerdict v =
+              JudgeCurrency(hb, cache->RegionHealthOf(p.region), now,
+                            p.bound_ms, p.floor_ms);
+          p.heartbeat_known = v.known;
+          p.heartbeat = v.heartbeat;
+          p.eligible = v.Permits(opts.degrade);
         }
         probes.push_back(p);
       }

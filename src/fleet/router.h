@@ -26,7 +26,8 @@ class FleetSystem;
 /// anchor — the backend tier. Deadline expiry never falls through: the
 /// budget is spent, retrying elsewhere only adds latency.
 ///
-/// Eligibility per probe:
+/// Eligibility per probe is CurrencyVerdict::Permits, the rule the degrade
+/// and shed ladders apply:
 ///   heartbeat known (certified — quarantine/resync withdraws it)
 ///   AND not below the timeline floor
 ///   AND (heartbeat > now - bound OR degrade mode is ALWAYS)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/currency_verdict.h"
 #include "exec/iterators.h"
 #include "exec/remote.h"
 #include "exec/switch_union.h"
@@ -281,81 +282,71 @@ TEST_F(ExecUnitTest, GuardTimelineFloor) {
   EXPECT_TRUE(SwitchUnionIterator::EvaluateGuard(op, &ctx_));
 }
 
-// -- ExecStats --------------------------------------------------------------------
+// -- CurrencyVerdict ----------------------------------------------------------------
 
-TEST(ExecStatsTest, AccumulateMergesHeartbeatWithMax) {
-  // max_seen_heartbeat is an input of the session timeline floor; dropping it
-  // in Accumulate (or overwriting with the later value) would let a
-  // time-ordered session regress below data it already saw.
-  ExecStats total;
-  ExecStats first;
-  first.max_seen_heartbeat = 9000;
-  ExecStats second;
-  second.max_seen_heartbeat = 4000;
-  total.Accumulate(first);
-  total.Accumulate(second);
-  EXPECT_EQ(total.max_seen_heartbeat, 9000);
-  // -1 (= no source touched) never wins over a real timestamp.
-  total.Accumulate(ExecStats());
-  EXPECT_EQ(total.max_seen_heartbeat, 9000);
+TEST(CurrencyVerdictTest, UnknownHeartbeatNeverServes) {
+  CurrencyVerdict v =
+      JudgeCurrency(std::nullopt, RegionHealth::kHealthy, 5000, 1000, -1);
+  EXPECT_FALSE(v.known);
+  EXPECT_FALSE(v.withdrawn);  // never synced, not taken out of service
+  EXPECT_EQ(v.heartbeat, -1);
+  EXPECT_FALSE(v.Fresh());
+  EXPECT_FALSE(v.Permits(DegradeMode::kAlways));
 }
 
-TEST(ExecStatsTest, AccumulateSumsResilienceCounters) {
-  ExecStats total;
-  ExecStats a;
-  a.remote_retries = 2;
-  a.remote_timeouts = 1;
-  a.breaker_opens = 1;
-  a.degraded_serves = 1;
-  a.degraded_staleness_ms = 7000;
-  ExecStats b;
-  b.remote_retries = 3;
-  b.degraded_serves = 2;
-  b.degraded_staleness_ms = 2500;
-  total.Accumulate(a);
-  total.Accumulate(b);
-  EXPECT_EQ(total.remote_retries, 5);
-  EXPECT_EQ(total.remote_timeouts, 1);
-  EXPECT_EQ(total.breaker_opens, 1);
-  EXPECT_EQ(total.degraded_serves, 3);
-  EXPECT_EQ(total.degraded_staleness_ms, 7000);  // max, not sum
+TEST(CurrencyVerdictTest, WithdrawnCertificationNeverServes) {
+  for (RegionHealth health :
+       {RegionHealth::kQuarantined, RegionHealth::kResyncing}) {
+    CurrencyVerdict v = JudgeCurrency(std::nullopt, health, 5000, 1000, -1);
+    EXPECT_FALSE(v.known) << RegionHealthName(health);
+    EXPECT_TRUE(v.withdrawn) << RegionHealthName(health);
+    EXPECT_FALSE(v.Fresh());
+    EXPECT_FALSE(v.Permits(DegradeMode::kBounded));
+    EXPECT_FALSE(v.Permits(DegradeMode::kAlways));
+  }
+  // SUSPECT data is still a consistent snapshot: certification holds.
+  EXPECT_FALSE(
+      JudgeCurrency(4500, RegionHealth::kSuspect, 5000, 1000, -1).withdrawn);
 }
 
-TEST(ExecStatsTest, AccumulateSumsPhaseTimings) {
-  // Regression: Accumulate used to drop setup_ms/run_ms/shutdown_ms, so any
-  // aggregate built from per-query stats (cumulative link stats, bench
-  // totals) reported zero executor time.
-  ExecStats total;
-  ExecStats a;
-  a.setup_ms = 1.5;
-  a.run_ms = 10.0;
-  a.shutdown_ms = 0.25;
-  ExecStats b;
-  b.setup_ms = 0.5;
-  b.run_ms = 2.0;
-  b.shutdown_ms = 0.75;
-  total.Accumulate(a);
-  total.Accumulate(b);
-  EXPECT_DOUBLE_EQ(total.setup_ms, 2.0);
-  EXPECT_DOUBLE_EQ(total.run_ms, 12.0);
-  EXPECT_DOUBLE_EQ(total.shutdown_ms, 1.0);
+TEST(CurrencyVerdictTest, BelowFloorRefusesEvenUnderAlways) {
+  CurrencyVerdict v =
+      JudgeCurrency(4500, RegionHealth::kHealthy, 5000, 1000, 4600);
+  EXPECT_TRUE(v.known);
+  EXPECT_TRUE(v.within_bound);
+  EXPECT_TRUE(v.below_floor);
+  EXPECT_FALSE(v.Fresh());
+  EXPECT_FALSE(v.Permits(DegradeMode::kAlways));
+  // Floor == heartbeat is allowed.
+  EXPECT_TRUE(
+      JudgeCurrency(4500, RegionHealth::kHealthy, 5000, 1000, 4500).Fresh());
 }
 
-TEST(ExecStatsTest, AccumulateSumsSwitchCounters) {
-  // switch_remote_attempted (the pre-degradation decision counter) must
-  // aggregate like the serving-branch counters.
-  ExecStats total;
-  ExecStats a;
-  a.switch_local = 2;
-  a.switch_remote = 1;
-  a.switch_remote_attempted = 3;
-  ExecStats b;
-  b.switch_remote_attempted = 1;
-  total.Accumulate(a);
-  total.Accumulate(b);
-  EXPECT_EQ(total.switch_local, 2);
-  EXPECT_EQ(total.switch_remote, 1);
-  EXPECT_EQ(total.switch_remote_attempted, 4);
+TEST(CurrencyVerdictTest, BoundIsStrict) {
+  // hb == now - bound: exactly one bound old, which the guard's strict `>`
+  // rejects.
+  CurrencyVerdict at =
+      JudgeCurrency(4000, RegionHealth::kHealthy, 5000, 1000, -1);
+  EXPECT_FALSE(at.within_bound);
+  EXPECT_FALSE(at.Fresh());
+  EXPECT_EQ(at.staleness, 1000);
+  CurrencyVerdict inside =
+      JudgeCurrency(4001, RegionHealth::kHealthy, 5000, 1000, -1);
+  EXPECT_TRUE(inside.within_bound);
+  EXPECT_TRUE(inside.Fresh());
+  EXPECT_EQ(inside.staleness, 999);
+}
+
+TEST(CurrencyVerdictTest, PastBoundServesOnlyUnderAlways) {
+  CurrencyVerdict v =
+      JudgeCurrency(2000, RegionHealth::kHealthy, 5000, 1000, -1);
+  EXPECT_TRUE(v.known);
+  EXPECT_FALSE(v.within_bound);
+  EXPECT_EQ(v.staleness, 3000);
+  EXPECT_FALSE(v.Fresh());
+  EXPECT_FALSE(v.Permits(DegradeMode::kNone));
+  EXPECT_FALSE(v.Permits(DegradeMode::kBounded));
+  EXPECT_TRUE(v.Permits(DegradeMode::kAlways));
 }
 
 // -- ParameterizeStmt -------------------------------------------------------------

@@ -560,7 +560,7 @@ TEST_F(DegradeTest, BreakerTripsAcrossQueriesAndRecovers) {
   ASSERT_NE(exec, nullptr);
   EXPECT_TRUE(exec->breaker_open());
   EXPECT_EQ(exec->breaker_opens(), 1);
-  EXPECT_EQ(fx_.sys.cache_stats().breaker_opens, 1);
+  EXPECT_EQ(fx_.sys.metrics().counter("rcc.remote.breaker_opens")->value(), 1);
 
   // Fail-fast: the third query never reaches the injector.
   int64_t attempts = fx_.sys.cache()->fault_injector()->attempts();
@@ -622,8 +622,7 @@ TEST_F(DegradeTest, OutageWindowsNeverCrashTheCache) {
   }
   EXPECT_EQ(ok + clean_failures, 120);
   EXPECT_GT(ok, clean_failures);  // the cache mostly rides out the outages
-  const ExecStats& total = fx_.sys.cache_stats();
-  EXPECT_GT(total.remote_retries, 0);
+  EXPECT_GT(fx_.sys.metrics().counter("rcc.remote.retries")->value(), 0);
   EXPECT_GT(fx_.sys.cache()->fault_injector()->injected_errors(), 0);
 }
 
@@ -633,12 +632,7 @@ TEST_F(DegradeTest, CumulativeStatsAccumulateAcrossQueries) {
   AdvanceToStaleness(8000);
   MustExecute(fx_.session.get(), kBoundedQuery);
   MustExecute(fx_.session.get(), kBoundedQuery);
-  const ExecStats& total = fx_.sys.cache_stats();
-  EXPECT_EQ(total.degraded_serves, 2);
-  EXPECT_EQ(total.degraded_staleness_ms, 8000);
-  EXPECT_GE(total.max_seen_heartbeat, 0);
-  fx_.sys.cache()->ResetCumulativeStats();
-  EXPECT_EQ(fx_.sys.cache_stats().degraded_serves, 0);
+  EXPECT_EQ(fx_.sys.metrics().counter("rcc.degrade.serves")->value(), 2);
 }
 
 // -- Acceptance thresholds (ISSUE): resilient vs vanilla under 30% outage ----
@@ -708,7 +702,7 @@ TEST(FaultThresholdTest, ResilientPolicySurvivesOutagesVanillaDoesNot) {
       static_cast<double>(resilient_ok) / static_cast<double>(satisfiable);
   EXPECT_GE(resilient_rate, 0.99);
   EXPECT_GT(degraded_serves, 0);
-  EXPECT_GT(resilient.sys.cache_stats().remote_retries, 0);
+  EXPECT_GT(resilient.sys.metrics().counter("rcc.remote.retries")->value(), 0);
 
   // Vanilla system: same faults, single bare attempt, no degradation.
   BookstoreFixture vanilla(10000, 2000);

@@ -256,6 +256,44 @@ TEST(PlanCacheSessionTest, ExplainMarksCachedPlans) {
       << second.message;
 }
 
+// A leading `--` comment is skipped exactly as the lexer skips it, so
+// commented SELECT and EXPLAIN text enters the same pipeline — and the same
+// plan cache — as the bare text.
+TEST(PlanCacheSessionTest, LeadingCommentTakesThePlanCachePath) {
+  const std::string q =
+      "SELECT isbn FROM Books B WHERE B.isbn = 1 "
+      "CURRENCY BOUND 1 HOUR ON (B)";
+  {
+    BookstoreFixture fx;
+    fx.sys.AdvanceTo(30000);
+    PlanCache& pc = fx.sys.cache()->plan_cache();
+    const std::string commented = "-- hi\n" + q;
+    int64_t hits0 = pc.hits(), misses0 = pc.misses();
+    QueryResult first = MustExecute(fx.session.get(), commented);
+    EXPECT_EQ(pc.misses(), misses0 + 1);
+    QueryResult second = MustExecute(fx.session.get(), commented);
+    EXPECT_EQ(pc.hits(), hits0 + 1);
+    EXPECT_EQ(IntColumn(first), std::vector<int64_t>{1});
+    EXPECT_EQ(IntColumn(second), std::vector<int64_t>{1});
+  }
+  // Each text on a fresh system, twice: the miss and the hit render alike
+  // with and without comments.
+  auto explain_twice = [](const std::string& text) {
+    BookstoreFixture fx;
+    fx.sys.AdvanceTo(30000);
+    std::vector<std::string> out;
+    for (int i = 0; i < 2; ++i) {
+      out.push_back(MustExecute(fx.session.get(), text).message);
+    }
+    return out;
+  };
+  const std::vector<std::string> bare = explain_twice("EXPLAIN " + q);
+  EXPECT_NE(bare[0].find("?0"), std::string::npos) << bare[0];
+  EXPECT_NE(bare[1].find("plan: cached"), std::string::npos) << bare[1];
+  EXPECT_EQ(explain_twice("-- hi\nEXPLAIN " + q), bare);
+  EXPECT_EQ(explain_twice("  -- a\n-- b\nEXPLAIN -- c\n" + q), bare);
+}
+
 TEST(PlanCacheSessionTest, ViewSetChangeInvalidatesCachedPlans) {
   BookstoreFixture fx;
   fx.sys.AdvanceTo(30000);

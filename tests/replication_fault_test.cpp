@@ -509,8 +509,9 @@ TEST(ReplicationFaultSystemTest, QuarantineWithdrawsHeartbeatAndGuardsRefuse) {
   // Quarantined: the same plan's guard now sees an unknown heartbeat and
   // routes remote — the half-applied region is never served.
   obs::QueryTrace trace;
-  auto outcome = fx.sys.cache()->ExecutePrepared(plan, -1, DegradeMode::kNone,
-                                                 &trace);
+  PreparedExecOptions traced;
+  traced.trace = &trace;
+  auto outcome = fx.sys.cache()->ExecutePrepared(plan, traced);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->stats.switch_local, 0);
   EXPECT_EQ(outcome->stats.switch_remote, 1);
@@ -527,8 +528,9 @@ TEST(ReplicationFaultSystemTest, QuarantineWithdrawsHeartbeatAndGuardsRefuse) {
   FaultInjectorConfig outage;
   outage.outages = {{0, 1000000000}};
   fx.sys.cache()->SetFaultInjector(outage);
-  auto degraded = fx.sys.cache()->ExecutePrepared(plan, -1,
-                                                  DegradeMode::kAlways);
+  PreparedExecOptions always;
+  always.degrade = DegradeMode::kAlways;
+  auto degraded = fx.sys.cache()->ExecutePrepared(plan, always);
   ASSERT_FALSE(degraded.ok());
   EXPECT_NE(degraded.status().ToString().find("quarantined"),
             std::string::npos);

@@ -180,6 +180,29 @@ TEST(SessionTest, SetDeadlineParsesAndClears) {
   EXPECT_FALSE(fx.session->Execute("SET DEADLINE soon").ok());
 }
 
+TEST(SessionTest, SetStatementsRejectMalformedInput) {
+  BookstoreFixture fx;
+  Session* s = fx.session.get();
+  ASSERT_TRUE(s->Execute("set deadline=86400000;").ok());  // the 24 h cap
+  EXPECT_EQ(s->deadline_ms(), 86400000);
+  ASSERT_TRUE(s->Execute("SET\tTRACE\r\n= on").ok());
+  EXPECT_TRUE(s->trace_enabled());
+  // None of these is a SET: each falls through to the parser's error and
+  // leaves the session as it was.
+  for (const char* sql :
+       {"SET DEADLINE 86400001", "SET DEADLINE -5", "SET DEADLINE 5 ms",
+        "SET DEADLINE", "SET DEGRADE", "SET DEGRADE ALWAYS NOW",
+        "SET TRACE = ON OFF", "SETX TRACE OFF", "SET VERBOSE ON",
+        "SET DEGRADE\vALWAYS", "SET"}) {
+    auto r = s->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsParseError()) << sql;
+  }
+  EXPECT_EQ(s->deadline_ms(), 86400000);
+  EXPECT_TRUE(s->trace_enabled());
+  EXPECT_EQ(s->degrade_mode(), DegradeMode::kNone);
+}
+
 TEST(SessionTest, ExpiredDeadlineAnswersTimeoutAndReleasesPins) {
   BookstoreFixture fx;
   // A deadline whose budget was consumed entirely by (simulated) queue
