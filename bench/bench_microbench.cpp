@@ -77,7 +77,11 @@ void BM_GuardEvaluation(benchmark::State& state) {
   op.guard_region = 1;
   op.guard_bound_ms = 600000;
   ExecStats stats;
-  ExecContext ctx = sys->cache()->MakeExecContext(&stats);
+  CacheDbms::Reader reader(sys->cache());
+  ExecContext ctx;
+  ctx.reader = &reader;
+  ctx.clock = sys->clock();
+  ctx.stats = &stats;
   for (auto _ : state) {
     bool ok = SwitchUnionIterator::EvaluateGuard(op, &ctx);
     benchmark::DoNotOptimize(ok);

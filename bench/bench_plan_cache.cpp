@@ -173,7 +173,11 @@ int Run() {
       "WHERE C.c_custkey = 42 CURRENCY BOUND 10 MIN ON (C)",
       /*view_matching=*/true, /*guards=*/true);
   ExecStats stats;
-  ExecContext ctx = sys->cache()->MakeExecContext(&stats);
+  CacheDbms::Reader reader(sys->cache());
+  ExecContext ctx;
+  ctx.reader = &reader;
+  ctx.clock = sys->clock();
+  ctx.stats = &stats;
   ctx.subplans = &guarded.subplans;
   auto drain = [&](bool batch_protocol) {
     auto iter = BuildIterator(*guarded.root, &ctx, &guarded.aliases);

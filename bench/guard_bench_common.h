@@ -117,7 +117,11 @@ class ForcedStaleness {
 inline double RunPlan(RccSystem* sys, const QueryPlan& plan, int iters,
                       ExecStats* total, int64_t* rows_out) {
   ExecStats stats;
-  ExecContext ctx = sys->cache()->MakeExecContext(&stats);
+  CacheDbms::Reader reader(sys->cache());
+  ExecContext ctx;
+  ctx.reader = &reader;
+  ctx.clock = sys->clock();
+  ctx.stats = &stats;
   // One warm-up execution (also captures the row count).
   {
     auto result = ExecutePlan(plan, &ctx);

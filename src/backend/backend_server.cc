@@ -96,11 +96,7 @@ Result<ExecutedQuery> BackendServer::ExecuteQuery(const SelectStmt& stmt) {
                        Optimize(std::move(resolved), catalog_, opts));
 
   ExecContext ctx;
-  ctx.table_provider = [this](const ScanTarget& target) -> const Table* {
-    return target.is_view ? nullptr : table(target.name);
-  };
-  // The back-end has no currency regions; back-end plans never carry guards.
-  ctx.local_heartbeat = [](RegionId) { return std::optional<SimTimeMs>{}; };
+  ctx.reader = this;
   ctx.clock = clock_;
   ctx.stats = &stats_;
   return ExecutePlan(plan, &ctx);

@@ -10,6 +10,7 @@
 #include "catalog/catalog.h"
 #include "common/clock.h"
 #include "exec/executor.h"
+#include "exec/read_handle.h"
 #include "optimizer/optimizer.h"
 #include "replication/heartbeat.h"
 #include "txn/oracle.h"
@@ -20,8 +21,9 @@ namespace rcc {
 /// The back-end database server: owner of the master data, the commit
 /// history (update log), and the global heartbeat table. All update
 /// transactions run here; the cache forwards queries it cannot (or should
-/// not) answer locally.
-class BackendServer {
+/// not) answer locally. It is its own read handle: plans scan the master
+/// tables directly and carry no guards (the back-end has no regions).
+class BackendServer : private ReadHandle {
  public:
   BackendServer(VirtualClock* clock, CostParams costs)
       : clock_(clock), costs_(costs) {}
@@ -97,6 +99,10 @@ class BackendServer {
   HeartbeatStore heartbeat_;
   ExecStats stats_;
   CommitObserver commit_observer_;
+
+  const Table* ScanTable(const ScanTarget& target) override {
+    return target.is_view ? nullptr : table(target.name);
+  }
 };
 
 }  // namespace rcc

@@ -187,35 +187,6 @@ void CacheDbms::ClearReplicationFaults() {
   for (auto& agent : agents_) agent->ClearFaultConfig();
 }
 
-Result<RemoteResult> CacheDbms::ExecuteRemote(const SelectStmt& stmt,
-                                              ExecStats* stats,
-                                              obs::QueryTrace* trace,
-                                              Deadline deadline) const {
-  // The whole remote stack (breaker state, injector RNG, back-end executor
-  // counters) is single-threaded; workers of a concurrent batch take turns.
-  // Serial mode skips the lock: it is single-threaded by contract, and the
-  // policy's wait pumps the scheduler (replication deliveries take region
-  // data locks exclusively), so holding the channel mutex across the pump
-  // would order channel-before-region — the reverse of a concurrent worker,
-  // which opens its remote branch while holding region locks shared. The
-  // modes never overlap, but the lock-order cycle is real enough for tsan.
-  std::unique_lock<std::mutex> channel_guard(remote_mutex_, std::defer_lock);
-  if (in_concurrent_batch()) channel_guard.lock();
-  if (remote_policy_ != nullptr) {
-    return remote_policy_->Execute(stmt, stats, trace, deadline);
-  }
-  if (fault_injector_ != nullptr) {
-    // Vanilla channel under faults: one bare attempt, failures surface
-    // immediately.
-    RemoteAttempt attempt = fault_injector_->Execute(
-        stmt,
-        [this](const SelectStmt& s) { return backend_->ExecuteRemote(s); });
-    if (!attempt.status.ok()) return attempt.status;
-    return std::move(attempt.data);
-  }
-  return backend_->ExecuteRemote(stmt);
-}
-
 OptimizerOptions CacheDbms::default_options() const {
   OptimizerOptions opts;
   opts.mode = PlanMode::kCache;
@@ -236,81 +207,69 @@ Result<QueryPlan> CacheDbms::Prepare(const SelectStmt& stmt,
   return Optimize(std::move(resolved), catalog_, opts);
 }
 
-ExecContext CacheDbms::MakeExecContext(ExecStats* stats,
-                                       SimTimeMs timeline_floor,
-                                       DegradeMode degrade,
-                                       obs::QueryTrace* trace) const {
-  ExecContext ctx;
-  // One pin per query execution: the guard probe, every scan, and the audit
-  // epoch of a region all read the same pinned snapshot (until a degrade
-  // re-probe refreshes a not-yet-served region). The lambdas share ownership
-  // of the pin, so it lives exactly as long as the context.
-  auto pin = std::make_shared<SnapshotPin>(epochs_.get());
-  ctx.snapshot_pin = pin;
-  ctx.table_provider = [this, pin](const ScanTarget& target) -> const Table* {
-    if (!target.is_view) return nullptr;  // no base tables on the cache
-    std::string lower = ToLower(target.name);
-    auto it = view_regions_.find(lower);
-    if (it == view_regions_.end()) return nullptr;
-    const CurrencyRegion* r = region(it->second);
-    if (r == nullptr) return nullptr;
-    const MaterializedView* v = pin->Acquire(r)->FindView(lower);
-    return v == nullptr ? nullptr : &v->data();
-  };
-  // Deadline-free binding; ExecutePrepared re-binds this lambda with the
-  // statement's deadline when one is armed (the deadline is per-statement,
-  // this context builder is shared with deadline-less callers).
-  ctx.remote_executor = [this, stats, trace](const SelectStmt& stmt) {
-    return ExecuteRemote(stmt, stats, trace);
-  };
-  ctx.local_heartbeat = [this, pin](RegionId cid) -> std::optional<SimTimeMs> {
-    const CurrencyRegion* r = region(cid);
-    if (r == nullptr) return std::nullopt;
-    return pin->Acquire(r)->certified_heartbeat();
-  };
-  ctx.region_health = [this, pin](RegionId cid) {
-    const CurrencyRegion* r = region(cid);
-    return r == nullptr ? RegionHealth::kHealthy : pin->Acquire(r)->health;
-  };
-  ctx.region_epoch = [this, pin](RegionId cid) -> uint64_t {
-    const CurrencyRegion* r = region(cid);
-    return r == nullptr ? 0 : pin->Acquire(r)->epoch;
-  };
-  ctx.refresh_region = [this, pin](RegionId cid) {
-    const CurrencyRegion* r = region(cid);
-    if (r != nullptr) pin->Refresh(r);
-  };
-  ctx.note_local_serve = [pin](RegionId cid) { pin->MarkServed(cid); };
-  ctx.clock = backend_->clock();
-  ctx.stats = stats;
-  ctx.timeline_floor_ms = timeline_floor;
-  ctx.degrade = degrade;
-  ctx.trace = trace;
-  ctx.guard_probe_hist = inst_.guard_probe_ms;
-  return ctx;
+const Table* CacheDbms::Reader::ScanTable(const ScanTarget& target) {
+  if (!target.is_view) return nullptr;  // no base tables on the cache
+  std::string lower = ToLower(target.name);
+  auto it = cache_->view_regions_.find(lower);
+  if (it == cache_->view_regions_.end()) return nullptr;
+  const CurrencyRegion* r = cache_->region(it->second);
+  if (r == nullptr) return nullptr;
+  const MaterializedView* v = pin_.Acquire(r)->FindView(lower);
+  return v == nullptr ? nullptr : &v->data();
+}
+
+const RegionSnapshot* CacheDbms::Reader::Snapshot(RegionId region) {
+  const CurrencyRegion* r = cache_->region(region);
+  return r == nullptr ? nullptr : pin_.Acquire(r);
+}
+
+void CacheDbms::Reader::RefreshUnlessServed(RegionId region) {
+  const CurrencyRegion* r = cache_->region(region);
+  if (r != nullptr) pin_.Refresh(r);
+}
+
+Result<RemoteResult> CacheDbms::Reader::ExecuteRemote(
+    const SelectStmt& stmt, const ExecContext& ctx) {
+  // The whole remote stack (breaker state, injector RNG, back-end executor
+  // counters) is single-threaded; workers of a concurrent batch take turns.
+  // Serial mode skips the lock: it is single-threaded by contract, and the
+  // policy's wait pumps the scheduler (replication deliveries take region
+  // data locks exclusively), so holding the channel mutex across the pump
+  // would order channel-before-region — the reverse of a concurrent worker,
+  // which opens its remote branch while holding region locks shared. The
+  // modes never overlap, but the lock-order cycle is real enough for tsan.
+  std::unique_lock<std::mutex> channel_guard(cache_->remote_mutex_,
+                                             std::defer_lock);
+  if (cache_->in_concurrent_batch()) channel_guard.lock();
+  if (cache_->remote_policy_ != nullptr) {
+    return cache_->remote_policy_->Execute(stmt, ctx.stats, ctx.trace,
+                                           ctx.deadline);
+  }
+  BackendServer* backend = cache_->backend_;
+  if (cache_->fault_injector_ != nullptr) {
+    // Vanilla channel under faults: one bare attempt, failures surface
+    // immediately.
+    RemoteAttempt attempt = cache_->fault_injector_->Execute(
+        stmt,
+        [backend](const SelectStmt& s) { return backend->ExecuteRemote(s); });
+    if (!attempt.status.ok()) return attempt.status;
+    return std::move(attempt.data);
+  }
+  return backend->ExecuteRemote(stmt);
 }
 
 Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
     const QueryPlan& plan, const PreparedExecOptions& opts) {
-  const SimTimeMs timeline_floor = opts.timeline_floor;
-  const DegradeMode degrade = opts.degrade;
-  obs::QueryTrace* trace = opts.trace;
   CacheQueryOutcome out;
-  ExecContext ctx = MakeExecContext(&out.stats, timeline_floor, degrade, trace);
-  ctx.params = opts.params;
+  ExecContext ctx;
+  ctx.clock = backend_->clock();
+  ctx.stats = &out.stats;
+  ctx.degrade = opts.degrade;
+  ctx.deadline = opts.deadline;
   ctx.shed_hint = opts.shed_hint;
-  if (opts.deadline.armed()) {
-    ctx.deadline = opts.deadline;
-    // Re-bind the remote channel with the deadline so the retry loop's
-    // cancellation points see it (the MakeExecContext binding is shared with
-    // deadline-less callers).
-    ExecStats* stats = &out.stats;
-    Deadline deadline = opts.deadline;
-    ctx.remote_executor = [this, stats, trace, deadline](
-                              const SelectStmt& stmt) {
-      return ExecuteRemote(stmt, stats, trace, deadline);
-    };
-  }
+  ctx.timeline_floor_ms = opts.timeline_floor;
+  ctx.trace = opts.trace;
+  ctx.params = opts.params;
   if (sink_ != nullptr) {
     ctx.history = sink_;
     ctx.history_query_id = opts.history_query_id != 0
@@ -321,30 +280,25 @@ Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
   // replication batches landing while the policy waits show up in the trace.
   // A concurrent batch freezes the virtual clock (no deliveries fire), and
   // one shared pointer would race across workers anyway.
+  obs::QueryTrace* trace = opts.trace;
   if (trace != nullptr && !in_concurrent_batch()) active_trace_ = trace;
-  // No region locks in either mode: the context's SnapshotPin gives every
-  // scan an immutable published snapshot, so a delivery can never mutate a
-  // view mid-scan — and a delivery to any region proceeds while this plan
-  // runs, merely deferring reclamation of versions the pin still covers.
-  Result<ExecutedQuery> executed = ExecutePlan(plan, &ctx);
-  if (active_trace_ == trace && trace != nullptr) active_trace_ = nullptr;
-  // Release the snapshot pin before answer bookkeeping: a cancelled or
-  // failed statement must not hold its pinned epoch (and thereby defer
-  // snapshot reclamation) for even the bookkeeping below — the epoch-leak
-  // invariant (MinPinnedEpoch == current_epoch once idle) holds the moment
-  // the statement stops executing, not when its result object dies. The
-  // context's callbacks share ownership, so dropping both here frees the
-  // pin deterministically.
-  if (!executed.ok()) {
-    ctx.table_provider = nullptr;
-    ctx.remote_executor = nullptr;
-    ctx.local_heartbeat = nullptr;
-    ctx.region_health = nullptr;
-    ctx.region_epoch = nullptr;
-    ctx.refresh_region = nullptr;
-    ctx.note_local_serve = nullptr;
-    ctx.snapshot_pin.reset();
+  Result<ExecutedQuery> executed = ExecutedQuery();
+  {
+    // No region locks in either mode: the reader's SnapshotPin gives every
+    // scan an immutable published snapshot, so a delivery can never mutate a
+    // view mid-scan — and a delivery to any region proceeds while this plan
+    // runs, merely deferring reclamation of versions the pin still covers.
+    // The pin dies with this scope, before the answer bookkeeping below: a
+    // cancelled or failed statement must not hold its pinned epoch (and
+    // thereby defer snapshot reclamation) a moment longer — the epoch-leak
+    // invariant (MinPinnedEpoch == current_epoch once idle) holds the moment
+    // the statement stops executing.
+    Reader reader(this);
+    ctx.reader = &reader;
+    executed = ExecutePlan(plan, &ctx);
+    ctx.reader = nullptr;
   }
+  if (active_trace_ == trace && trace != nullptr) active_trace_ = nullptr;
   // Failed queries still spent retries / tripped the breaker; the registry
   // counts them too.
   RecordQueryMetrics(out.stats, backend_->clock()->Now());
@@ -358,8 +312,9 @@ Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
     // behaves under: the two only diverge when a stale cached plan is
     // served across a SET DEGRADE change, which is exactly what the
     // conformance oracle must see (DESIGN.md §12).
-    ans.degrade_mode = static_cast<int>(opts.audit_degrade.value_or(degrade));
-    ans.floor_before = timeline_floor;
+    ans.degrade_mode =
+        static_cast<int>(opts.audit_degrade.value_or(opts.degrade));
+    ans.floor_before = opts.timeline_floor;
     ans.max_seen_heartbeat = out.stats.max_seen_heartbeat;
     ans.degraded = out.stats.degraded_serves > 0;
     ans.degraded_staleness_ms = out.stats.degraded_staleness_ms;
@@ -379,7 +334,6 @@ Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
   if (!executed.ok()) return executed.status();
   out.result = std::move(executed).value();
   out.shape = plan.Shape();
-  out.plan_text = plan.DescribeTree();
   out.constraint = plan.resolved.constraint;
   out.executed_at = backend_->clock()->Now();
   out.max_seen_heartbeat = out.stats.max_seen_heartbeat;
@@ -418,7 +372,6 @@ void CacheDbms::SetMetricsRegistry(obs::MetricsRegistry* registry) {
                           static_cast<int>(cid)))
         ->Set(static_cast<double>(static_cast<int>(region->health())));
   }
-  inst_.guard_probe_ms = registry->histogram("rcc.guard.probe_ms");
   inst_.query_run_ms = registry->histogram("rcc.cache.query_run_ms");
   inst_.served_staleness_ms =
       registry->histogram("rcc.cache.served_staleness_ms");

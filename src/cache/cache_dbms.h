@@ -11,6 +11,7 @@
 
 #include "backend/backend_server.h"
 #include "backend/fault_injector.h"
+#include "exec/read_handle.h"
 #include "exec/remote_policy.h"
 #include "plan/plan_cache.h"
 #include "replication/agent.h"
@@ -25,7 +26,6 @@ struct CacheQueryOutcome {
   ExecutedQuery result;
   ExecStats stats;
   PlanShape shape = PlanShape::kRemoteOnly;
-  std::string plan_text;
   NormalizedConstraint constraint;
   SimTimeMs executed_at = 0;
   /// Highest source snapshot time the query observed (timeline tracking).
@@ -224,11 +224,31 @@ class CacheDbms {
   PlanCache& plan_cache() { return plan_cache_; }
   const PlanCache& plan_cache() const { return plan_cache_; }
 
-  /// Builds the ExecContext used for local execution (exposed for benches
-  /// that drive the executor directly).
-  ExecContext MakeExecContext(ExecStats* stats, SimTimeMs timeline_floor = -1,
-                              DegradeMode degrade = DegradeMode::kNone,
-                              obs::QueryTrace* trace = nullptr) const;
+  /// The cache's read handle: one per statement execution (not
+  /// thread-safe), built on the stack with no allocation. Every region the
+  /// statement touches is read through one SnapshotPin, so the guard probe,
+  /// every scan and the audit epoch of a region see one published version;
+  /// the pinned epoch is released when the reader dies. ExecutePrepared
+  /// makes one per statement; benches and tests that drive the executor
+  /// directly make their own.
+  class Reader final : public ReadHandle {
+   public:
+    explicit Reader(const CacheDbms* cache)
+        : cache_(cache), pin_(cache->epochs_.get()) {}
+
+    const Table* ScanTable(const ScanTarget& target) override;
+    const RegionSnapshot* Snapshot(RegionId region) override;
+    void RefreshUnlessServed(RegionId region) override;
+    void MarkServed(RegionId region) override { pin_.MarkServed(region); }
+    /// One remote execution through the configured stack: policy (if any)
+    /// over injector (if any) over the back-end adapter.
+    Result<RemoteResult> ExecuteRemote(const SelectStmt& stmt,
+                                       const ExecContext& ctx) override;
+
+   private:
+    const CacheDbms* cache_;
+    SnapshotPin pin_;
+  };
 
   /// -- observability -----------------------------------------------------------
 
@@ -265,7 +285,6 @@ class CacheDbms {
     obs::Counter* replication_deliveries = nullptr;
     obs::Counter* replication_quarantines = nullptr;
     obs::Counter* replication_resyncs = nullptr;
-    obs::Histogram* guard_probe_ms = nullptr;
     obs::Histogram* query_run_ms = nullptr;
     obs::Histogram* served_staleness_ms = nullptr;
   };
@@ -284,12 +303,6 @@ class CacheDbms {
   void OnHealthChange(RegionId region, RegionHealth from, RegionHealth to,
                       SimTimeMs at);
 
-  /// One remote execution through the configured stack: policy (if any) over
-  /// injector (if any) over the back-end adapter. `deadline` bounds the
-  /// policy's retry loop in real time.
-  Result<RemoteResult> ExecuteRemote(const SelectStmt& stmt, ExecStats* stats,
-                                     obs::QueryTrace* trace,
-                                     Deadline deadline = Deadline::None()) const;
   /// The attempt function feeding the policy layer (injector-wrapped or
   /// plain back-end).
   RemoteAttemptFn MakeAttemptFn() const;

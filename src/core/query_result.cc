@@ -9,7 +9,6 @@ QueryResult MakeQueryResult(CacheQueryOutcome outcome) {
   out.layout = std::move(outcome.result.layout);
   out.rows = std::move(outcome.result.rows);
   out.shape = outcome.shape;
-  out.plan_text = std::move(outcome.plan_text);
   out.stats = outcome.stats;
   out.constraint = std::move(outcome.constraint);
   out.executed_at = outcome.executed_at;

@@ -17,8 +17,6 @@ struct QueryResult {
   std::vector<Row> rows;
   /// Coarse plan shape (paper Fig. 4.1 classes).
   PlanShape shape = PlanShape::kRemoteOnly;
-  /// Full plan rendering.
-  std::string plan_text;
   ExecStats stats;
   /// The normalized C&C constraint the plan was required to satisfy.
   NormalizedConstraint constraint;

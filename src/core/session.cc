@@ -399,16 +399,22 @@ Status Session::VerifyConstraint(const QueryPlan& plan) const {
   // Determine, per input operand, the snapshot it would be served from if
   // the plan ran right now (re-evaluating the currency guards).
   std::map<InputOperandId, semantics::CopyState> sources;
+  // One reader for the whole walk, so each region's guard verdict and its
+  // as_of come from the same pinned snapshot.
   ExecStats scratch;
-  ExecContext ctx = cache->MakeExecContext(&scratch);
+  CacheDbms::Reader reader(cache);
+  ExecContext ctx;
+  ctx.reader = &reader;
+  ctx.clock = backend->clock();
+  ctx.stats = &scratch;
 
   std::function<void(const PhysicalOp&)> walk = [&](const PhysicalOp& op) {
     if (op.kind == PhysOpKind::kSwitchUnion) {
       bool local = SwitchUnionIterator::EvaluateGuard(op, &ctx);
       TxnTimestamp as_of = latest;
       if (local) {
-        const CurrencyRegion* region = cache->region(op.guard_region);
-        as_of = region != nullptr ? region->as_of() : latest;
+        // The guard passed, so the region is known.
+        as_of = reader.Snapshot(op.guard_region)->as_of;
       }
       for (InputOperandId oid : op.children[0]->delivered.AllOperands()) {
         if (oid < plan.resolved.operands.size()) {
@@ -434,11 +440,11 @@ Status Session::VerifyConstraint(const QueryPlan& plan) const {
     if (op.kind == PhysOpKind::kLocalScan && op.target.is_view) {
       // Unguarded local access (ablation mode).
       const ViewDef* view = cache->catalog().FindView(op.target.name);
-      const CurrencyRegion* region =
-          view != nullptr ? cache->region(view->region) : nullptr;
+      const RegionSnapshot* snap =
+          view != nullptr ? reader.Snapshot(view->region) : nullptr;
       semantics::CopyState cs;
       cs.table = plan.resolved.operands[op.operand].table->name;
-      cs.as_of = region != nullptr ? region->as_of() : latest;
+      cs.as_of = snap != nullptr ? snap->as_of : latest;
       sources[op.operand] = cs;
       return;
     }

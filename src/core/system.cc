@@ -125,7 +125,6 @@ Result<QueryResult> RccSystem::ExecuteSelect(const SelectRequest& req) {
   if (req.explain && !req.analyze) {
     QueryResult out;
     out.shape = plan.Shape();
-    out.plan_text = plan.DescribeTree();
     out.constraint = plan.resolved.constraint;
     out.message = obs::RenderExplain(plan, cached);
     out.executed_at = Now();

@@ -46,6 +46,10 @@ struct GuardObservation {
   SimTimeMs floor_ms = -1;
   /// true = the guard routed the query at the local branch.
   bool verdict_local = false;
+  /// Pipeline health of the probed snapshot (kHealthy for an unknown
+  /// region). Trace text only: the oracle derives health from the health
+  /// stream, never from this field.
+  RegionHealth health = RegionHealth::kHealthy;
   /// Publication epoch of the region snapshot the probe read (0 when the
   /// engine layer doesn't version reads).
   uint64_t epoch = 0;

@@ -2,17 +2,13 @@
 #define RCC_EXEC_EXEC_CONTEXT_H_
 
 #include <chrono>
-#include <functional>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/clock.h"
 #include "exec/audit.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/physical.h"
 #include "replication/health.h"
@@ -20,7 +16,7 @@
 
 namespace rcc {
 
-class SnapshotPin;
+class ReadHandle;
 
 /// Rows returned by a remote (back-end) query, in the remote select-list
 /// order.
@@ -129,50 +125,12 @@ struct ExecStats {
 };
 
 /// Everything an iterator tree needs at run time. The engine layer (cache /
-/// back-end) fills in the callbacks; exec stays independent of it.
+/// back-end) supplies the read handle; exec stays independent of it.
 struct ExecContext {
-  /// Resolves a scan target to its storage. Returns nullptr when unknown.
-  std::function<const Table*(const ScanTarget&)> table_provider;
-
-  /// Ships a statement to the back-end server (cache side only).
-  std::function<Result<RemoteResult>(const SelectStmt&)> remote_executor;
-
-  /// The local heartbeat timestamp of a currency region: the currency guard
-  /// input (paper §3.2.3). nullopt = unknown (region undefined, never
-  /// synced, or quarantined — the engine layer returns the *certified*
-  /// heartbeat, which a quarantined replication pipeline withdraws), which
-  /// guards treat as "cannot certify freshness" rather than as maximal
-  /// staleness.
-  std::function<std::optional<SimTimeMs>(RegionId)> local_heartbeat;
-
-  /// Replication-pipeline health of a currency region, for stats and trace
-  /// payloads (the freshness decision itself rides on local_heartbeat).
-  /// Null when the engine layer doesn't track health (back-end mode,
-  /// hand-built test contexts): guards then omit health from their output.
-  std::function<RegionHealth(RegionId)> region_health;
-
-  /// MVCC snapshot hooks (null in hand-built test contexts and back-end
-  /// mode, where reads are not versioned). The engine layer wires all four
-  /// to one SnapshotPin so a query reads each region at a single published
-  /// version:
-  ///  - region_epoch: publication epoch of the snapshot this query is pinned
-  ///    to for the region (0 = unversioned); recorded in guard/serve audit
-  ///    observations so the oracle can check one-snapshot-per-serve
-  ///    structurally.
-  ///  - refresh_region: re-reads the region's current snapshot (guard probes
-  ///    and degrade re-probes), a no-op once the query has served local rows
-  ///    from the region — served data stays on its snapshot.
-  ///  - note_local_serve: marks the region's pinned snapshot as served-from,
-  ///    freezing refresh_region for it.
-  std::function<uint64_t(RegionId)> region_epoch;
-  std::function<void(RegionId)> refresh_region;
-  std::function<void(RegionId)> note_local_serve;
-
-  /// Owning anchor for the SnapshotPin behind the hooks above; releases the
-  /// pinned epoch (allowing snapshot reclamation) when the last copy of the
-  /// context and its callbacks dies.
-  std::shared_ptr<SnapshotPin> snapshot_pin;
-
+  /// Where the plan's scans, guard probes and remote fetches read (see
+  /// ReadHandle). `reader`, `clock` and `stats` must be set before the plan
+  /// runs.
+  ReadHandle* reader = nullptr;
   const VirtualClock* clock = nullptr;
   ExecStats* stats = nullptr;
 
@@ -205,11 +163,6 @@ struct ExecContext {
   /// Per-query structured trace; null = tracing disabled. Every recording
   /// site is gated on this pointer, so the disabled path costs one compare.
   obs::QueryTrace* trace = nullptr;
-
-  /// Real-time guard-probe latency histogram (paper Table 4.4 overhead);
-  /// null = not measured. Resolved once per query by the engine layer so the
-  /// probe itself never takes the registry lock.
-  obs::Histogram* guard_probe_hist = nullptr;
 
   /// Execution-audit sink (simulation harness); null = not recording. Guard
   /// probes and serving decisions report here under `history_query_id`, the

@@ -38,10 +38,8 @@ Result<ExecutedQuery> ExecutePlan(const QueryPlan& plan, ExecContext* ctx) {
   RowBatch batch;
   while (true) {
     if (ctx->deadline.expired()) {
-      if (ctx->stats != nullptr) {
-        ctx->stats->deadline_timeouts += 1;
-        ctx->stats->run_ms += MsSince(t1);
-      }
+      ctx->stats->deadline_timeouts += 1;
+      ctx->stats->run_ms += MsSince(t1);
       (void)iter->Close();
       return Status::DeadlineExceeded(
           "statement deadline expired at executor batch boundary");
@@ -58,12 +56,10 @@ Result<ExecutedQuery> ExecutePlan(const QueryPlan& plan, ExecContext* ctx) {
   iter.reset();
   double shutdown_ms = MsSince(t2);
 
-  if (ctx->stats != nullptr) {
-    ctx->stats->rows_returned += static_cast<int64_t>(out.rows.size());
-    ctx->stats->setup_ms += setup_ms;
-    ctx->stats->run_ms += run_ms;
-    ctx->stats->shutdown_ms += shutdown_ms;
-  }
+  ctx->stats->rows_returned += static_cast<int64_t>(out.rows.size());
+  ctx->stats->setup_ms += setup_ms;
+  ctx->stats->run_ms += run_ms;
+  ctx->stats->shutdown_ms += shutdown_ms;
   return out;
 }
 

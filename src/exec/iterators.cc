@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "exec/read_handle.h"
 #include "exec/remote.h"
 #include "exec/switch_union.h"
 
@@ -68,7 +69,7 @@ class ScanIterator : public IterBase {
 
   Status Open(const EvalScope* outer) override {
     outer_ = outer;
-    table_ = ctx_->table_provider(op_.target);
+    table_ = ctx_->reader->ScanTable(op_.target);
     if (table_ == nullptr) {
       return Status::NotFound("scan target '" + op_.target.name +
                               "' not available");

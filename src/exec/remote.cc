@@ -1,9 +1,11 @@
 #include "exec/remote.h"
 
+#include <algorithm>
 #include <functional>
 #include <set>
 
 #include "common/strings.h"
+#include "exec/read_handle.h"
 
 namespace rcc {
 
@@ -155,9 +157,6 @@ Result<std::unique_ptr<SelectStmt>> ParameterizeStmt(const SelectStmt& stmt,
 Status RemoteQueryIterator::Open(const EvalScope* outer) {
   rows_.clear();
   pos_ = 0;
-  if (!ctx_->remote_executor) {
-    return Status::Internal("no remote executor configured");
-  }
   // Substitute outer references before shipping (possibly correlated).
   const SelectStmt* stmt = op_.remote_stmt.get();
   std::unique_ptr<SelectStmt> parameterized;
@@ -178,18 +177,15 @@ Status RemoteQueryIterator::Open(const EvalScope* outer) {
     }
     RCC_RETURN_NOT_OK(BindStmtParams(parameterized.get(), *ctx_->params));
   }
-  Result<RemoteResult> result = ctx_->remote_executor(*stmt);
+  Result<RemoteResult> result = ctx_->reader->ExecuteRemote(*stmt, *ctx_);
   if (!result.ok()) return result.status();
-  if (ctx_->stats != nullptr) {
-    ++ctx_->stats->remote_queries;
-    // A remote fetch reads the latest back-end snapshot.
-    SimTimeMs now = ctx_->clock != nullptr ? ctx_->clock->Now() : 0;
-    if (now > ctx_->stats->max_seen_heartbeat) {
-      ctx_->stats->max_seen_heartbeat = now;
-    }
-  }
-  if (ctx_->trace != nullptr && ctx_->clock != nullptr) {
-    ctx_->trace->Record(obs::TraceEventKind::kRemoteFetch, ctx_->clock->Now(),
+  ++ctx_->stats->remote_queries;
+  // A remote fetch reads the latest back-end snapshot.
+  const SimTimeMs now = ctx_->clock->Now();
+  ctx_->stats->max_seen_heartbeat =
+      std::max(ctx_->stats->max_seen_heartbeat, now);
+  if (ctx_->trace != nullptr) {
+    ctx_->trace->Record(obs::TraceEventKind::kRemoteFetch, now,
                         StrPrintf("rows=%zu", result->rows.size()));
   }
   if (result->layout.num_slots() != op_.layout.num_slots()) {
@@ -203,7 +199,7 @@ Status RemoteQueryIterator::Open(const EvalScope* outer) {
     recorded_ = true;
     ServeObservation obs;
     obs.query_id = ctx_->history_query_id;
-    obs.at = ctx_->clock != nullptr ? ctx_->clock->Now() : 0;
+    obs.at = now;
     obs.local = false;
     obs.degraded = false;
     obs.region = kBackendRegion;

@@ -26,12 +26,15 @@ class SwitchUnionIterator : public RowIterator {
         remote_(std::move(remote)) {}
 
   Status Open(const EvalScope* outer) override;
-  Result<bool> Next(Row* out) override;
-  /// Forwards to the chosen branch with ONE heartbeat acquire-load per batch
-  /// (vs per row for Next): the currency decision is fixed at Open, so the
-  /// per-batch probe only detects *withdrawal* of certification (the region
-  /// quarantined mid-drain) — see CheckCertificationHeld.
-  Result<bool> NextBatch(RowBatch* out, size_t max_rows) override;
+  /// Next and NextBatch forward to the chosen branch without re-probing:
+  /// the currency decision is fixed at Open, and a local branch reads the
+  /// snapshot the guard certified, frozen by ReadHandle::MarkServed — a
+  /// later quarantine or delivery publishes a new snapshot this statement
+  /// never sees, so certification cannot be withdrawn mid-drain.
+  Result<bool> Next(Row* out) override { return chosen_->Next(out); }
+  Result<bool> NextBatch(RowBatch* out, size_t max_rows) override {
+    return chosen_->NextBatch(out, max_rows);
+  }
   Status Close() override;
   const RowLayout& layout() const override { return op_.layout; }
 
@@ -59,14 +62,6 @@ class SwitchUnionIterator : public RowIterator {
   /// re-opens stick to the local branch.
   Status ServeDegraded(const EvalScope* outer, const CurrencyVerdict& v,
                        bool shed, const Status& remote_error);
-
-  /// When serving the local branch: one acquire-load of the region's
-  /// certified heartbeat. Refuses only if certification was *withdrawn*
-  /// (nullopt — quarantine/resync started mid-drain); growing staleness
-  /// never aborts a drain, because the snapshot certified at Open cannot
-  /// change under the drain (serial mode never re-enters the scheduler;
-  /// concurrent batches hold the region data locks shared).
-  Status CheckCertificationHeld();
 
   const PhysicalOp& op_;
   ExecContext* ctx_;

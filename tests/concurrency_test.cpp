@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "exec/read_handle.h"
 #include "plan/plan_cache.h"
 #include "replication/fault_injector.h"
 #include "replication/health.h"
@@ -242,6 +243,27 @@ TEST(ConcurrentBatchTest, SessionBatchSharesTimelineFloor) {
 
 // -- unknown-heartbeat guard semantics ---------------------------------------
 
+/// The cache's read handle with every region's heartbeat unknown — as for a
+/// region whose heartbeat was never installed — and, when `link_down`, a
+/// back-end link that refuses every statement.
+class UnknownHeartbeatReader : public ReadHandle {
+ public:
+  explicit UnknownHeartbeatReader(const CacheDbms* cache) : cache_(cache) {}
+  const Table* ScanTable(const ScanTarget& target) override {
+    return cache_.ScanTable(target);
+  }
+  Result<RemoteResult> ExecuteRemote(const SelectStmt& stmt,
+                                     const ExecContext& ctx) override {
+    if (link_down) return Status::Unavailable("link down");
+    return cache_.ExecuteRemote(stmt, ctx);
+  }
+
+  bool link_down = false;
+
+ private:
+  CacheDbms::Reader cache_;
+};
+
 TEST(ConcurrencyTest, GuardFailsExplicitlyOnUnknownHeartbeat) {
   BookstoreFixture fx;
   fx.sys.AdvanceTo(30000);
@@ -251,11 +273,14 @@ TEST(ConcurrencyTest, GuardFailsExplicitlyOnUnknownHeartbeat) {
       "CURRENCY BOUND 10 MIN ON (B)");
 
   ExecStats stats;
-  ExecContext ctx = fx.sys.cache()->MakeExecContext(&stats);
   // Simulate a region whose heartbeat was never installed: the guard must
   // fail explicitly (counted) and route to the remote branch, not treat the
   // region as "synced at time 0" or as maximally stale by accident.
-  ctx.local_heartbeat = [](RegionId) { return std::optional<SimTimeMs>{}; };
+  UnknownHeartbeatReader reader(fx.sys.cache());
+  ExecContext ctx;
+  ctx.reader = &reader;
+  ctx.clock = fx.sys.backend()->clock();
+  ctx.stats = &stats;
   auto executed = ExecutePlan(plan, &ctx);
   ASSERT_TRUE(executed.ok()) << executed.status().ToString();
   EXPECT_GE(stats.guard_unknown_region, 1);
@@ -272,12 +297,13 @@ TEST(ConcurrencyTest, DegradeRefusesUnknownStaleness) {
       "CURRENCY BOUND 10 MIN ON (B)");
 
   ExecStats stats;
-  ExecContext ctx = fx.sys.cache()->MakeExecContext(&stats);
+  UnknownHeartbeatReader reader(fx.sys.cache());
+  reader.link_down = true;
+  ExecContext ctx;
+  ctx.reader = &reader;
+  ctx.clock = fx.sys.backend()->clock();
+  ctx.stats = &stats;
   ctx.degrade = DegradeMode::kAlways;
-  ctx.local_heartbeat = [](RegionId) { return std::optional<SimTimeMs>{}; };
-  ctx.remote_executor = [](const SelectStmt&) -> Result<RemoteResult> {
-    return Status::Unavailable("link down");
-  };
   // Remote fails and the replica's staleness is unknown: even ALWAYS mode
   // has nothing safe to serve — the query must fail, not hand out data of
   // unknowable currency.

@@ -6,8 +6,10 @@
 
 #include "exec/currency_verdict.h"
 #include "exec/iterators.h"
+#include "exec/read_handle.h"
 #include "exec/remote.h"
 #include "exec/switch_union.h"
+#include "replication/region.h"
 #include "sql/parser.h"
 
 namespace rcc {
@@ -29,12 +31,7 @@ class ExecUnitTest : public ::testing::Test {
     }
     EXPECT_TRUE(table_.CreateSecondaryIndex("idx_grp", {1}).ok());
     aliases_["i"] = 0;
-    ctx_.table_provider = [this](const ScanTarget& target) -> const Table* {
-      return target.name == "items" ? &table_ : nullptr;
-    };
-    ctx_.local_heartbeat = [this](RegionId) {
-      return std::optional<SimTimeMs>(heartbeat_);
-    };
+    ctx_.reader = &reader_;
     ctx_.clock = &clock_;
     ctx_.stats = &stats_;
   }
@@ -71,8 +68,27 @@ class ExecUnitTest : public ::testing::Test {
     return std::move((*stmt)->where);
   }
 
+  /// Scans see only `items`; every region is healthy with heartbeat
+  /// `heartbeat_`.
+  class FakeReader : public ReadHandle {
+   public:
+    explicit FakeReader(ExecUnitTest* test) : test_(test) {}
+    const Table* ScanTable(const ScanTarget& target) override {
+      return target.name == "items" ? &test_->table_ : nullptr;
+    }
+    const RegionSnapshot* Snapshot(RegionId) override {
+      snap_.heartbeat = test_->heartbeat_;
+      return &snap_;
+    }
+
+   private:
+    ExecUnitTest* test_;
+    RegionSnapshot snap_;
+  };
+
   Table table_;
   AliasMap aliases_;
+  FakeReader reader_{this};
   ExecContext ctx_;
   ExecStats stats_;
   VirtualClock clock_;

@@ -432,6 +432,9 @@ TEST_F(DegradeTest, VanillaOutageFailsStaleQueryButLocalStillServes) {
   auto stale = fx_.session->Execute(kBoundedQuery);
   ASSERT_FALSE(stale.ok());
   EXPECT_TRUE(stale.status().IsUnavailable());
+  // The refused statement released its snapshot pin on the way out.
+  const SnapshotEpochManager& epochs = fx_.sys.cache()->epoch_manager();
+  EXPECT_EQ(epochs.MinPinnedEpoch(), epochs.current_epoch());
 
   // A query whose replica is within bound never touches the link: the cache
   // keeps serving through the outage.
@@ -488,6 +491,9 @@ TEST_F(DegradeTest, BoundedDegradeFailsWhenStillOutOfBound) {
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable());
   EXPECT_NE(r.status().message().find("cannot degrade"), std::string::npos);
+  // The refused statement released its snapshot pin on the way out.
+  const SnapshotEpochManager& epochs = fx_.sys.cache()->epoch_manager();
+  EXPECT_EQ(epochs.MinPinnedEpoch(), epochs.current_epoch());
 }
 
 TEST_F(DegradeTest, AlwaysDegradeServesBeyondBoundWithExactStaleness) {

@@ -474,7 +474,8 @@ TEST(PlanCacheSessionTest, QuarantinedRegionRefusesUnderCachedText) {
   fx.sys.cache()->SetFaultInjector(outage);
   auto refused = s->Execute(q);
   ASSERT_FALSE(refused.ok())
-      << "cached text served a quarantined region: " << refused->plan_text;
+      << "cached text served a quarantined region: "
+      << refused.status().ToString();
   fx.sys.cache()->ClearFaultInjector();
 
   // With the back end up again the same text answers remotely.

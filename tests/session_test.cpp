@@ -148,7 +148,6 @@ TEST(SessionTest, ResultMetadataPopulated) {
       fx.session.get(),
       "SELECT isbn FROM Books B WHERE B.isbn = 1 "
       "CURRENCY BOUND 1 HOUR ON (B)");
-  EXPECT_FALSE(r.plan_text.empty());
   EXPECT_EQ(r.shape, PlanShape::kAllLocal);
   EXPECT_FALSE(r.constraint.tuples.empty());
   EXPECT_EQ(r.executed_at, fx.sys.Now());
