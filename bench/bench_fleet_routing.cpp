@@ -1,7 +1,9 @@
 // Fleet routing study: throughput and degraded-serve rate of the C&C-aware
 // FleetRouter as the fleet grows (1 / 3 / 8 cache nodes) and per-node
 // replication faults intensify, plus a deterministic quarantine-reroute
-// demonstration. Every recorded history replays through the multi-node
+// demonstration. Reads are SQL text through a fleet Session, the path
+// sessions and the server take: every node's plan comes from its own plan
+// cache. Every recorded history replays through the multi-node
 // conformance oracle; a single violation fails the bench.
 //
 // Acceptance (ISSUE): a quarantined node's traffic is rerouted to its peers
@@ -19,7 +21,6 @@
 #include "fleet/router.h"
 #include "sim/history.h"
 #include "sim/oracle.h"
-#include "sql/parser.h"
 
 using namespace rcc;         // NOLINT
 using namespace rcc::bench;  // NOLINT
@@ -100,12 +101,6 @@ ReplicationFaultConfig MakeFaults(double intensity, int node) {
   return cfg;
 }
 
-Result<CacheQueryOutcome> RouteSql(fleet::FleetSystem* f,
-                                   const std::string& sql) {
-  RCC_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
-  return f->router()->RouteSelect(*stmt, {});
-}
-
 struct RunResult {
   int total = 0;
   int ok = 0;
@@ -143,6 +138,7 @@ RunResult Run(int nodes, double intensity, bool dump_metrics = false) {
     }
   }
   std::unique_ptr<Session> dml = f->anchor()->CreateSession();
+  std::unique_ptr<Session> reader = f->CreateSession();
 
   RunResult out;
   out.total = kQueries;
@@ -160,7 +156,7 @@ RunResult Run(int nodes, double intensity, bool dump_metrics = false) {
           std::exit(1);
         }
       }
-      auto r = RouteSql(f.get(), kPool[i % 3]);
+      auto r = reader->Execute(kPool[i % 3]);
       if (r.ok()) {
         ++out.ok;
       } else {
@@ -221,12 +217,13 @@ DemoResult RunDemo() {
       "CURRENCY BOUND 1 HOUR ON (B)";
   sim::HistoryRecorder recorder(kSeed);
   std::unique_ptr<fleet::FleetSystem> f = MakeFleet(3, &recorder);
+  std::unique_ptr<Session> reader = f->CreateSession();
   DemoResult out;
 
   // Phase A: healthy fleet, 100 loose-bound queries — all to node 1.
   for (int i = 0; i < 100; ++i) {
     f->AdvanceBy(200);
-    auto r = RouteSql(f.get(), kDemoQuery);
+    auto r = reader->Execute(kDemoQuery);
     if (!r.ok()) std::exit(1);
   }
   {
@@ -259,7 +256,7 @@ DemoResult RunDemo() {
   // Phase B: same stream with virtual time frozen (no resync can land) —
   // every dispatch must shift to node 2.
   for (int i = 0; i < 100; ++i) {
-    auto r = RouteSql(f.get(), kDemoQuery);
+    auto r = reader->Execute(kDemoQuery);
     if (!r.ok()) std::exit(1);
   }
   sim::History h = recorder.Snapshot();

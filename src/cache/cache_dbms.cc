@@ -2,6 +2,7 @@
 
 #include "common/strings.h"
 #include "semantics/resolver.h"
+#include "sql/parser.h"
 
 namespace rcc {
 
@@ -205,6 +206,71 @@ Result<QueryPlan> CacheDbms::Prepare(const SelectStmt& stmt,
                                      const OptimizerOptions& opts) const {
   RCC_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(stmt, catalog_));
   return Optimize(std::move(resolved), catalog_, opts);
+}
+
+Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::NewEntry(
+    const SelectStmt& stmt, DegradeMode degrade, bool match_views) const {
+  OptimizerOptions opts = default_options();
+  opts.enable_view_matching = match_views;
+  RCC_ASSIGN_OR_RETURN(QueryPlan plan, Prepare(stmt, opts));
+  auto entry = std::make_shared<PlanCacheEntry>();
+  entry->plan = std::make_shared<QueryPlan>(std::move(plan));
+  entry->created_degrade = degrade;
+  return entry;
+}
+
+Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::PlanText(
+    std::string_view sql, const NormalizedSql& norm, DegradeMode degrade,
+    bool timeordered) const {
+  ParseOptions popts;
+  popts.record_literal_offsets = true;
+  RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(sql, popts));
+  RCC_ASSIGN_OR_RETURN(QueryPlan plan, Prepare(*select));
+  auto entry = std::make_shared<PlanCacheEntry>();
+  if (norm.ok) {
+    entry->parameterized =
+        ParameterizePlan(&plan, norm.slots, catalog_).parameterized;
+    for (const ParamSlot& slot : norm.slots) {
+      entry->creation_values.push_back(slot.value);
+    }
+  }
+  entry->plan = std::make_shared<QueryPlan>(std::move(plan));
+  entry->created_degrade = degrade;
+  entry->creation_sql = std::string(sql);
+  entry->created_timeordered = timeordered;
+  return entry;
+}
+
+Result<CachedPlan> CacheDbms::LookupOrPlan(std::string_view sql,
+                                           DegradeMode degrade,
+                                           bool timeordered,
+                                           const PlanCacheEntry* priced_like) {
+  PlanCache::LookupResult looked = plan_cache_.Lookup(
+      sql, degrade, timeordered,
+      priced_like != nullptr ? &priced_like->creation_values : nullptr);
+  if (looked.hit.has_value()) {
+    return CachedPlan{std::move(looked.hit->entry),
+                      std::move(looked.hit->params), /*hit=*/true};
+  }
+  std::vector<Value> params;
+  for (const ParamSlot& slot : looked.norm.slots) params.push_back(slot.value);
+  std::shared_ptr<PlanCacheEntry> entry;
+  if (priced_like != nullptr) {
+    const std::string& text = priced_like->creation_sql;
+    RCC_ASSIGN_OR_RETURN(
+        entry, PlanText(text, NormalizeSql(text), degrade, timeordered));
+    // Bound to the reference's literals, the plan cannot run this text's.
+    if (!entry->parameterized && entry->creation_values != params) {
+      entry = nullptr;
+    }
+  }
+  if (entry == nullptr) {
+    RCC_ASSIGN_OR_RETURN(entry,
+                         PlanText(sql, looked.norm, degrade, timeordered));
+  }
+  plan_cache_.Insert(looked.norm, sql, degrade, timeordered, entry,
+                     looked.version_at_lookup);
+  return CachedPlan{std::move(entry), std::move(params), /*hit=*/false};
 }
 
 const Table* CacheDbms::Reader::ScanTable(const ScanTarget& target) {

@@ -32,6 +32,15 @@ struct CacheQueryOutcome {
   SimTimeMs max_seen_heartbeat = -1;
 };
 
+/// One statement text's plan from a cache's PlanCache: the shared immutable
+/// entry plus the values to bind for this text's literals.
+struct CachedPlan {
+  std::shared_ptr<const PlanCacheEntry> entry;
+  std::vector<Value> params;
+  /// True when the entry came out of the plan cache rather than the planner.
+  bool hit = false;
+};
+
 /// Everything CacheDbms::ExecutePrepared needs. `trace`, when non-null,
 /// receives the query's structured event trace (guard probes, switch
 /// decisions, retry/breaker events, degraded serves, and — in serial mode —
@@ -156,6 +165,29 @@ class CacheDbms {
   Result<QueryPlan> Prepare(const SelectStmt& stmt) const;
   Result<QueryPlan> Prepare(const SelectStmt& stmt,
                             const OptimizerOptions& opts) const;
+
+  /// The plan for SQL text `sql` (SELECT keyword on) under a session's
+  /// degrade mode and timeline flag: a plan-cache lookup, or on a miss lex,
+  /// parse, Prepare, ParameterizePlan and Insert. Every plain SELECT of the
+  /// system and every node plan of the fleet router comes from here.
+  ///
+  /// `priced_like` (the fleet router's anchor entry for the same template)
+  /// keeps the returned plan's est_cost comparable with it: a value-generic
+  /// entry built from other literals is a miss, and a miss plans
+  /// `priced_like->creation_sql` rather than `sql` (unless that plan comes
+  /// out bound to literals other than `sql`'s). Either way the entry is
+  /// published under `sql`'s keys.
+  Result<CachedPlan> LookupOrPlan(std::string_view sql, DegradeMode degrade,
+                                  bool timeordered,
+                                  const PlanCacheEntry* priced_like = nullptr);
+
+  /// A fresh, unpublished entry for a parsed statement behaving under
+  /// `degrade`, with no bind parameters: the fleet router's AST entry and,
+  /// with `match_views` false (every operand fetched remotely), its backend
+  /// tier.
+  Result<std::shared_ptr<PlanCacheEntry>> NewEntry(
+      const SelectStmt& stmt, DegradeMode degrade,
+      bool match_views = true) const;
 
   /// Declared at namespace scope so it can default the argument below.
   using PreparedExecOptions = rcc::PreparedExecOptions;
@@ -288,6 +320,12 @@ class CacheDbms {
     obs::Histogram* query_run_ms = nullptr;
     obs::Histogram* served_staleness_ms = nullptr;
   };
+
+  /// LookupOrPlan's miss path for one text: parse (with literal offsets),
+  /// Prepare and parameterize against `norm`'s slots; not yet published.
+  Result<std::shared_ptr<PlanCacheEntry>> PlanText(
+      std::string_view sql, const NormalizedSql& norm, DegradeMode degrade,
+      bool timeordered) const;
 
   /// Folds one finished query's stats into the registry instruments.
   void RecordQueryMetrics(const ExecStats& stats, SimTimeMs now) const;

@@ -48,10 +48,13 @@ void SimulationScheduler::RunUntil(SimTimeMs t) {
 }
 
 std::string FormatSimTime(SimTimeMs t) {
+  // Sign, then magnitude: -1 ms is "-0.001s" (the unset timeline floor).
+  const unsigned long long mag =
+      t < 0 ? 0ULL - static_cast<unsigned long long>(t)
+            : static_cast<unsigned long long>(t);
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%lld.%03llds",
-                static_cast<long long>(t / 1000),
-                static_cast<long long>(t % 1000));
+  std::snprintf(buf, sizeof(buf), "%s%llu.%03llus", t < 0 ? "-" : "",
+                mag / 1000, mag % 1000);
   return buf;
 }
 

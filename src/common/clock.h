@@ -101,7 +101,8 @@ class SimulationScheduler {
   std::priority_queue<SimEvent, std::vector<SimEvent>, EventCompare> queue_;
 };
 
-/// Formats a SimTimeMs as seconds with millisecond precision, e.g. "12.345s".
+/// Formats a SimTimeMs as seconds with millisecond precision, e.g. "12.345s"
+/// or, for a negative value, "-0.001s".
 std::string FormatSimTime(SimTimeMs t);
 
 }  // namespace rcc

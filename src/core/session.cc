@@ -208,6 +208,7 @@ std::vector<Result<QueryResult>> Session::ExecuteBatch(
   opts.workers = workers;
   opts.degrade = degrade_mode();
   opts.session_tag = id_;
+  opts.router = router_;
   if (in_timeordered()) {
     opts.timeline_floor = timeline_floor();
     opts.floor_cell = &timeline_floor_;

@@ -67,7 +67,7 @@ class Session {
   /// every query starts at the current floor and the floor ends at the
   /// maximum snapshot time any query of the batch observed, exactly as if
   /// the batch had run serially in some order. `workers` as in
-  /// ConcurrentBatchOptions.
+  /// ConcurrentBatchOptions. With a router installed every query routes.
   std::vector<Result<QueryResult>> ExecuteBatch(
       const std::vector<std::string>& sqls, int workers = 0);
 

@@ -8,8 +8,6 @@
 #include "core/session.h"
 #include "core/statement_router.h"
 #include "obs/explain.h"
-#include "plan/plan_cache.h"
-#include "sql/parser.h"
 
 namespace rcc {
 
@@ -69,64 +67,35 @@ SimTimeMs FloorOf(const SelectRequest& req) {
 }  // namespace
 
 Result<QueryResult> RccSystem::ExecuteSelect(const SelectRequest& req) {
-  // Fleet routing: plain SELECTs dispatch through the router, which prepares
-  // on the chosen node (the anchor's cache key would be wrong for a peer's
-  // view set). EXPLAIN stays local: it describes the anchor's plan, not a
-  // dispatch decision.
+  const bool timeordered = req.floor_cell != nullptr || req.floor >= 0;
+  // Fleet routing: plain SELECTs dispatch through the router, which takes
+  // each node's plan from that node's own plan cache (the anchor's entry
+  // would be wrong for a peer's view set). EXPLAIN stays local: it
+  // describes the anchor's plan, not a dispatch decision.
   if (req.router != nullptr && !req.explain) {
-    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(req.body));
     RoutedStatementOptions ro;
     ro.timeline_floor = FloorOf(req);
     ro.degrade = req.degrade;
+    ro.timeordered = timeordered;
     ro.session_tag = req.session_tag;
     ro.deadline = req.deadline;
     ro.shed_hint = req.shed_hint;
     RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                         req.router->RouteSelect(*select, ro));
+                         req.router->RouteSql(req.body, ro));
     if (req.floor_cell != nullptr) {
       RaiseFloor(req.floor_cell, outcome.max_seen_heartbeat);
     }
     return MakeQueryResult(std::move(outcome));
   }
-  const bool timeordered = req.floor_cell != nullptr || req.floor >= 0;
-  PlanCache& plan_cache = cache_.plan_cache();
-  PlanCache::LookupResult looked =
-      plan_cache.Lookup(req.body, req.degrade, timeordered);
-  std::shared_ptr<const PlanCacheEntry> entry;
-  std::vector<Value> params;
-  const bool cached = looked.hit.has_value();
-  if (cached) {
-    entry = looked.hit->entry;
-    params = std::move(looked.hit->params);
-  } else {
-    ParseOptions popts;
-    popts.record_literal_offsets = true;
-    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(req.body, popts));
-    RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache_.Prepare(*select));
-    auto owned = std::make_shared<QueryPlan>(std::move(plan));
-    auto fresh = std::make_shared<PlanCacheEntry>();
-    if (looked.norm.ok) {
-      ParameterizeOutcome po =
-          ParameterizePlan(owned.get(), looked.norm.slots, cache_.catalog());
-      fresh->parameterized = po.parameterized;
-      for (const ParamSlot& slot : looked.norm.slots) {
-        fresh->creation_values.push_back(slot.value);
-      }
-    }
-    fresh->plan = owned;
-    fresh->created_degrade = req.degrade;
-    fresh->created_timeordered = timeordered;
-    entry = fresh;
-    params = fresh->creation_values;
-    plan_cache.Insert(looked.norm, req.body, req.degrade, timeordered,
-                      std::move(fresh), looked.version_at_lookup);
-  }
-  const QueryPlan& plan = *entry->plan;
+  RCC_ASSIGN_OR_RETURN(CachedPlan cached,
+                       cache_.LookupOrPlan(req.body, req.degrade, timeordered));
+  const PlanCacheEntry& entry = *cached.entry;
+  const QueryPlan& plan = *entry.plan;
   if (req.explain && !req.analyze) {
     QueryResult out;
     out.shape = plan.Shape();
     out.constraint = plan.resolved.constraint;
-    out.message = obs::RenderExplain(plan, cached);
+    out.message = obs::RenderExplain(plan, cached.hit);
     out.executed_at = Now();
     return out;
   }
@@ -140,11 +109,11 @@ Result<QueryResult> RccSystem::ExecuteSelect(const SelectRequest& req) {
   // invisible; under the RCC_PLANCACHE_MUTATE build (key drops the mode)
   // they diverge and the conformance oracle sees a degraded serve recorded
   // under a mode that never authorized one.
-  eo.degrade = entry->created_degrade;
+  eo.degrade = entry.created_degrade;
   eo.audit_degrade = req.degrade;
   eo.trace = trace.get();
   eo.session_tag = req.session_tag;
-  eo.params = &params;
+  eo.params = &cached.params;
   eo.deadline = req.deadline;
   eo.shed_hint = req.shed_hint;
   RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
@@ -155,7 +124,7 @@ Result<QueryResult> RccSystem::ExecuteSelect(const SelectRequest& req) {
   QueryResult result = MakeQueryResult(std::move(outcome));
   if (req.analyze) {
     result.message =
-        obs::RenderExplainAnalyze(plan, result.stats, *trace, cached);
+        obs::RenderExplainAnalyze(plan, result.stats, *trace, cached.hit);
   }
   result.trace = std::move(trace);
   return result;
@@ -178,10 +147,12 @@ std::vector<Result<QueryResult>> RccSystem::ExecuteConcurrent(
     req.floor = opts.timeline_floor;
     req.floor_cell = opts.floor_cell;
     req.session_tag = opts.session_tag;
+    req.router = opts.router;
     return ExecuteSelect(req);
   };
 
   cache_.BeginConcurrentBatch();
+  if (opts.router != nullptr) opts.router->BeginConcurrentBatch();
   if (workers <= 1) {
     // Inline execution under the same batch contract — the equivalence
     // baseline for the pooled runs (and what tests compare against).
@@ -194,6 +165,7 @@ std::vector<Result<QueryResult>> RccSystem::ExecuteConcurrent(
     }
     EnsurePool(workers)->Run(std::move(tasks));
   }
+  if (opts.router != nullptr) opts.router->EndConcurrentBatch();
   cache_.EndConcurrentBatch();
 
   std::vector<Result<QueryResult>> results;

@@ -60,6 +60,9 @@ struct ConcurrentBatchOptions {
   /// Audit-history session tag stamped on every query of the batch
   /// (0 = anonymous).
   uint64_t session_tag = 0;
+  /// When set, every query dispatches through it, and its execution targets
+  /// are in concurrent-batch mode for the batch.
+  StatementRouter* router = nullptr;
 };
 
 /// System-wide configuration.
@@ -106,8 +109,9 @@ class RccSystem {
 
   /// The SELECT pipeline every SELECT, EXPLAIN [ANALYZE] and batch item runs
   /// through: plan-cache lookup — or parse, prepare, parameterize and insert
-  /// on a miss — then bind, execute and build the answer. With a router the
-  /// plain SELECT is parsed and dispatched through it instead.
+  /// on a miss (CacheDbms::LookupOrPlan) — then bind, execute and build the
+  /// answer. With a router the plain SELECT's text is dispatched through it
+  /// instead, and each node's plan comes from that node's plan cache.
   Result<QueryResult> ExecuteSelect(const SelectRequest& req);
 
   /// Executes a batch of read-only statements concurrently on a fixed worker

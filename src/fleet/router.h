@@ -2,6 +2,7 @@
 #define RCC_FLEET_ROUTER_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,17 +15,25 @@ namespace fleet {
 class FleetSystem;
 
 /// C&C-aware fleet dispatch (DESIGN.md §16). For each statement the router
-/// derives the constraint's per-table currency requirements (one reference
-/// resolution on the anchor — constraint normalization binds base tables,
-/// which every node shadows identically), probes every node's delivered
-/// currency per requirement (certified heartbeat of the region materializing
-/// the table, the session's timeline floor, the degrade mode), and
-/// dispatches to the cheapest eligible node by the optimizer's Eq. 1 plan
-/// cost (ties to the lowest node id). A failed attempt falls through to the
-/// next-cheapest eligible peer; when no cache node is eligible (or all
-/// eligible ones failed) the statement runs as an all-remote plan on the
-/// anchor — the backend tier. Deadline expiry never falls through: the
-/// budget is spent, retrying elsewhere only adds latency.
+/// derives the constraint's per-table currency requirements from the
+/// anchor's plan (constraint normalization binds base tables, which every
+/// node shadows identically), probes every node's delivered currency per
+/// requirement (certified heartbeat of the region materializing the table,
+/// the session's timeline floor, the degrade mode), and dispatches to the
+/// cheapest eligible node by the optimizer's Eq. 1 plan cost (ties to the
+/// lowest node id).
+///
+/// Two entries share that one ladder and differ only in where a node's plan
+/// comes from. RouteSql (sessions, the server) reads each node's own plan
+/// cache (CacheDbms::LookupOrPlan): a routed hit neither parses nor plans,
+/// and peers are priced at the anchor entry's literals so their costs
+/// compare. RouteSelect (an AST) prepares on every node afresh.
+///
+/// A failed attempt falls through to the next-cheapest eligible peer; when
+/// no cache node is eligible (or all eligible ones failed) the statement
+/// runs as an all-remote plan on the anchor — the backend tier. Deadline
+/// expiry never falls through: the budget is spent, retrying elsewhere only
+/// adds latency.
 ///
 /// Eligibility per probe is CurrencyVerdict::Permits, the rule the degrade
 /// and shed ladders apply:
@@ -48,18 +57,26 @@ class FleetRouter : public StatementRouter {
   /// route observations carry their own node). nullptr stops recording.
   void SetHistorySink(HistorySink* sink) { sink_ = sink; }
 
+  Result<CacheQueryOutcome> RouteSql(
+      std::string_view sql, const RoutedStatementOptions& opts) override;
   Result<CacheQueryOutcome> RouteSelect(
       const SelectStmt& stmt, const RoutedStatementOptions& opts) override;
 
+  void BeginConcurrentBatch() override;
+  void EndConcurrentBatch() override;
+
  private:
-  /// Lazily resolved per-node instruments (rcc.fleet.node.<id>.routed).
-  obs::Counter* RoutedCounter(int node);
+  /// The ladder: `stmt` null routes the text `sql` through the plan caches,
+  /// otherwise `stmt` is prepared on every node.
+  Result<CacheQueryOutcome> Route(std::string_view sql, const SelectStmt* stmt,
+                                  const RoutedStatementOptions& opts);
 
   FleetSystem* fleet_;
   HistorySink* sink_ = nullptr;
   obs::Counter* fallthroughs_ = nullptr;
   obs::Counter* backend_serves_ = nullptr;
-  std::vector<obs::Counter*> routed_;  // index = node id
+  /// rcc.fleet.node.<id>.routed, index = node id.
+  std::vector<obs::Counter*> routed_;
 };
 
 }  // namespace fleet

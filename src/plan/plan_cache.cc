@@ -249,9 +249,9 @@ size_t PlanCache::ShardOf(std::string_view key) const {
   return std::hash<std::string_view>{}(key) % cfg_.shards;
 }
 
-PlanCache::LookupResult PlanCache::Lookup(std::string_view sql,
-                                          DegradeMode degrade,
-                                          bool timeordered) {
+PlanCache::LookupResult PlanCache::Lookup(
+    std::string_view sql, DegradeMode degrade, bool timeordered,
+    const std::vector<Value>* priced_at) {
   const double start_ms = lookup_ms_ != nullptr ? NowMs() : 0;
   LookupResult out;
   out.version_at_lookup = version();
@@ -262,6 +262,10 @@ PlanCache::LookupResult PlanCache::Lookup(std::string_view sql,
     if (hits_counter_ != nullptr) hits_counter_->Add(1);
     if (lookup_ms_ != nullptr) lookup_ms_->Observe(NowMs() - start_ms);
     out.hit = PlanCacheHit{std::move(entry), std::move(params)};
+  };
+  auto priced = [&](const PlanCacheEntry& e) {
+    return priced_at == nullptr || !e.parameterized ||
+           e.creation_values == *priced_at;
   };
   auto record_miss = [&]() {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -276,14 +280,14 @@ PlanCache::LookupResult PlanCache::Lookup(std::string_view sql,
     Shard<L1Node>& shard = *l1_[ShardOf(l1_key)];
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(l1_key);
-    if (it != shard.map.end()) {
-      if (it->second.entry->version == out.version_at_lookup) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
-        record_hit(it->second.entry, it->second.params);
-        return out;
-      }
+    if (it != shard.map.end() &&
+        it->second.entry->version != out.version_at_lookup) {
       shard.lru.erase(it->second.lru);
       shard.map.erase(it);
+    } else if (it != shard.map.end() && priced(*it->second.entry)) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
+      record_hit(it->second.entry, it->second.params);
+      return out;
     }
   }
 
@@ -309,7 +313,7 @@ PlanCache::LookupResult PlanCache::Lookup(std::string_view sql,
       }
     }
   }
-  if (entry == nullptr) {
+  if (entry == nullptr || !priced(*entry)) {
     record_miss();
     return out;
   }

@@ -65,6 +65,10 @@ struct PlanCacheEntry {
   /// value-bound entry hits: binding identical values is identical to the
   /// literals the plan was optimized with).
   std::vector<Value> creation_values;
+  /// Statement text the plan was built from. The fleet router prices a
+  /// peer's plan at the anchor's literals by planning this text on it, so
+  /// Eq. 1 costs of a value-generic template compare like for like.
+  std::string creation_sql;
   /// Degrade mode the plan was created under. The cache key includes the
   /// mode, so on every legitimate hit this equals the session's current
   /// mode; executing with it is what makes the RCC_PLANCACHE_MUTATE build
@@ -132,8 +136,13 @@ class PlanCache {
     uint64_t version_at_lookup = 0;
   };
 
+  /// With `priced_at`, a value-generic entry built from other literals is a
+  /// miss: its Eq. 1 cost was priced at them, and a caller comparing costs
+  /// across caches (the fleet router) needs one set of literals. A
+  /// value-bound entry only ever hits on this text's own literals.
   LookupResult Lookup(std::string_view sql, DegradeMode degrade,
-                      bool timeordered);
+                      bool timeordered,
+                      const std::vector<Value>* priced_at = nullptr);
 
   /// Publishes a freshly built plan under both levels. `norm` and
   /// `version_at_lookup` come from the Lookup that missed.

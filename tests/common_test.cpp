@@ -164,6 +164,8 @@ TEST(SchedulerTest, PastEventsClampToNow) {
 TEST(ClockTest, FormatSimTime) {
   EXPECT_EQ(FormatSimTime(0), "0.000s");
   EXPECT_EQ(FormatSimTime(12345), "12.345s");
+  EXPECT_EQ(FormatSimTime(-1), "-0.001s");
+  EXPECT_EQ(FormatSimTime(-1500), "-1.500s");
 }
 
 // -- strings -------------------------------------------------------------------

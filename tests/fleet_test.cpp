@@ -3,6 +3,8 @@
 // lowest-id tie-break, coverage failures, quarantine withdrawal, backend
 // fall-through, deadline short-circuit), a property test randomizes per-node
 // heartbeats against an independent re-derivation of the router's choice,
+// the plan-cache cases pin the SQL-text path (one plan per node per
+// template, per-node invalidation, like-for-like pricing, routed batches),
 // and every recorded history replays clean through the multi-node
 // conformance oracle. Epoch-pin hygiene is asserted after every scenario:
 // routed statements must never leak an MVCC snapshot pin on any node.
@@ -22,6 +24,7 @@
 #include "replication/fault_injector.h"
 #include "sim/history.h"
 #include "sim/oracle.h"
+#include "common/strings.h"
 #include "sql/parser.h"
 
 namespace rcc {
@@ -501,6 +504,206 @@ TEST(FleetPropertyTest, RouterAlwaysPicksCheapestEligibleNode) {
     EXPECT_TRUE(report.ok()) << "seed " << seed << "\n" << report.Summary();
     ExpectNoLeakedPins(&f);
   }
+}
+
+// -- routing through each node's plan cache -----------------------------------
+
+struct PlanCacheCounts {
+  int64_t hits[4] = {0, 0, 0, 0};
+  int64_t misses[4] = {0, 0, 0, 0};
+};
+
+PlanCacheCounts CountPlanCaches(FleetSystem* f) {
+  PlanCacheCounts c;
+  for (int n = 1; n <= f->node_count(); ++n) {
+    c.hits[n] = f->node(n)->plan_cache().hits();
+    c.misses[n] = f->node(n)->plan_cache().misses();
+  }
+  return c;
+}
+
+std::string BooksBelow(int isbn) {
+  return StrPrintf(
+      "SELECT isbn, price FROM Books B WHERE B.isbn < %d "
+      "CURRENCY BOUND 1 HOUR ON (B)",
+      isbn);
+}
+
+TEST(FleetPlanCacheTest, RoutedTemplatePlansAtMostOncePerNode) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(11);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+  const PlanCacheCounts before = CountPlanCaches(&f);
+
+  // One template, 24 literals, a bound every node meets: every statement
+  // looks the template up on all three nodes, and each node plans it once.
+  for (int i = 0; i < 24; ++i) {
+    f.AdvanceBy(450);
+    auto res = session->Execute(BooksBelow(20 + i));
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res->rows.size(), static_cast<size_t>(19 + i));
+  }
+
+  const PlanCacheCounts after = CountPlanCaches(&f);
+  for (int n = 1; n <= 3; ++n) {
+    EXPECT_LE(after.misses[n] - before.misses[n], 1) << "node " << n;
+    EXPECT_GE(after.hits[n] - before.hits[n], 23) << "node " << n;
+  }
+  sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_GE(report.routes_checked, 24);
+  ExpectNoLeakedPins(&f);
+}
+
+TEST(FleetPlanCacheTest, StatisticsChangeReplansOnlyThatNode) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(12);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+  ASSERT_TRUE(session->Execute(BooksBelow(30)).ok());
+
+  // Statistics refresh on a peer: only that peer's cache moves its version,
+  // so only it plans the next routed statement.
+  for (int node : {3, 2}) {
+    CacheDbms* cache = f.node(node);
+    ASSERT_TRUE(
+        cache->UpdateStatistics("Books", cache->catalog().GetStats("Books"))
+            .ok());
+    const PlanCacheCounts before = CountPlanCaches(&f);
+    ASSERT_TRUE(session->Execute(BooksBelow(31 + node)).ok());
+    const PlanCacheCounts after = CountPlanCaches(&f);
+    for (int n = 1; n <= 3; ++n) {
+      EXPECT_EQ(after.misses[n] - before.misses[n], n == node ? 1 : 0)
+          << "invalidated node " << node << ", node " << n;
+    }
+  }
+
+  // View DDL on a peer: the same, through the catalog.
+  ViewDef extra;
+  extra.name = "BooksCheap";
+  extra.source_table = "Books";
+  extra.region = BooksRegion(3);
+  extra.columns = {"isbn", "price"};
+  ASSERT_TRUE(f.node(3)->CreateView(extra).ok());
+  const PlanCacheCounts before = CountPlanCaches(&f);
+  ASSERT_TRUE(session->Execute(BooksBelow(40)).ok());
+  const PlanCacheCounts after = CountPlanCaches(&f);
+  for (int n = 1; n <= 3; ++n) {
+    EXPECT_EQ(after.misses[n] - before.misses[n], n == 3 ? 1 : 0)
+        << "node " << n;
+  }
+
+  // The anchor is the price reference: when it re-plans at the statement's
+  // literals, every peer re-prices its entry at them once.
+  ASSERT_TRUE(
+      f.node(1)
+          ->UpdateStatistics("Books", f.node(1)->catalog().GetStats("Books"))
+          .ok());
+  const PlanCacheCounts reprice0 = CountPlanCaches(&f);
+  ASSERT_TRUE(session->Execute(BooksBelow(50)).ok());
+  ASSERT_TRUE(session->Execute(BooksBelow(51)).ok());
+  const PlanCacheCounts reprice1 = CountPlanCaches(&f);
+  for (int n = 1; n <= 3; ++n) {
+    EXPECT_EQ(reprice1.misses[n] - reprice0.misses[n], 1) << "node " << n;
+  }
+
+  sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  ExpectNoLeakedPins(&f);
+}
+
+TEST(FleetPlanCacheTest, TiedNodesKeepLowestIdAcrossCreationLiterals) {
+  // Two identically configured complete nodes: fresh Prepare prices a
+  // statement the same on both, so the lowest id must win.
+  FleetConfig fc;
+  fc.nodes = {FleetNodeConfig{}, FleetNodeConfig{}};
+  FleetSystem f(fc);
+  sim::HistoryRecorder recorder(13);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+
+  // Each node's entry for the template is built from different literals;
+  // a range's row estimate, and so its Eq. 1 cost, grows with its width.
+  auto wide = f.node(1)->LookupOrPlan(BooksBelow(70), DegradeMode::kNone,
+                                      false);
+  auto narrow = f.node(2)->LookupOrPlan(BooksBelow(5), DegradeMode::kNone,
+                                        false);
+  ASSERT_TRUE(wide.ok() && narrow.ok());
+  ASSERT_TRUE(wide->entry->parameterized);
+  ASSERT_TRUE(narrow->entry->parameterized);
+  ASSERT_LT(narrow->entry->plan->est_cost, wide->entry->plan->est_cost);
+
+  const std::string sql = BooksBelow(40);
+  auto stmt = ParseSelect(sql);
+  ASSERT_TRUE(stmt.ok());
+  auto fresh1 = f.node(1)->Prepare(**stmt);
+  auto fresh2 = f.node(2)->Prepare(**stmt);
+  ASSERT_TRUE(fresh1.ok() && fresh2.ok());
+  ASSERT_EQ(fresh1->est_cost, fresh2->est_cost);
+
+  std::unique_ptr<Session> session = f.CreateSession();
+  auto res = session->Execute(sql);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res->rows.size(), 39u);
+  sim::History h = recorder.Snapshot();
+  auto routes = EventsOfKind(h, sim::HistoryEvent::Kind::kRoute);
+  ASSERT_EQ(routes.size(), 1u);
+  EXPECT_FALSE(routes[0]->backend_tier);
+  EXPECT_EQ(routes[0]->node, 1);
+  EXPECT_TRUE(sim::CheckHistory(h).ok());
+  ExpectNoLeakedPins(&f);
+}
+
+TEST(FleetSessionTest, RoutedBatchOnFourWorkersLeaksNoPins) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(14);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+
+  std::vector<std::string> sqls;
+  for (int i = 0; i < 48; ++i) {
+    switch (i % 3) {
+      case 0:
+        sqls.push_back(BooksBelow(10 + i));
+        break;
+      case 1:
+        sqls.push_back(StrPrintf(
+            "SELECT isbn, rating FROM Reviews R WHERE R.isbn < %d "
+            "CURRENCY BOUND 1 HOUR ON (R)",
+            5 + i));
+        break;
+      default:
+        sqls.push_back(StrPrintf(
+            "SELECT isbn FROM Books B WHERE B.isbn < %d "
+            "CURRENCY BOUND 2 SECONDS ON (B)",
+            5 + i));
+        break;
+    }
+  }
+  std::vector<Result<QueryResult>> serial = session->ExecuteBatch(sqls, 1);
+  const size_t routes_before =
+      EventsOfKind(recorder.Snapshot(), sim::HistoryEvent::Kind::kRoute)
+          .size();
+  std::vector<Result<QueryResult>> pooled = session->ExecuteBatch(sqls, 4);
+  ASSERT_EQ(pooled.size(), sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    ASSERT_TRUE(serial[i].ok()) << serial[i].status().ToString();
+    ASSERT_TRUE(pooled[i].ok()) << pooled[i].status().ToString();
+    EXPECT_EQ(pooled[i]->rows.size(), serial[i]->rows.size()) << sqls[i];
+  }
+  // Every item routed (the fleet, not just the anchor, served the batch).
+  EXPECT_GE(EventsOfKind(recorder.Snapshot(), sim::HistoryEvent::Kind::kRoute)
+                    .size() -
+                routes_before,
+            sqls.size());
+  for (int n = 1; n <= 3; ++n) EXPECT_FALSE(f.node(n)->in_concurrent_batch());
+  sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  ExpectNoLeakedPins(&f);
 }
 
 TEST(FleetShardingTest, MirroredShardsServeIdenticalData) {

@@ -147,9 +147,9 @@ TEST(TraceTest, SetTraceAttachesTraceWithGuardEvents) {
   ASSERT_NE(probe, nullptr);
   // The whole line, byte for byte: it is rendered from the same guard
   // record the audit sink receives. The timeline floor is off (-1 ms),
-  // which FormatSimTime renders as "0.-01s".
+  // which FormatSimTime renders as "-0.001s".
   EXPECT_EQ(probe->detail,
-            "region=1 heartbeat=29.000s bound=600.000s floor=0.-01s "
+            "region=1 heartbeat=29.000s bound=600.000s floor=-0.001s "
             "verdict=local health=healthy");
   const obs::TraceEvent* decision =
       r.trace->FirstOf(TraceEventKind::kSwitchDecision);

@@ -8,7 +8,8 @@
 //  - RCC_PLANCACHE_MUTATE: the plan-cache key drops the degrade mode, so
 //    the runner's SET DEGRADE rotation serves plans cached under the wrong
 //    mode (e.g. an ALWAYS-behaving plan on a NONE session — a degraded
-//    answer the session never authorized, oracle rule R3);
+//    answer the session never authorized, oracle rule R3), on one cache and
+//    on every node of a routed fleet;
 //  - RCC_MVCC_MUTATE: delivery publishes the batch's data with the *old*
 //    heartbeat, so snapshots certify currency bounds the fresh data doesn't
 //    satisfy — the oracle's guard/serve heartbeat cross-check disagrees
@@ -184,6 +185,37 @@ TEST(SimSeedMatrixTest, PlanCacheMutationIsCaughtSomewhere) {
     cfg.steps = 200;
     auto run = RunSimulation(cfg);
     ASSERT_TRUE(run.ok());
+    total += run->report.violations.size();
+  }
+  EXPECT_GE(total, 1u);
+}
+#endif
+
+#if defined(RCC_PLANCACHE_MUTATE)
+TEST(SimSeedMatrixTest, FleetPlanCacheMutationIsCaughtSomewhere) {
+  // Routed statements take each node's plan from that node's plan cache, so
+  // the degrade-blind key reaches the fleet too: after a SET DEGRADE
+  // rotation a node serves a plan cached under another mode, and the plan
+  // behaves under its creation mode while the answer is audited under the
+  // session's. The router only dispatches to nodes its probes judge under
+  // the session's mode, so the bug shows as R6 alone: an ALWAYS session
+  // routed to a stale certified node whose plan was cached under NONE or
+  // BOUNDED refuses while that node's back-end link is down. That needs a
+  // guarded plan (tight bounds plan remote-only on slow nodes), a mode
+  // rotation and an outage to coincide, so the fleet slice of the matrix
+  // (the FleetMatrixStaysOracleClean seeds, every fault mix, three nodes)
+  // runs 600 steps per seed and must flag at least one violation.
+  size_t total = 0;
+  for (const SeedCase& c : BuildMatrix()) {
+    if (c.seed % 3 == 2) continue;
+    SimRunConfig cfg;
+    cfg.seed = c.seed;
+    cfg.faults = c.faults;
+    cfg.steps = 600;
+    cfg.fleet_nodes = 3;
+    auto run = RunSimulation(cfg);
+    ASSERT_TRUE(run.ok());
+    EXPECT_GT(run->routes, 0) << "seed " << c.seed;
     total += run->report.violations.size();
   }
   EXPECT_GE(total, 1u);
