@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "exec/event_stream.h"
 #include "exec/switch_union.h"
 #include "semantics/resolver.h"
 
@@ -76,12 +77,12 @@ void BM_GuardEvaluation(benchmark::State& state) {
   op.kind = PhysOpKind::kSwitchUnion;
   op.guard_region = 1;
   op.guard_bound_ms = 600000;
-  ExecStats stats;
+  EventStream events;
   CacheDbms::Reader reader(sys->cache());
   ExecContext ctx;
   ctx.reader = &reader;
   ctx.clock = sys->clock();
-  ctx.stats = &stats;
+  ctx.events = &events;
   for (auto _ : state) {
     bool ok = SwitchUnionIterator::EvaluateGuard(op, &ctx);
     benchmark::DoNotOptimize(ok);

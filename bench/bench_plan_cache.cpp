@@ -172,12 +172,12 @@ int Run() {
       "SELECT c_custkey, c_name, c_acctbal FROM Customer C "
       "WHERE C.c_custkey = 42 CURRENCY BOUND 10 MIN ON (C)",
       /*view_matching=*/true, /*guards=*/true);
-  ExecStats stats;
+  EventStream events;
   CacheDbms::Reader reader(sys->cache());
   ExecContext ctx;
   ctx.reader = &reader;
   ctx.clock = sys->clock();
-  ctx.stats = &stats;
+  ctx.events = &events;
   ctx.subplans = &guarded.subplans;
   auto drain = [&](bool batch_protocol) {
     auto iter = BuildIterator(*guarded.root, &ctx, &guarded.aliases);

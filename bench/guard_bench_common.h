@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "exec/event_stream.h"
 #include "exec/executor.h"
 
 namespace rcc {
@@ -116,12 +117,12 @@ class ForcedStaleness {
 /// non-null; the produced row count lands in `rows_out`.
 inline double RunPlan(RccSystem* sys, const QueryPlan& plan, int iters,
                       ExecStats* total, int64_t* rows_out) {
-  ExecStats stats;
+  EventStream events;
   CacheDbms::Reader reader(sys->cache());
   ExecContext ctx;
   ctx.reader = &reader;
   ctx.clock = sys->clock();
-  ctx.stats = &stats;
+  ctx.events = &events;
   // One warm-up execution (also captures the row count).
   {
     auto result = ExecutePlan(plan, &ctx);
@@ -134,7 +135,7 @@ inline double RunPlan(RccSystem* sys, const QueryPlan& plan, int iters,
       *rows_out = static_cast<int64_t>(result->rows.size());
     }
   }
-  stats.Reset();
+  events.BeginExecution(nullptr, 0);  // drop the warm-up's stats
   // Split into chunks and keep the fastest: scheduler noise only ever adds
   // time, so the minimum is the most faithful per-execution estimate.
   constexpr int kChunks = 7;
@@ -151,6 +152,7 @@ inline double RunPlan(RccSystem* sys, const QueryPlan& plan, int iters,
     if (best < 0 || per_iter < best) best = per_iter;
   }
   if (total != nullptr) {
+    const ExecStats& stats = events.stats();
     total->setup_ms += stats.setup_ms;
     total->run_ms += stats.run_ms;
     total->shutdown_ms += stats.shutdown_ms;

@@ -1,6 +1,7 @@
 #include "backend/backend_server.h"
 
 #include "common/strings.h"
+#include "exec/event_stream.h"
 #include "semantics/resolver.h"
 
 namespace rcc {
@@ -95,10 +96,11 @@ Result<ExecutedQuery> BackendServer::ExecuteQuery(const SelectStmt& stmt) {
   RCC_ASSIGN_OR_RETURN(QueryPlan plan,
                        Optimize(std::move(resolved), catalog_, opts));
 
+  EventStream events;
   ExecContext ctx;
   ctx.reader = this;
   ctx.clock = clock_;
-  ctx.stats = &stats_;
+  ctx.events = &events;
   return ExecutePlan(plan, &ctx);
 }
 

@@ -85,10 +85,6 @@ class BackendServer : private ReadHandle {
   const Table* table(std::string_view name) const;
   Table* mutable_table(std::string_view name);
 
-  /// Cumulative executor statistics of all queries run at the back-end.
-  const ExecStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
-
  private:
   VirtualClock* clock_;
   CostParams costs_;
@@ -97,7 +93,6 @@ class BackendServer : private ReadHandle {
   TimestampOracle oracle_;
   UpdateLog log_;
   HeartbeatStore heartbeat_;
-  ExecStats stats_;
   CommitObserver commit_observer_;
 
   const Table* ScanTable(const ScanTarget& target) override {

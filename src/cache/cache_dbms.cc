@@ -1,10 +1,28 @@
 #include "cache/cache_dbms.h"
 
+#include <utility>
+
 #include "common/strings.h"
 #include "semantics/resolver.h"
 #include "sql/parser.h"
 
 namespace rcc {
+
+namespace {
+
+/// The ExecStats counters every query adds to the registry.
+constexpr std::pair<const char*, int64_t ExecStats::*> kStatCounters[] = {
+    {"rcc.switch.local", &ExecStats::switch_local},
+    {"rcc.switch.remote", &ExecStats::switch_remote},
+    {"rcc.switch.remote_attempted", &ExecStats::switch_remote_attempted},
+    {"rcc.remote.retries", &ExecStats::remote_retries},
+    {"rcc.remote.timeouts", &ExecStats::remote_timeouts},
+    {"rcc.remote.breaker_opens", &ExecStats::breaker_opens},
+    {"rcc.degrade.serves", &ExecStats::degraded_serves},
+    {"rcc.degrade.shed_serves", &ExecStats::shed_serves},
+    {"rcc.cache.deadline_timeouts", &ExecStats::deadline_timeouts}};
+
+}  // namespace
 
 Status CacheDbms::CreateShadow() {
   for (const std::string& name : backend_->catalog().TableNames()) {
@@ -41,15 +59,13 @@ Status CacheDbms::DefineRegion(const RegionDef& def) {
       [this](RegionId cid, SimTimeMs at, TxnTimestamp as_of, SimTimeMs hb,
              int64_t ops, bool resync) {
         if (sink_ == nullptr) return;
-        InstallObservation obs;
-        obs.kind = resync ? InstallObservation::Kind::kResync
-                          : InstallObservation::Kind::kDelivery;
-        obs.region = cid;
-        obs.at = at;
-        obs.as_of = as_of;
-        obs.heartbeat = hb;
-        obs.ops = ops;
-        sink_->OnInstall(obs);
+        sink_->OnInstall({.kind = resync ? InstallObservation::Kind::kResync
+                                         : InstallObservation::Kind::kDelivery,
+                          .region = cid,
+                          .at = at,
+                          .as_of = as_of,
+                          .heartbeat = hb,
+                          .ops = ops});
       });
   if (replication_faults_.has_value()) {
     ReplicationFaultConfig cfg = *replication_faults_;
@@ -58,22 +74,8 @@ Status CacheDbms::DefineRegion(const RegionDef& def) {
   }
   agent->Start(backend_->clock()->Now() + def.update_interval);
   backend_->RegisterRegionHeartbeat(def, scheduler_);
-  if (metrics_ != nullptr) {
-    metrics_
-        ->gauge(StrPrintf("rcc.replication.region_health.%d",
-                          static_cast<int>(def.cid)))
-        ->Set(static_cast<double>(static_cast<int>(region->health())));
-  }
-  if (sink_ != nullptr) {
-    std::shared_ptr<const RegionSnapshot> snap = region->Snapshot();
-    InstallObservation obs;
-    obs.kind = InstallObservation::Kind::kInitial;
-    obs.region = def.cid;
-    obs.at = backend_->clock()->Now();
-    obs.as_of = snap->as_of;
-    obs.heartbeat = snap->heartbeat;
-    sink_->OnInstall(obs);
-  }
+  SetHealthGauge(def.cid, region->health());
+  if (sink_ != nullptr) ReportInitialInstall(def.cid, *region);
   regions_[def.cid] = std::move(region);
   agents_.push_back(std::move(agent));
   plan_cache_.Invalidate();
@@ -308,8 +310,7 @@ Result<RemoteResult> CacheDbms::Reader::ExecuteRemote(
                                              std::defer_lock);
   if (cache_->in_concurrent_batch()) channel_guard.lock();
   if (cache_->remote_policy_ != nullptr) {
-    return cache_->remote_policy_->Execute(stmt, ctx.stats, ctx.trace,
-                                           ctx.deadline);
+    return cache_->remote_policy_->Execute(stmt, ctx.events, ctx.deadline);
   }
   BackendServer* backend = cache_->backend_;
   if (cache_->fault_injector_ != nullptr) {
@@ -327,27 +328,29 @@ Result<RemoteResult> CacheDbms::Reader::ExecuteRemote(
 Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
     const QueryPlan& plan, const PreparedExecOptions& opts) {
   CacheQueryOutcome out;
+  EventStream own;
+  EventStream& events = opts.events != nullptr ? *opts.events : own;
+  uint64_t query_id = 0;
+  if (sink_ != nullptr) {
+    query_id = opts.history_query_id != 0
+                   ? opts.history_query_id
+                   : sink_->BeginQuery(backend_->clock()->Now());
+  }
+  events.BeginExecution(sink_, query_id);
   ExecContext ctx;
   ctx.clock = backend_->clock();
-  ctx.stats = &out.stats;
+  ctx.events = &events;
   ctx.degrade = opts.degrade;
   ctx.deadline = opts.deadline;
   ctx.shed_hint = opts.shed_hint;
   ctx.timeline_floor_ms = opts.timeline_floor;
-  ctx.trace = opts.trace;
   ctx.params = opts.params;
-  if (sink_ != nullptr) {
-    ctx.history = sink_;
-    ctx.history_query_id = opts.history_query_id != 0
-                               ? opts.history_query_id
-                               : sink_->BeginQuery(backend_->clock()->Now());
-  }
-  // Serial mode only: expose the trace to the delivery observer, so
-  // replication batches landing while the policy waits show up in the trace.
-  // A concurrent batch freezes the virtual clock (no deliveries fire), and
-  // one shared pointer would race across workers anyway.
-  obs::QueryTrace* trace = opts.trace;
-  if (trace != nullptr && !in_concurrent_batch()) active_trace_ = trace;
+  // Serial mode only: expose a traced stream to the delivery and health
+  // observers, so replication events landing while the policy waits show up
+  // in the trace. A concurrent batch freezes the virtual clock (no
+  // deliveries fire), and one shared pointer would race across workers.
+  const bool expose = events.traced() && !in_concurrent_batch();
+  if (expose) active_events_ = &events;
   Result<ExecutedQuery> executed = ExecutedQuery();
   {
     // No region locks in either mode: the reader's SnapshotPin gives every
@@ -364,13 +367,14 @@ Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
     executed = ExecutePlan(plan, &ctx);
     ctx.reader = nullptr;
   }
-  if (active_trace_ == trace && trace != nullptr) active_trace_ = nullptr;
+  if (expose) active_events_ = nullptr;
+  out.stats = events.stats();
   // Failed queries still spent retries / tripped the breaker; the registry
   // counts them too.
   RecordQueryMetrics(out.stats, backend_->clock()->Now());
   if (sink_ != nullptr) {
     AnswerObservation ans;
-    ans.query_id = ctx.history_query_id;
+    ans.query_id = query_id;
     ans.session = opts.session_tag;
     ans.at = backend_->clock()->Now();
     ans.ok = executed.ok();
@@ -402,7 +406,6 @@ Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
   out.shape = plan.Shape();
   out.constraint = plan.resolved.constraint;
   out.executed_at = backend_->clock()->Now();
-  out.max_seen_heartbeat = out.stats.max_seen_heartbeat;
   return out;
 }
 
@@ -414,16 +417,11 @@ void CacheDbms::SetMetricsRegistry(obs::MetricsRegistry* registry) {
     return;
   }
   inst_.queries = registry->counter("rcc.cache.queries");
-  inst_.switch_local = registry->counter("rcc.switch.local");
-  inst_.switch_remote = registry->counter("rcc.switch.remote");
-  inst_.switch_remote_attempted =
-      registry->counter("rcc.switch.remote_attempted");
-  inst_.remote_retries = registry->counter("rcc.remote.retries");
-  inst_.remote_timeouts = registry->counter("rcc.remote.timeouts");
-  inst_.breaker_opens = registry->counter("rcc.remote.breaker_opens");
-  inst_.degraded_serves = registry->counter("rcc.degrade.serves");
-  inst_.shed_serves = registry->counter("rcc.degrade.shed_serves");
-  inst_.deadline_timeouts = registry->counter("rcc.cache.deadline_timeouts");
+  static_assert(std::size(kStatCounters) ==
+                std::tuple_size_v<decltype(inst_.stat_counters)>);
+  for (size_t i = 0; i < std::size(kStatCounters); ++i) {
+    inst_.stat_counters[i] = registry->counter(kStatCounters[i].first);
+  }
   inst_.replication_deliveries =
       registry->counter("rcc.replication.deliveries");
   inst_.replication_quarantines =
@@ -433,10 +431,7 @@ void CacheDbms::SetMetricsRegistry(obs::MetricsRegistry* registry) {
   // RegionHealth enum), so a dump shows healthy regions explicitly instead
   // of omitting them.
   for (const auto& [cid, region] : regions_) {
-    registry
-        ->gauge(StrPrintf("rcc.replication.region_health.%d",
-                          static_cast<int>(cid)))
-        ->Set(static_cast<double>(static_cast<int>(region->health())));
+    SetHealthGauge(cid, region->health());
   }
   inst_.query_run_ms = registry->histogram("rcc.cache.query_run_ms");
   inst_.served_staleness_ms =
@@ -452,15 +447,9 @@ void CacheDbms::RecordQueryMetrics(const ExecStats& stats,
                                    SimTimeMs now) const {
   if (inst_.queries == nullptr) return;
   inst_.queries->Add(1);
-  inst_.switch_local->Add(stats.switch_local);
-  inst_.switch_remote->Add(stats.switch_remote);
-  inst_.switch_remote_attempted->Add(stats.switch_remote_attempted);
-  inst_.remote_retries->Add(stats.remote_retries);
-  inst_.remote_timeouts->Add(stats.remote_timeouts);
-  inst_.breaker_opens->Add(stats.breaker_opens);
-  inst_.degraded_serves->Add(stats.degraded_serves);
-  inst_.shed_serves->Add(stats.shed_serves);
-  inst_.deadline_timeouts->Add(stats.deadline_timeouts);
+  for (size_t i = 0; i < std::size(kStatCounters); ++i) {
+    inst_.stat_counters[i]->Add(stats.*kStatCounters[i].second);
+  }
   inst_.query_run_ms->Observe(stats.run_ms);
   // Staleness of what the query served: virtual now minus the highest source
   // snapshot it read. Remote-served queries land in the 0 bucket.
@@ -477,14 +466,8 @@ void CacheDbms::OnDelivery(RegionId region, SimTimeMs at, int64_t ops,
   }
   // Deliveries run on the scheduler, which in serial mode is driven from the
   // executing query's thread (policy waits) — so the pointer read is safe.
-  if (active_trace_ != nullptr) {
-    std::string hb = heartbeat.has_value() ? FormatSimTime(*heartbeat)
-                                           : std::string("none");
-    active_trace_->Record(
-        obs::TraceEventKind::kReplicationDelivery, at,
-        StrPrintf("region=%d ops=%lld heartbeat=%s", static_cast<int>(region),
-                  static_cast<long long>(ops), hb.c_str()),
-        region);
+  if (active_events_ != nullptr) {
+    active_events_->Record(DeliveryRecord{region, at, ops, heartbeat});
   }
 }
 
@@ -529,29 +512,19 @@ void CacheDbms::OnHealthChange(RegionId region, RegionHealth from,
   // executions of the old plans — invalidation is about plan *quality*, the
   // refusal ladder is about correctness.
   plan_cache_.Invalidate();
-  if (metrics_ != nullptr) {
-    metrics_
-        ->gauge(StrPrintf("rcc.replication.region_health.%d",
-                          static_cast<int>(region)))
-        ->Set(static_cast<double>(static_cast<int>(to)));
-    if (to == RegionHealth::kQuarantined &&
-        inst_.replication_quarantines != nullptr) {
-      inst_.replication_quarantines->Add(1);
-    }
-    if (from == RegionHealth::kResyncing && to == RegionHealth::kHealthy &&
-        inst_.replication_resyncs != nullptr) {
-      inst_.replication_resyncs->Add(1);
-    }
+  SetHealthGauge(region, to);
+  if (to == RegionHealth::kQuarantined &&
+      inst_.replication_quarantines != nullptr) {
+    inst_.replication_quarantines->Add(1);
+  }
+  if (from == RegionHealth::kResyncing && to == RegionHealth::kHealthy &&
+      inst_.replication_resyncs != nullptr) {
+    inst_.replication_resyncs->Add(1);
   }
   // Transitions run on the scheduler thread, same as deliveries; see
-  // OnDelivery for why the serial-mode trace pointer is safe to read here.
-  if (active_trace_ != nullptr) {
-    active_trace_->Record(
-        obs::TraceEventKind::kRegionHealth, at,
-        StrPrintf("region=%d from=%s to=%s", static_cast<int>(region),
-                  std::string(RegionHealthName(from)).c_str(),
-                  std::string(RegionHealthName(to)).c_str()),
-        region);
+  // OnDelivery for why the serial-mode stream pointer is safe to read here.
+  if (active_events_ != nullptr) {
+    active_events_->Record(HealthRecord{region, from, to, at});
   }
   if (sink_ != nullptr) sink_->OnHealth(region, from, to, at);
 }
@@ -562,16 +535,25 @@ void CacheDbms::SetHistorySink(HistorySink* sink) {
   // Regions defined before the sink was installed: report their current
   // state as the initial install, so the oracle's per-region timeline starts
   // from known ground instead of an unexplained first delivery.
-  for (const auto& [cid, region] : regions_) {
-    std::shared_ptr<const RegionSnapshot> snap = region->Snapshot();
-    InstallObservation obs;
-    obs.kind = InstallObservation::Kind::kInitial;
-    obs.region = cid;
-    obs.at = backend_->clock()->Now();
-    obs.as_of = snap->as_of;
-    obs.heartbeat = snap->heartbeat;
-    sink_->OnInstall(obs);
-  }
+  for (const auto& [cid, region] : regions_) ReportInitialInstall(cid, *region);
+}
+
+void CacheDbms::ReportInitialInstall(RegionId cid,
+                                     const CurrencyRegion& region) const {
+  std::shared_ptr<const RegionSnapshot> snap = region.Snapshot();
+  sink_->OnInstall({.kind = InstallObservation::Kind::kInitial,
+                    .region = cid,
+                    .at = backend_->clock()->Now(),
+                    .as_of = snap->as_of,
+                    .heartbeat = snap->heartbeat});
+}
+
+void CacheDbms::SetHealthGauge(RegionId cid, RegionHealth health) const {
+  if (metrics_ == nullptr) return;
+  metrics_
+      ->gauge(StrPrintf("rcc.replication.region_health.%d",
+                        static_cast<int>(cid)))
+      ->Set(static_cast<double>(static_cast<int>(health)));
 }
 
 }  // namespace rcc

@@ -1,6 +1,7 @@
 #ifndef RCC_CACHE_CACHE_DBMS_H_
 #define RCC_CACHE_CACHE_DBMS_H_
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include "backend/backend_server.h"
 #include "backend/fault_injector.h"
+#include "exec/event_stream.h"
 #include "exec/read_handle.h"
 #include "exec/remote_policy.h"
 #include "plan/plan_cache.h"
@@ -28,8 +30,6 @@ struct CacheQueryOutcome {
   PlanShape shape = PlanShape::kRemoteOnly;
   NormalizedConstraint constraint;
   SimTimeMs executed_at = 0;
-  /// Highest source snapshot time the query observed (timeline tracking).
-  SimTimeMs max_seen_heartbeat = -1;
 };
 
 /// One statement text's plan from a cache's PlanCache: the shared immutable
@@ -41,10 +41,7 @@ struct CachedPlan {
   bool hit = false;
 };
 
-/// Everything CacheDbms::ExecutePrepared needs. `trace`, when non-null,
-/// receives the query's structured event trace (guard probes, switch
-/// decisions, retry/breaker events, degraded serves, and — in serial mode —
-/// replication deliveries landing mid-query).
+/// Everything CacheDbms::ExecutePrepared needs.
 struct PreparedExecOptions {
   /// Timeline floor; < 0 disables timeline mode.
   SimTimeMs timeline_floor = -1;
@@ -58,7 +55,10 @@ struct PreparedExecOptions {
   /// up as a degraded serve recorded under a mode that never authorized
   /// one, which the conformance oracle's R3 rule rejects.
   std::optional<DegradeMode> audit_degrade;
-  obs::QueryTrace* trace = nullptr;
+  /// The statement's decision stream (see EventStream); null = a private,
+  /// untraced one. A traced stream also receives, in serial mode, the
+  /// replication deliveries and health transitions landing mid-query.
+  EventStream* events = nullptr;
   /// Issuing session in the audit history (0 = anonymous caller).
   uint64_t session_tag = 0;
   /// Execution-time parameter values for kParam slots of a cached plan.
@@ -305,15 +305,8 @@ class CacheDbms {
   /// are atomically updatable, so concurrent-batch workers record directly.
   struct Instruments {
     obs::Counter* queries = nullptr;
-    obs::Counter* switch_local = nullptr;
-    obs::Counter* switch_remote = nullptr;
-    obs::Counter* switch_remote_attempted = nullptr;
-    obs::Counter* remote_retries = nullptr;
-    obs::Counter* remote_timeouts = nullptr;
-    obs::Counter* breaker_opens = nullptr;
-    obs::Counter* degraded_serves = nullptr;
-    obs::Counter* shed_serves = nullptr;
-    obs::Counter* deadline_timeouts = nullptr;
+    /// One per kStatCounters entry (cache_dbms.cc), in its order.
+    std::array<obs::Counter*, 9> stat_counters{};
     obs::Counter* replication_deliveries = nullptr;
     obs::Counter* replication_quarantines = nullptr;
     obs::Counter* replication_resyncs = nullptr;
@@ -330,14 +323,20 @@ class CacheDbms {
   /// Folds one finished query's stats into the registry instruments.
   void RecordQueryMetrics(const ExecStats& stats, SimTimeMs now) const;
 
-  /// DistributionAgent callback: counts the delivery and, when a serial-mode
-  /// query is mid-flight with tracing on, records it into that query's trace.
+  /// Reports `region`'s current snapshot to the sink as its initial install.
+  void ReportInitialInstall(RegionId cid, const CurrencyRegion& region) const;
+
+  /// Sets `rcc.replication.region_health.<cid>` (no-op without a registry).
+  void SetHealthGauge(RegionId cid, RegionHealth health) const;
+
+  /// DistributionAgent callback: counts the delivery and records it into
+  /// the traced serial-mode statement in flight, if any.
   void OnDelivery(RegionId region, SimTimeMs at, int64_t ops,
                   std::optional<SimTimeMs> heartbeat);
 
   /// DistributionAgent health callback: updates the per-region health gauge
   /// (`rcc.replication.region_health.<cid>`), the quarantine/resync
-  /// counters, and the serial-mode query trace.
+  /// counters, and records the transition like OnDelivery.
   void OnHealthChange(RegionId region, RegionHealth from, RegionHealth to,
                       SimTimeMs at);
 
@@ -365,11 +364,12 @@ class CacheDbms {
   Instruments inst_;
   PlanCache plan_cache_;
   HistorySink* sink_ = nullptr;
-  /// Trace of the serial-mode query currently executing; deliveries landing
-  /// while the policy waits are recorded into it. Never set in
-  /// concurrent-batch mode (the frozen clock means no deliveries fire
-  /// mid-batch, and workers would race on one pointer).
-  obs::QueryTrace* active_trace_ = nullptr;
+  /// Stream of the traced serial-mode statement currently executing;
+  /// deliveries and health transitions landing while the policy waits are
+  /// recorded into it. Never set in concurrent-batch mode (the frozen clock
+  /// means no deliveries fire mid-batch, and workers would race on one
+  /// pointer).
+  EventStream* active_events_ = nullptr;
   /// Serializes the remote channel (policy retries/breaker, injector RNG,
   /// back-end executor stats are all single-threaded state).
   mutable std::mutex remote_mutex_;

@@ -402,12 +402,12 @@ Status Session::VerifyConstraint(const QueryPlan& plan) const {
   std::map<InputOperandId, semantics::CopyState> sources;
   // One reader for the whole walk, so each region's guard verdict and its
   // as_of come from the same pinned snapshot.
-  ExecStats scratch;
+  EventStream scratch;
   CacheDbms::Reader reader(cache);
   ExecContext ctx;
   ctx.reader = &reader;
   ctx.clock = backend->clock();
-  ctx.stats = &scratch;
+  ctx.events = &scratch;
 
   std::function<void(const PhysicalOp&)> walk = [&](const PhysicalOp& op) {
     if (op.kind == PhysOpKind::kSwitchUnion) {

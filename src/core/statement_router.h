@@ -21,6 +21,9 @@ struct RoutedStatementOptions {
   uint64_t session_tag = 0;
   Deadline deadline;
   bool shed_hint = false;
+  /// The statement's decision stream; null = a private, untraced one. Each
+  /// dispatch attempt records its route here, then executes on it.
+  EventStream* events = nullptr;
 };
 
 /// Dispatches a SELECT to whichever execution target can satisfy its C&C

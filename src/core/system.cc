@@ -68,24 +68,34 @@ SimTimeMs FloorOf(const SelectRequest& req) {
 
 Result<QueryResult> RccSystem::ExecuteSelect(const SelectRequest& req) {
   const bool timeordered = req.floor_cell != nullptr || req.floor >= 0;
+  std::shared_ptr<obs::QueryTrace> trace;
+  if (req.trace || req.analyze) trace = std::make_shared<obs::QueryTrace>();
+  EventStream events(trace.get());
+  // Raises the session floor to what the statement saw and attaches the
+  // trace.
+  auto answer = [&](CacheQueryOutcome outcome) {
+    if (req.floor_cell != nullptr) {
+      RaiseFloor(req.floor_cell, outcome.stats.max_seen_heartbeat);
+    }
+    QueryResult result = MakeQueryResult(std::move(outcome));
+    result.trace = trace;
+    return result;
+  };
   // Fleet routing: plain SELECTs dispatch through the router, which takes
   // each node's plan from that node's own plan cache (the anchor's entry
   // would be wrong for a peer's view set). EXPLAIN stays local: it
   // describes the anchor's plan, not a dispatch decision.
   if (req.router != nullptr && !req.explain) {
-    RoutedStatementOptions ro;
-    ro.timeline_floor = FloorOf(req);
-    ro.degrade = req.degrade;
-    ro.timeordered = timeordered;
-    ro.session_tag = req.session_tag;
-    ro.deadline = req.deadline;
-    ro.shed_hint = req.shed_hint;
-    RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                         req.router->RouteSql(req.body, ro));
-    if (req.floor_cell != nullptr) {
-      RaiseFloor(req.floor_cell, outcome.max_seen_heartbeat);
-    }
-    return MakeQueryResult(std::move(outcome));
+    RCC_ASSIGN_OR_RETURN(
+        CacheQueryOutcome outcome,
+        req.router->RouteSql(req.body, {.timeline_floor = FloorOf(req),
+                                        .degrade = req.degrade,
+                                        .timeordered = timeordered,
+                                        .session_tag = req.session_tag,
+                                        .deadline = req.deadline,
+                                        .shed_hint = req.shed_hint,
+                                        .events = &events}));
+    return answer(std::move(outcome));
   }
   RCC_ASSIGN_OR_RETURN(CachedPlan cached,
                        cache_.LookupOrPlan(req.body, req.degrade, timeordered));
@@ -99,8 +109,6 @@ Result<QueryResult> RccSystem::ExecuteSelect(const SelectRequest& req) {
     out.executed_at = Now();
     return out;
   }
-  std::shared_ptr<obs::QueryTrace> trace;
-  if (req.trace || req.analyze) trace = std::make_shared<obs::QueryTrace>();
   CacheDbms::PreparedExecOptions eo;
   eo.timeline_floor = FloorOf(req);
   // The query *behaves* under the mode the plan was created for and is
@@ -111,22 +119,18 @@ Result<QueryResult> RccSystem::ExecuteSelect(const SelectRequest& req) {
   // under a mode that never authorized one.
   eo.degrade = entry.created_degrade;
   eo.audit_degrade = req.degrade;
-  eo.trace = trace.get();
+  eo.events = &events;
   eo.session_tag = req.session_tag;
   eo.params = &cached.params;
   eo.deadline = req.deadline;
   eo.shed_hint = req.shed_hint;
   RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
                        cache_.ExecutePrepared(plan, eo));
-  if (req.floor_cell != nullptr) {
-    RaiseFloor(req.floor_cell, outcome.max_seen_heartbeat);
-  }
-  QueryResult result = MakeQueryResult(std::move(outcome));
+  QueryResult result = answer(std::move(outcome));
   if (req.analyze) {
     result.message =
         obs::RenderExplainAnalyze(plan, result.stats, *trace, cached.hit);
   }
-  result.trace = std::move(trace);
   return result;
 }
 

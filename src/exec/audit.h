@@ -86,7 +86,7 @@ struct ServeObservation {
   /// oracle checks it.
   uint64_t epoch = 0;
   /// Input operands whose rows this serve produced.
-  std::vector<InputOperandId> operands;
+  std::vector<InputOperandId> operands = {};
 };
 
 /// One completed query (successful or failed), carrying everything the
@@ -230,27 +230,19 @@ class NodeTaggingSink : public HistorySink {
   uint64_t BeginQuery(SimTimeMs at) override { return inner_->BeginQuery(at); }
 
   void OnGuardProbe(const GuardObservation& obs) override {
-    GuardObservation tagged = obs;
-    tagged.node = node_;
-    inner_->OnGuardProbe(tagged);
+    inner_->OnGuardProbe(Tagged(obs));
   }
   void OnServe(const ServeObservation& obs) override {
-    ServeObservation tagged = obs;
-    tagged.node = node_;
-    inner_->OnServe(tagged);
+    inner_->OnServe(Tagged(obs));
   }
   void OnAnswer(const AnswerObservation& obs) override {
-    AnswerObservation tagged = obs;
-    tagged.node = node_;
-    inner_->OnAnswer(tagged);
+    inner_->OnAnswer(Tagged(obs));
   }
   void OnCommit(const CommittedTxn& txn, SimTimeMs at) override {
     inner_->OnCommit(txn, at);  // commits are backend-global, not per-node
   }
   void OnInstall(const InstallObservation& obs) override {
-    InstallObservation tagged = obs;
-    tagged.node = node_;
-    inner_->OnInstall(tagged);
+    inner_->OnInstall(Tagged(obs));
   }
   void OnHealth(RegionId region, RegionHealth from, RegionHealth to,
                 SimTimeMs at, int node = 0) override {
@@ -265,9 +257,13 @@ class NodeTaggingSink : public HistorySink {
     inner_->OnSessionMode(session, timeordered, at);
   }
 
-  int node() const { return node_; }
-
  private:
+  template <typename Observation>
+  Observation Tagged(Observation obs) const {
+    obs.node = node_;
+    return obs;
+  }
+
   HistorySink* inner_;
   int node_;
 };

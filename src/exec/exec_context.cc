@@ -3,15 +3,9 @@
 namespace rcc {
 
 std::string_view DegradeModeName(DegradeMode mode) {
-  switch (mode) {
-    case DegradeMode::kNone:
-      return "none";
-    case DegradeMode::kBounded:
-      return "bounded";
-    case DegradeMode::kAlways:
-      return "always";
-  }
-  return "unknown";
+  static constexpr std::string_view kNames[] = {"none", "bounded", "always"};
+  const auto i = static_cast<size_t>(mode);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 Result<bool> RowIterator::NextBatch(RowBatch* out, size_t max_rows) {

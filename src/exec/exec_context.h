@@ -8,14 +8,13 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "exec/audit.h"
-#include "obs/trace.h"
 #include "plan/physical.h"
 #include "replication/health.h"
 #include "storage/table.h"
 
 namespace rcc {
 
+class EventStream;
 class ReadHandle;
 
 /// Rows returned by a remote (back-end) query, in the remote select-list
@@ -59,20 +58,20 @@ struct Deadline {
     return d;
   }
 
-  bool armed() const {
-    return at != std::chrono::steady_clock::time_point::max();
-  }
   /// True once the deadline has passed. Cancellation points (executor batch
-  /// boundaries, remote retry-loop iterations) poll this.
+  /// boundaries, remote retry-loop iterations) poll this; without a
+  /// deadline it is one compare.
   bool expired() const {
-    return armed() && std::chrono::steady_clock::now() >= at;
+    return at != std::chrono::steady_clock::time_point::max() &&
+           std::chrono::steady_clock::now() >= at;
   }
 };
 
-/// Per-query execution counters. Phase timings are real (steady-clock) time
-/// because the currency-guard overhead experiments (paper Tables 4.4/4.5)
-/// measure actual executor work; everything currency-related runs on the
-/// virtual clock instead.
+/// Per-query execution counters, derived: EventStream::Record folds every
+/// decision record into them, and nothing else writes them. Phase timings
+/// are real (steady-clock) time because the currency-guard overhead
+/// experiments (paper Tables 4.4/4.5) measure actual executor work;
+/// everything currency-related runs on the virtual clock instead.
 struct ExecStats {
   int64_t rows_returned = 0;
   int64_t remote_queries = 0;
@@ -120,19 +119,19 @@ struct ExecStats {
   /// heartbeat, remote fetches the current virtual time. Drives timeline
   /// consistency (paper §2.3). -1 when no source was touched.
   SimTimeMs max_seen_heartbeat = -1;
-
-  void Reset() { *this = ExecStats(); }
 };
 
 /// Everything an iterator tree needs at run time. The engine layer (cache /
 /// back-end) supplies the read handle; exec stays independent of it.
 struct ExecContext {
   /// Where the plan's scans, guard probes and remote fetches read (see
-  /// ReadHandle). `reader`, `clock` and `stats` must be set before the plan
-  /// runs.
+  /// ReadHandle). `reader`, `clock` and `events` must be set before the
+  /// plan runs.
   ReadHandle* reader = nullptr;
   const VirtualClock* clock = nullptr;
-  ExecStats* stats = nullptr;
+  /// The statement's decision stream: every guard probe, branch, serve and
+  /// link event is recorded here, and stats, trace and history follow.
+  EventStream* events = nullptr;
 
   /// Degradation policy for remote-branch failures (see DegradeMode).
   DegradeMode degrade = DegradeMode::kNone;
@@ -159,16 +158,6 @@ struct ExecContext {
   /// additionally require the region's heartbeat to be at least this value,
   /// so a session never reads data older than what it has already seen.
   SimTimeMs timeline_floor_ms = -1;
-
-  /// Per-query structured trace; null = tracing disabled. Every recording
-  /// site is gated on this pointer, so the disabled path costs one compare.
-  obs::QueryTrace* trace = nullptr;
-
-  /// Execution-audit sink (simulation harness); null = not recording. Guard
-  /// probes and serving decisions report here under `history_query_id`, the
-  /// id the engine layer obtained from HistorySink::BeginQuery.
-  HistorySink* history = nullptr;
-  uint64_t history_query_id = 0;
 
   /// Bind values for kParam nodes in the plan (plan-cache reuse); null when
   /// the plan was built fresh from literals.

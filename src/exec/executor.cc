@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "exec/event_stream.h"
 #include "exec/iterators.h"
 
 namespace rcc {
@@ -38,8 +39,8 @@ Result<ExecutedQuery> ExecutePlan(const QueryPlan& plan, ExecContext* ctx) {
   RowBatch batch;
   while (true) {
     if (ctx->deadline.expired()) {
-      ctx->stats->deadline_timeouts += 1;
-      ctx->stats->run_ms += MsSince(t1);
+      ctx->events->Record(DeadlineRecord{});
+      ctx->events->Record(RunRecord{.run_ms = MsSince(t1)});
       (void)iter->Close();
       return Status::DeadlineExceeded(
           "statement deadline expired at executor batch boundary");
@@ -56,10 +57,8 @@ Result<ExecutedQuery> ExecutePlan(const QueryPlan& plan, ExecContext* ctx) {
   iter.reset();
   double shutdown_ms = MsSince(t2);
 
-  ctx->stats->rows_returned += static_cast<int64_t>(out.rows.size());
-  ctx->stats->setup_ms += setup_ms;
-  ctx->stats->run_ms += run_ms;
-  ctx->stats->shutdown_ms += shutdown_ms;
+  ctx->events->Record(RunRecord{static_cast<int64_t>(out.rows.size()),
+                                setup_ms, run_ms, shutdown_ms});
   return out;
 }
 

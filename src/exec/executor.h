@@ -15,8 +15,8 @@ struct ExecutedQuery {
 
 /// Executes an optimized plan: instantiates the iterator tree (setup phase),
 /// drains it (run phase), and tears it down (shutdown phase). Phase timings
-/// land in ctx->stats — they are what the currency-guard overhead
-/// experiments (paper Tables 4.4/4.5) report.
+/// are recorded into ctx->events — they are what the currency-guard
+/// overhead experiments (paper Tables 4.4/4.5) report.
 Result<ExecutedQuery> ExecutePlan(const QueryPlan& plan, ExecContext* ctx);
 
 }  // namespace rcc

@@ -38,15 +38,33 @@ class IterBase : public RowIterator {
   const RowLayout& layout() const override { return op_.layout; }
 
  protected:
-  /// Builds the scope for a row of this operator's output.
+  /// Builds the scope for a row of `layout` (this operator's output by
+  /// default) nested in `outer`.
   EvalScope ScopeFor(const Row& row, const EvalScope* outer) const {
+    return ScopeOver(op_.layout, row, outer);
+  }
+  EvalScope ScopeOver(const RowLayout& layout, const Row& row,
+                      const EvalScope* outer) const {
     EvalScope s;
-    s.layout = &op_.layout;
+    s.layout = &layout;
     s.row = &row;
     s.aliases = aliases_;
     s.outer = outer;
     s.params = ctx_->params;
     return s;
+  }
+
+  /// Evaluates every expression of `exprs` in `scope`.
+  Result<std::vector<Value>> EvalAll(
+      const std::vector<std::unique_ptr<Expr>>& exprs,
+      const EvalScope& scope) const {
+    std::vector<Value> values;
+    values.reserve(exprs.size());
+    for (const auto& e : exprs) {
+      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, scope, &subq_));
+      values.push_back(std::move(v));
+    }
+    return values;
   }
 
   Result<bool> PassesResidual(const Row& row, const EvalScope* outer) const {
@@ -296,18 +314,9 @@ class ProjectIterator : public IterBase {
  private:
   /// Projects one input row; false = dropped as a DISTINCT duplicate.
   Result<bool> ProjectRow(const Row& row, Row* out) {
-    EvalScope scope;
-    scope.layout = &child_->layout();
-    scope.row = &row;
-    scope.aliases = aliases_;
-    scope.outer = outer_;
-    scope.params = ctx_->params;
-    Row result;
-    result.reserve(op_.exprs.size());
-    for (const auto& e : op_.exprs) {
-      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, scope, &subq_));
-      result.push_back(std::move(v));
-    }
+    RCC_ASSIGN_OR_RETURN(
+        Row result,
+        EvalAll(op_.exprs, ScopeOver(child_->layout(), row, outer_)));
     if (op_.distinct) {
       bool ignore = false;
       std::string key = HashKeyOf(result, &ignore);
@@ -349,11 +358,7 @@ class NestedLoopJoinIterator : public IterBase {
         RCC_ASSIGN_OR_RETURN(bool more, outer_child_->Next(&left_row_));
         if (!more) return false;
         have_left_ = true;
-        left_scope_.layout = &outer_child_->layout();
-        left_scope_.row = &left_row_;
-        left_scope_.aliases = aliases_;
-        left_scope_.outer = outer_;
-        left_scope_.params = ctx_->params;
+        left_scope_ = ScopeOver(outer_child_->layout(), left_row_, outer_);
         if (inner_open_) RCC_RETURN_NOT_OK(inner_child_->Close());
         RCC_RETURN_NOT_OK(inner_child_->Open(&left_scope_));
         inner_open_ = true;
@@ -416,18 +421,9 @@ class HashJoinIterator : public IterBase {
     while (true) {
       RCC_ASSIGN_OR_RETURN(bool more, build_child_->Next(&row));
       if (!more) break;
-      EvalScope scope;
-      scope.layout = &build_child_->layout();
-      scope.row = &row;
-      scope.aliases = aliases_;
-      scope.outer = outer_;
-      scope.params = ctx_->params;
-      std::vector<Value> keys;
-      keys.reserve(op_.exprs2.size());
-      for (const auto& e : op_.exprs2) {
-        RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, scope, &subq_));
-        keys.push_back(std::move(v));
-      }
+      RCC_ASSIGN_OR_RETURN(
+          std::vector<Value> keys,
+          EvalAll(op_.exprs2, ScopeOver(build_child_->layout(), row, outer_)));
       bool has_null = false;
       std::string key = HashKeyOf(keys, &has_null);
       if (has_null) continue;  // NULL keys never join
@@ -450,18 +446,10 @@ class HashJoinIterator : public IterBase {
       }
       RCC_ASSIGN_OR_RETURN(bool more, probe_child_->Next(&probe_row_));
       if (!more) return false;
-      EvalScope scope;
-      scope.layout = &probe_child_->layout();
-      scope.row = &probe_row_;
-      scope.aliases = aliases_;
-      scope.outer = outer_;
-      scope.params = ctx_->params;
-      std::vector<Value> keys;
-      keys.reserve(op_.exprs.size());
-      for (const auto& e : op_.exprs) {
-        RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, scope, &subq_));
-        keys.push_back(std::move(v));
-      }
+      RCC_ASSIGN_OR_RETURN(
+          std::vector<Value> keys,
+          EvalAll(op_.exprs,
+                  ScopeOver(probe_child_->layout(), probe_row_, outer_)));
       bool has_null = false;
       std::string key = HashKeyOf(keys, &has_null);
       if (has_null) continue;
@@ -572,17 +560,8 @@ class HashAggregateIterator : public IterBase {
     while (true) {
       RCC_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
       if (!more) break;
-      EvalScope scope;
-      scope.layout = &child_->layout();
-      scope.row = &row;
-      scope.aliases = aliases_;
-      scope.outer = outer;
-      scope.params = ctx_->params;
-      std::vector<Value> keys;
-      for (const auto& e : op_.exprs) {
-        RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, scope, &subq_));
-        keys.push_back(std::move(v));
-      }
+      const EvalScope scope = ScopeOver(child_->layout(), row, outer);
+      RCC_ASSIGN_OR_RETURN(std::vector<Value> keys, EvalAll(op_.exprs, scope));
       bool ignore = false;
       std::string key = HashKeyOf(keys, &ignore);
       auto it = groups_.find(key);

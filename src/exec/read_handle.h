@@ -41,8 +41,8 @@ class ReadHandle {
   /// RefreshUnlessServed for it.
   virtual void MarkServed(RegionId /*region*/) {}
 
-  /// Ships `stmt` to the back-end under `ctx.deadline`, counting retries
-  /// into `ctx.stats` and link events into `ctx.trace`.
+  /// Ships `stmt` to the back-end under `ctx.deadline`, recording link
+  /// events into `ctx.events`.
   virtual Result<RemoteResult> ExecuteRemote(const SelectStmt& /*stmt*/,
                                              const ExecContext& /*ctx*/) {
     return Status::Internal("no remote executor configured");

@@ -44,9 +44,9 @@ class RemoteQueryIterator : public RowIterator {
   ExecContext* ctx_;
   std::vector<Row> rows_;
   size_t pos_ = 0;
-  /// Audit: the serve is reported once per iterator; correlated re-opens
-  /// re-fetch but are attributed to the first fetch (DESIGN.md §11).
-  bool recorded_ = false;
+  /// The serve is recorded once per iterator; correlated re-opens re-fetch
+  /// but are attributed to the first fetch (DESIGN.md §11).
+  bool served_ = false;
 };
 
 }  // namespace rcc

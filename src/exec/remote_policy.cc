@@ -4,19 +4,17 @@
 #include <string>
 
 #include "common/strings.h"
+#include "exec/event_stream.h"
 
 namespace rcc {
 
 Result<RemoteResult> ResilientRemoteExecutor::Execute(const SelectStmt& stmt,
-                                                      ExecStats* stats,
-                                                      obs::QueryTrace* trace,
+                                                      EventStream* events,
                                                       Deadline deadline) {
+  using obs::TraceEventKind;
   if (breaker_open()) {
-    if (trace != nullptr) {
-      trace->Record(obs::TraceEventKind::kBreakerFastFail, clock_->Now(),
-                    "back-end marked down until " +
-                        FormatSimTime(breaker_open_until_));
-    }
+    events->Record(LinkRecord{.kind = TraceEventKind::kBreakerFastFail,
+                              .at = clock_->Now(), .ms = breaker_open_until_});
     return Status::Unavailable(
         "circuit breaker open: back-end marked down until " +
         FormatSimTime(breaker_open_until_));
@@ -27,7 +25,7 @@ Result<RemoteResult> ResilientRemoteExecutor::Execute(const SelectStmt& stmt,
     // Cancellation point: a statement past its real-time deadline neither
     // attempts nor backs off again — its worker is needed back.
     if (deadline.expired()) {
-      if (stats != nullptr) ++stats->deadline_timeouts;
+      events->Record(DeadlineRecord{});
       return Status::DeadlineExceeded(
           StrPrintf("statement deadline expired before remote attempt %d",
                     attempt + 1));
@@ -43,19 +41,14 @@ Result<RemoteResult> ResilientRemoteExecutor::Execute(const SelectStmt& stmt,
       if (policy_.backoff_jitter_ms > 0) {
         delay += rng_.Uniform(0, policy_.backoff_jitter_ms);
       }
-      if (trace != nullptr) {
-        trace->Record(obs::TraceEventKind::kRemoteBackoff, clock_->Now(),
-                      StrPrintf("retry=%d delay=%s", attempt,
-                                FormatSimTime(delay).c_str()));
-      }
+      events->Record(LinkRecord{.kind = TraceEventKind::kRemoteBackoff,
+                                .at = clock_->Now(), .attempt = attempt,
+                                .ms = delay});
       Wait(delay);
-      if (stats != nullptr) ++stats->remote_retries;
     }
 
-    if (trace != nullptr) {
-      trace->Record(obs::TraceEventKind::kRemoteAttempt, clock_->Now(),
-                    StrPrintf("attempt=%d", attempt + 1));
-    }
+    events->Record(LinkRecord{.kind = TraceEventKind::kRemoteAttempt,
+                              .at = clock_->Now(), .attempt = attempt + 1});
     RemoteAttempt result = attempt_(stmt);
     // The caller never waits longer than the timeout for one attempt.
     Wait(std::min(result.latency_ms, policy_.timeout_ms));
@@ -64,14 +57,10 @@ Result<RemoteResult> ResilientRemoteExecutor::Execute(const SelectStmt& stmt,
           "remote attempt timed out after " +
           FormatSimTime(policy_.timeout_ms) + " (back-end took " +
           FormatSimTime(result.latency_ms) + ")");
-      if (stats != nullptr) ++stats->remote_timeouts;
-      if (trace != nullptr) {
-        trace->Record(obs::TraceEventKind::kRemoteTimeout, clock_->Now(),
-                      StrPrintf("attempt=%d timeout=%s backend_took=%s",
-                                attempt + 1,
-                                FormatSimTime(policy_.timeout_ms).c_str(),
-                                FormatSimTime(result.latency_ms).c_str()));
-      }
+      events->Record(LinkRecord{.kind = TraceEventKind::kRemoteTimeout,
+                                .at = clock_->Now(), .attempt = attempt + 1,
+                                .ms = policy_.timeout_ms,
+                                .backend_ms = result.latency_ms});
     } else if (!result.status.ok()) {
       last = result.status;
     } else {
@@ -84,11 +73,9 @@ Result<RemoteResult> ResilientRemoteExecutor::Execute(const SelectStmt& stmt,
       breaker_open_until_ = clock_->Now() + policy_.breaker_cooldown_ms;
       consecutive_failures_ = 0;
       ++breaker_opens_;
-      if (stats != nullptr) ++stats->breaker_opens;
-      if (trace != nullptr) {
-        trace->Record(obs::TraceEventKind::kBreakerOpen, clock_->Now(),
-                      "cooldown until " + FormatSimTime(breaker_open_until_));
-      }
+      events->Record(LinkRecord{.kind = TraceEventKind::kBreakerOpen,
+                                .at = clock_->Now(),
+                                .ms = breaker_open_until_});
       // Opening the breaker abandons the remaining retries: the link is
       // considered down, not flaky.
       break;

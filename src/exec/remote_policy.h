@@ -67,14 +67,13 @@ class ResilientRemoteExecutor {
   ResilientRemoteExecutor(const ResilientRemoteExecutor&) = delete;
   ResilientRemoteExecutor& operator=(const ResilientRemoteExecutor&) = delete;
 
-  /// Executes `stmt` under the policy. Retry/timeout/breaker events are
-  /// recorded into `stats` and, per event with its virtual timestamp, into
-  /// `trace` when non-null. `deadline` is the statement's real-time
-  /// cancellation deadline: each retry-loop iteration is a cancellation
-  /// point, so an expired statement stops retrying (and backing off)
-  /// immediately instead of riding out the whole retry budget.
-  Result<RemoteResult> Execute(const SelectStmt& stmt, ExecStats* stats,
-                               obs::QueryTrace* trace = nullptr,
+  /// Executes `stmt` under the policy. Every attempt, backoff, timeout and
+  /// breaker event is recorded, with its virtual timestamp, into the
+  /// statement's `events` (required). `deadline` is the statement's
+  /// real-time cancellation deadline: each retry-loop iteration is a
+  /// cancellation point, so an expired statement stops retrying (and
+  /// backing off) immediately instead of riding out the whole retry budget.
+  Result<RemoteResult> Execute(const SelectStmt& stmt, EventStream* events,
                                Deadline deadline = Deadline::None());
 
   /// Replaces the attempt function (e.g. when a fault injector is added to
@@ -88,12 +87,6 @@ class ResilientRemoteExecutor {
   /// Times the breaker opened since construction.
   int64_t breaker_opens() const { return breaker_opens_; }
   int consecutive_failures() const { return consecutive_failures_; }
-
-  /// Closes the breaker and forgets the failure streak (manual reset).
-  void ResetBreaker() {
-    breaker_open_until_ = -1;
-    consecutive_failures_ = 0;
-  }
 
   const RemotePolicy& policy() const { return policy_; }
 

@@ -1,10 +1,10 @@
 #include "exec/switch_union.h"
 
-#include <algorithm>
 #include <optional>
 #include <string>
 
 #include "common/strings.h"
+#include "exec/event_stream.h"
 #include "exec/read_handle.h"
 #include "replication/region.h"
 
@@ -12,115 +12,68 @@ namespace rcc {
 
 namespace {
 
-RegionHealth HealthOf(const RegionSnapshot* snap) {
-  return snap != nullptr ? snap->health : RegionHealth::kHealthy;
-}
-
-/// Judges the guard region's certified heartbeat on the statement's pinned
-/// snapshot, after moving that snapshot to the current published version —
-/// a no-op once the statement has served local rows from the region (served
-/// data stays on its snapshot; see ReadHandle::RefreshUnlessServed). An
-/// unknown heartbeat (region undefined, never synced, or certification
-/// withdrawn) never qualifies — explicitly, not via a fake "stale since time
-/// 0" value. Health only explains why, in stats and trace.
-CurrencyVerdict Reprobe(const PhysicalOp& op, ExecContext* ctx) {
+/// The guard probe: judges the guard region's certified heartbeat on the
+/// statement's pinned snapshot, after moving that snapshot to the current
+/// published version — a no-op once the statement has served local rows
+/// from the region (served data stays on its snapshot; see
+/// ReadHandle::RefreshUnlessServed). Heartbeat_R.TimeStamp > now - B <=>
+/// the region reflects a snapshot no older than the currency bound. The
+/// snapshot is immutable once published, so a concurrent delivery can never
+/// be observed torn. An unknown heartbeat (region undefined, never synced,
+/// or certification withdrawn) never qualifies — explicitly, not via a fake
+/// "stale since time 0" value; health only explains why. `reprobe` is the
+/// degrade ladder's re-probe, counted but not reported. `*epoch`, when
+/// given, receives the probed snapshot's publication epoch (0 = none).
+CurrencyVerdict Probe(const PhysicalOp& op, ExecContext* ctx, bool reprobe,
+                      uint64_t* epoch = nullptr) {
   ctx->reader->RefreshUnlessServed(op.guard_region);
   const RegionSnapshot* snap = ctx->reader->Snapshot(op.guard_region);
+  const RegionHealth health =
+      snap != nullptr ? snap->health : RegionHealth::kHealthy;
+  const SimTimeMs now = ctx->clock->Now();
   const CurrencyVerdict v = JudgeCurrency(
-      snap != nullptr ? snap->certified_heartbeat() : std::nullopt,
-      HealthOf(snap), ctx->clock->Now(), op.guard_bound_ms,
-      ctx->timeline_floor_ms);
-  ++ctx->stats->guard_evaluations;
-  if (!v.known) {
-    ++ctx->stats->guard_unknown_region;
-    if (v.withdrawn) ++ctx->stats->guard_quarantined_region;
-  }
+      snap != nullptr ? snap->certified_heartbeat() : std::nullopt, health,
+      now, op.guard_bound_ms, ctx->timeline_floor_ms);
+  ctx->events->Record(GuardRecord{
+      .probe = {.region = op.guard_region,
+                .at = now,
+                .heartbeat_known = v.known,
+                .heartbeat = v.heartbeat,
+                .bound_ms = op.guard_bound_ms,
+                .floor_ms = ctx->timeline_floor_ms,
+                .verdict_local = v.Fresh(),
+                .health = health,
+                .epoch = snap != nullptr ? snap->epoch : 0},
+      .reprobe = reprobe});
+  if (epoch != nullptr) *epoch = snap != nullptr ? snap->epoch : 0;
   return v;
 }
 
-std::string GuardProbeDetail(const GuardObservation& probe) {
-  return StrPrintf(
-      "region=%d heartbeat=%s bound=%s floor=%s verdict=%s health=%s",
-      probe.region,
-      probe.heartbeat_known ? FormatSimTime(probe.heartbeat).c_str()
-                            : "unknown",
-      FormatSimTime(probe.bound_ms).c_str(),
-      FormatSimTime(probe.floor_ms).c_str(),
-      probe.verdict_local ? "local" : "stale",
-      std::string(RegionHealthName(probe.health)).c_str());
-}
-
-/// The guard probe proper: Reprobe, reported once as a GuardObservation to
-/// the trace (rendered) and the audit sink.
-CurrencyVerdict ProbeGuard(const PhysicalOp& op, ExecContext* ctx) {
-  // Heartbeat_R.TimeStamp > now - B  <=>  the region reflects a snapshot no
-  // older than the currency bound. The snapshot is immutable once published,
-  // so concurrent delivery installs can never be observed torn — the probe
-  // is race-free by construction.
-  const CurrencyVerdict v = Reprobe(op, ctx);
-  if (ctx->trace == nullptr && ctx->history == nullptr) return v;
-  const RegionSnapshot* snap = ctx->reader->Snapshot(op.guard_region);
-  GuardObservation probe;
-  probe.query_id = ctx->history_query_id;
-  probe.region = op.guard_region;
-  probe.at = ctx->clock->Now();
-  probe.heartbeat_known = v.known;
-  probe.heartbeat = v.heartbeat;
-  probe.bound_ms = op.guard_bound_ms;
-  probe.floor_ms = ctx->timeline_floor_ms;
-  probe.verdict_local = v.Fresh();
-  probe.health = HealthOf(snap);
-  probe.epoch = snap != nullptr ? snap->epoch : 0;
-  if (ctx->trace != nullptr) {
-    ctx->trace->Record(obs::TraceEventKind::kGuardProbe, probe.at,
-                       GuardProbeDetail(probe), probe.region);
-  }
-  if (ctx->history != nullptr) ctx->history->OnGuardProbe(probe);
-  return v;
-}
-
-/// The audit record of a local serve by `branch` from `region`'s pinned
-/// snapshot. Operands are listed only when an audit sink will read them.
-ServeObservation LocalServe(const ExecContext& ctx, const PhysicalOp& branch,
-                            RegionId region, SimTimeMs heartbeat) {
-  ServeObservation serve;
-  serve.query_id = ctx.history_query_id;
-  serve.at = ctx.clock->Now();
-  serve.local = true;
-  serve.region = region;
-  serve.heartbeat_known = true;
-  serve.heartbeat = heartbeat;
-  const RegionSnapshot* snap = ctx.reader->Snapshot(region);
-  serve.epoch = snap != nullptr ? snap->epoch : 0;
-  if (ctx.history != nullptr) {
-    for (InputOperandId oid : branch.delivered.AllOperands()) {
-      serve.operands.push_back(oid);
-    }
-  }
-  return serve;
-}
-
-std::string DegradedServeDetail(const ServeObservation& serve,
-                                const CurrencyVerdict& v,
-                                const Status& remote_error) {
-  std::string detail =
-      StrPrintf("region=%d staleness=%s within_bound=%s", serve.region,
-                FormatSimTime(v.staleness).c_str(),
-                v.within_bound ? "yes" : "no");
-  if (!serve.shed) detail += " remote_error=" + remote_error.ToString();
-  return detail;
+/// A local serve by `sw`'s local branch, from the guard region's pinned
+/// snapshot (publication `epoch`), under verdict `v`.
+ServeRecord LocalServe(const ExecContext& ctx, const PhysicalOp& sw,
+                       const CurrencyVerdict& v, uint64_t epoch) {
+  return ServeRecord{.serve = {.at = ctx.clock->Now(),
+                               .local = true,
+                               .region = sw.guard_region,
+                               .heartbeat_known = true,
+                               .heartbeat = v.heartbeat,
+                               .epoch = epoch},
+                     .op = sw.children[0].get(),
+                     .verdict = v};
 }
 
 }  // namespace
 
 bool SwitchUnionIterator::EvaluateGuard(const PhysicalOp& op,
                                         ExecContext* ctx) {
-  return ProbeGuard(op, ctx).Fresh();
+  return Probe(op, ctx, /*reprobe=*/false).Fresh();
 }
 
 Status SwitchUnionIterator::Open(const EvalScope* outer) {
   if (cached_decision_ < 0) {
-    const CurrencyVerdict v = ProbeGuard(op_, ctx_);
+    uint64_t epoch = 0;
+    const CurrencyVerdict v = Probe(op_, ctx_, /*reprobe=*/false, &epoch);
     const bool local_ok = v.Fresh();
     if (!local_ok && !op_.remote_fallback_allowed) {
       // Replica-only mode: report instead of silently serving stale data or
@@ -132,31 +85,19 @@ Status SwitchUnionIterator::Open(const EvalScope* outer) {
           "disabled");
     }
     cached_decision_ = local_ok ? 1 : 0;
+    // A remote decision is only an attempt so far: the remote branch may
+    // still fail and degrade back to local.
+    ctx_->events->Record(SwitchRecord{
+        ctx_->clock->Now(), op_.guard_region,
+        local_ok ? SwitchRecord::Branch::kLocal
+                 : SwitchRecord::Branch::kRemote});
     if (local_ok) {
       // The local branch is the final serving branch: a local open failure
-      // is a hard error, never a silent re-route.
-      ++ctx_->stats->switch_local;
-      ctx_->stats->max_seen_heartbeat =
-          std::max(ctx_->stats->max_seen_heartbeat, v.heartbeat);
-    } else {
-      // Only an *attempt* so far — the remote branch may still fail and
-      // degrade back to local; switch_remote is counted when the remote
-      // branch actually opens and serves.
-      ++ctx_->stats->switch_remote_attempted;
-    }
-    if (ctx_->trace != nullptr) {
-      ctx_->trace->Record(obs::TraceEventKind::kSwitchDecision,
-                          ctx_->clock->Now(), local_ok ? "local" : "remote",
-                          op_.guard_region);
-    }
-    if (local_ok) {
-      // Freeze the pinned snapshot: from here on every probe and row of this
-      // query reads the region at exactly this published version.
+      // is a hard error, never a silent re-route. Freeze the pinned
+      // snapshot: from here on every probe and row of this query reads the
+      // region at exactly this published version.
       ctx_->reader->MarkServed(op_.guard_region);
-      if (ctx_->history != nullptr) {
-        ctx_->history->OnServe(
-            LocalServe(*ctx_, *op_.children[0], op_.guard_region, v.heartbeat));
-      }
+      ctx_->events->Record(LocalServe(*ctx_, op_, v, epoch));
     } else if (ctx_->shed_hint && DegradeAllowed() &&
                v.Permits(ctx_->degrade)) {
       // Overload shedding: under admission pressure, prefer the (permitted)
@@ -165,7 +106,7 @@ Status SwitchUnionIterator::Open(const EvalScope* outer) {
       // statement executes remote exactly as without the hint — shedding can
       // only re-order permitted branches, never manufacture a refusal or
       // stretch a bound.
-      return ServeDegraded(outer, v, /*shed=*/true, Status::OK());
+      return ServeDegraded(outer, v, epoch, /*shed=*/true, Status::OK());
     }
   }
   chosen_ = cached_decision_ == 1 ? local_.get() : remote_.get();
@@ -175,44 +116,30 @@ Status SwitchUnionIterator::Open(const EvalScope* outer) {
   }
   if (st.ok() && chosen_ == remote_.get() && !served_remote_) {
     served_remote_ = true;
-    // Now the remote branch truly serves this execution; count it once, not
-    // per re-open (inner side of a nested-loop join re-opens the iterator).
-    ++ctx_->stats->switch_remote;
+    // Now the remote branch truly serves this execution; record it once,
+    // not per re-open (inner side of a nested-loop join re-opens it).
+    ctx_->events->Record(SwitchRecord{ctx_->clock->Now(), op_.guard_region,
+                                      SwitchRecord::Branch::kRemoteServed});
   }
   return st;
 }
 
 Status SwitchUnionIterator::ServeDegraded(const EvalScope* outer,
-                                          const CurrencyVerdict& v, bool shed,
+                                          const CurrencyVerdict& v,
+                                          uint64_t epoch, bool shed,
                                           const Status& remote_error) {
   // Serve the local view, flagged stale (the paper's "return the data but
   // with an error code"). Later re-opens (inner side of nested-loop joins)
   // must stick to the local branch so all probes read one snapshot.
   cached_decision_ = 1;
-  ++ctx_->stats->degraded_serves;
-  if (shed) ++ctx_->stats->shed_serves;
-  // The query was directed at the remote branch (switch_remote_attempted)
-  // but is finally served by the local one; record the serving branch
-  // truthfully instead of leaving it counted as a remote switch.
-  ++ctx_->stats->switch_local;
-  ctx_->stats->degraded_staleness_ms =
-      std::max(ctx_->stats->degraded_staleness_ms, v.staleness);
-  ctx_->stats->max_seen_heartbeat =
-      std::max(ctx_->stats->max_seen_heartbeat, v.heartbeat);
   ctx_->reader->MarkServed(op_.guard_region);
-  if (ctx_->trace != nullptr || ctx_->history != nullptr) {
-    ServeObservation serve =
-        LocalServe(*ctx_, *op_.children[0], op_.guard_region, v.heartbeat);
-    serve.degraded = true;
-    serve.shed = shed;
-    if (ctx_->trace != nullptr) {
-      ctx_->trace->Record(shed ? obs::TraceEventKind::kShedServe
-                               : obs::TraceEventKind::kDegradedServe,
-                          serve.at, DegradedServeDetail(serve, v, remote_error),
-                          serve.region);
-    }
-    if (ctx_->history != nullptr) ctx_->history->OnServe(serve);
-  }
+  // Directed at the remote branch but served by the local one: the record
+  // counts it where the rows came from.
+  ServeRecord record = LocalServe(*ctx_, op_, v, epoch);
+  record.serve.degraded = true;
+  record.serve.shed = shed;
+  record.remote_error = &remote_error;
+  ctx_->events->Record(record);
   chosen_ = local_.get();
   return chosen_->Open(outer);
 }
@@ -225,21 +152,22 @@ Status SwitchUnionIterator::DegradeToLocal(const EvalScope* outer,
   // probe (possibly even within the bound again). Re-pin to the current
   // published snapshot first so the re-probe and the rows it certifies are
   // one version.
-  const CurrencyVerdict v = Reprobe(op_, ctx_);
+  uint64_t epoch = 0;
+  const CurrencyVerdict v = Probe(op_, ctx_, /*reprobe=*/true, &epoch);
   if (v.Permits(ctx_->degrade)) {
-    return ServeDegraded(outer, v, /*shed=*/false, remote_error);
+    return ServeDegraded(outer, v, epoch, /*shed=*/false, remote_error);
   }
   const std::string region = std::to_string(op_.guard_region);
   const std::string cause =
       "; remote branch failed with: " + remote_error.ToString();
   if (!v.known && v.withdrawn) {
-    // Quarantined/resyncing: the replication pipeline withdrew the
-    // heartbeat, so even SET DEGRADE ALWAYS refuses — the replica may be
-    // mid-rebuild and its staleness bound is unknowable.
+    // Quarantined/resyncing (so the region has a snapshot): the replication
+    // pipeline withdrew the heartbeat, so even SET DEGRADE ALWAYS refuses —
+    // the replica may be mid-rebuild and its staleness bound is unknowable.
     return Status::Unavailable(
         "cannot degrade: region " + region + " is " +
         std::string(RegionHealthName(
-            HealthOf(ctx_->reader->Snapshot(op_.guard_region)))) +
+            ctx_->reader->Snapshot(op_.guard_region)->health)) +
         " (replication pipeline invalidated its heartbeat)" + cause);
   }
   if (!v.known) {

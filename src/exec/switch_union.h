@@ -58,10 +58,11 @@ class SwitchUnionIterator : public RowIterator {
 
   /// Serves the local branch flagged degraded — after a remote failure, or
   /// pre-emptively under overload (`shed`: ctx->shed_hint with a verdict the
-  /// degrade rule permits; guard semantics are never weakened). Later
+  /// degrade rule permits; guard semantics are never weakened) — from the
+  /// snapshot the verdict `v` was judged on (publication `epoch`). Later
   /// re-opens stick to the local branch.
   Status ServeDegraded(const EvalScope* outer, const CurrencyVerdict& v,
-                       bool shed, const Status& remote_error);
+                       uint64_t epoch, bool shed, const Status& remote_error);
 
   const PhysicalOp& op_;
   ExecContext* ctx_;

@@ -86,8 +86,11 @@ Result<CacheQueryOutcome> FleetRouter::Route(
   RCC_ASSIGN_OR_RETURN(const CachedPlan ref, plan_on(1, nullptr));
   const std::vector<Requirement> reqs = RequirementsOf(*ref.entry->plan);
 
+  EventStream own;
+  EventStream& events = opts.events != nullptr ? *opts.events : own;
   PreparedExecOptions eo{.timeline_floor = opts.timeline_floor,
                          .audit_degrade = opts.degrade,
+                         .events = &events,
                          .session_tag = opts.session_tag,
                          .deadline = opts.deadline,
                          .shed_hint = opts.shed_hint};
@@ -118,7 +121,13 @@ Result<CacheQueryOutcome> FleetRouter::Route(
         // keeps region 0, heartbeat unknown, ineligible.
         if (views.empty()) continue;
         p.region = views.front()->region;
-        std::optional<SimTimeMs> hb = cache->LocalHeartbeat(p.region);
+        // One snapshot per probe: its certified heartbeat and its health
+        // are one published version.
+        const CurrencyRegion* region = cache->region(p.region);
+        const std::shared_ptr<const RegionSnapshot> snap =
+            region != nullptr ? region->Snapshot() : nullptr;
+        std::optional<SimTimeMs> hb =
+            snap != nullptr ? snap->certified_heartbeat() : std::nullopt;
 #ifdef RCC_FLEET_MUTATE
         // Planted bug: the highest-numbered node's probes fall back to the
         // raw snapshot heartbeat when certification was withdrawn
@@ -126,14 +135,13 @@ Result<CacheQueryOutcome> FleetRouter::Route(
         // whose own guards can no longer back the freshness claim. The
         // oracle's route-heartbeat rule re-derives the certified state from
         // the install + health streams and rejects the probe.
-        if (!hb.has_value() && node == n) {
-          const CurrencyRegion* region = cache->region(p.region);
-          if (region != nullptr) hb = region->Snapshot()->heartbeat;
+        if (!hb.has_value() && node == n && snap != nullptr) {
+          hb = snap->heartbeat;
         }
 #endif
-        const CurrencyVerdict v =
-            JudgeCurrency(hb, cache->RegionHealthOf(p.region), now,
-                          p.bound_ms, p.floor_ms);
+        const CurrencyVerdict v = JudgeCurrency(
+            hb, snap != nullptr ? snap->health : RegionHealth::kHealthy, now,
+            p.bound_ms, p.floor_ms);
         p.heartbeat_known = v.known;
         p.heartbeat = v.heartbeat;
         p.eligible = v.Permits(opts.degrade);
@@ -173,13 +181,12 @@ Result<CacheQueryOutcome> FleetRouter::Route(
     }
     // Every attempt records its route under a fresh query id before
     // executing, and the execution reuses the id.
-    if (sink_ != nullptr) {
-      eo.history_query_id = sink_->BeginQuery(now);
-      sink_->OnRoute({.query_id = eo.history_query_id, .at = now,
-                      .node = best, .backend_tier = backend,
-                      .degrade_mode = static_cast<int>(opts.degrade),
-                      .probes = std::move(probes)});
-    }
+    eo.history_query_id = sink_ != nullptr ? sink_->BeginQuery(now) : 0;
+    events.BeginExecution(sink_, eo.history_query_id);
+    events.Record(RouteObservation{
+        .at = now, .node = best, .backend_tier = backend,
+        .degrade_mode = static_cast<int>(opts.degrade),
+        .probes = std::move(probes)});
     (backend ? backend_serves_ : routed_[best])->Add();
     // Behaves under the mode the plan was created for, audited under the
     // session's, as RccSystem::ExecuteSelect does.

@@ -72,15 +72,12 @@ std::string RenderExplainAnalyze(const QueryPlan& plan, const ExecStats& stats,
     CollectSwitches(*sub.root, &switches);
   }
   std::vector<bool> consumed(switches.size(), false);
-  // Pipeline health at guard time rides in the guard-probe payload
-  // ("health=<state>"); carry the latest probe's health forward onto the
-  // decision line so a quarantined region is visible at a glance.
-  std::string last_health;
+  // Carry the latest guard probe's pipeline health forward onto the
+  // decision line, so a quarantined region is visible at a glance.
+  const TraceEvent* last_probe = nullptr;
   for (const TraceEvent& e : trace.events()) {
     if (e.kind == TraceEventKind::kGuardProbe) {
-      size_t pos = e.detail.find("health=");
-      last_health =
-          pos == std::string::npos ? std::string() : e.detail.substr(pos);
+      last_probe = &e;
       continue;
     }
     if (e.kind != TraceEventKind::kSwitchDecision) continue;
@@ -92,9 +89,13 @@ std::string RenderExplainAnalyze(const QueryPlan& plan, const ExecStats& stats,
         break;
       }
     }
-    out += StrPrintf("guard region=%lld est_p_local=%.2f actual: %s%s%s\n",
-                     static_cast<long long>(e.region), est_p, e.detail.c_str(),
-                     last_health.empty() ? "" : " ", last_health.c_str());
+    out += StrPrintf("guard region=%lld est_p_local=%.2f actual: %s",
+                     static_cast<long long>(e.region), est_p, e.detail.c_str());
+    if (last_probe != nullptr) {
+      out += " health=";
+      out += RegionHealthName(last_probe->health);
+    }
+    out += "\n";
   }
 
   out += "-- trace --\n";

@@ -19,10 +19,7 @@ namespace obs {
 /// `cached` = true marks a plan served from the parameterized plan cache
 /// (the "plan: cached" line), so applications can tell a fresh optimization
 /// from a reuse at a glance.
-std::string RenderExplain(const QueryPlan& plan, bool cached);
-inline std::string RenderExplain(const QueryPlan& plan) {
-  return RenderExplain(plan, false);
-}
+std::string RenderExplain(const QueryPlan& plan, bool cached = false);
 
 /// `EXPLAIN ANALYZE <select>`: the RenderExplain output followed by what the
 /// execution actually did — per-guard estimated vs. actual branch choice, the
@@ -30,12 +27,7 @@ inline std::string RenderExplain(const QueryPlan& plan) {
 /// breaker events, degraded serves, replication deliveries observed), and the
 /// executed stats (paper Tables 4.4/4.5 measurements).
 std::string RenderExplainAnalyze(const QueryPlan& plan, const ExecStats& stats,
-                                 const QueryTrace& trace, bool cached);
-inline std::string RenderExplainAnalyze(const QueryPlan& plan,
-                                        const ExecStats& stats,
-                                        const QueryTrace& trace) {
-  return RenderExplainAnalyze(plan, stats, trace, false);
-}
+                                 const QueryTrace& trace, bool cached = false);
 
 }  // namespace obs
 }  // namespace rcc

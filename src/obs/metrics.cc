@@ -29,39 +29,15 @@ void Histogram::Reset() {
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
-Counter* MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return it->second.get();
-}
-
-Gauge* MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
-}
-
-Histogram* MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(bounds)))
-             .first;
-  }
-  return it->second.get();
-}
-
 namespace {
+
+/// The instrument named `name` in `map`, created by `make` on first use.
+template <typename Map, typename Make>
+auto* GetOrCreate(Map& map, std::string_view name, Make make) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.emplace(std::string(name), make()).first;
+  return it->second.get();
+}
 
 /// JSON number rendering: integers stay integral, doubles use shortest form.
 std::string JsonNum(double v) {
@@ -73,42 +49,55 @@ std::string JsonNum(double v) {
 
 }  // namespace
 
+Counter* MetricsRegistry::counter(std::string_view name) {
+  std::lock_guard<std::mutex> guard(mu_);
+  return GetOrCreate(counters_, name,
+                     [] { return std::make_unique<Counter>(); });
+}
+
+Gauge* MetricsRegistry::gauge(std::string_view name) {
+  std::lock_guard<std::mutex> guard(mu_);
+  return GetOrCreate(gauges_, name, [] { return std::make_unique<Gauge>(); });
+}
+
+Histogram* MetricsRegistry::histogram(std::string_view name,
+                                      std::vector<double> bounds) {
+  std::lock_guard<std::mutex> guard(mu_);
+  return GetOrCreate(histograms_, name, [&] {
+    return std::make_unique<Histogram>(std::move(bounds));
+  });
+}
+
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> guard(mu_);
-  std::string out = "{\n  \"schema\": \"rcc.metrics.v1\",\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + name + "\": " + std::to_string(c->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + name + "\": " + JsonNum(g->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + name + "\": {\"count\": " + std::to_string(h->count()) +
-           ", \"sum\": " + JsonNum(h->sum()) + ", \"buckets\": [";
-    const std::vector<double>& bounds = h->bounds();
-    for (size_t i = 0; i <= bounds.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += "{\"le\": ";
-      out += i < bounds.size() ? JsonNum(bounds[i]) : "\"+inf\"";
-      out += ", \"n\": " + std::to_string(h->bucket_count(i)) + "}";
+  std::string out = "{\n  \"schema\": \"rcc.metrics.v1\"";
+  // One `"title": {"name": <value>, ...}` object per instrument kind.
+  auto section = [&out](const char* title, const auto& map, auto value) {
+    out += StrPrintf(",\n  \"%s\": {", title);
+    bool first = true;
+    for (const auto& [name, instrument] : map) {
+      out += first ? "\n" : ",\n";
+      first = false;
+      out += "    \"" + name + "\": " + value(*instrument);
     }
-    out += "]}";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
+    out += first ? "}" : "\n  }";
+  };
+  section("counters", counters_,
+          [](const Counter& c) { return std::to_string(c.value()); });
+  section("gauges", gauges_, [](const Gauge& g) { return JsonNum(g.value()); });
+  section("histograms", histograms_, [](const Histogram& h) {
+    std::string json = "{\"count\": " + std::to_string(h.count()) +
+                       ", \"sum\": " + JsonNum(h.sum()) + ", \"buckets\": [";
+    const std::vector<double>& bounds = h.bounds();
+    for (size_t i = 0; i <= bounds.size(); ++i) {
+      if (i > 0) json += ", ";
+      json += "{\"le\": ";
+      json += i < bounds.size() ? JsonNum(bounds[i]) : "\"+inf\"";
+      json += ", \"n\": " + std::to_string(h.bucket_count(i)) + "}";
+    }
+    return json + "]}";
+  });
+  out += "\n}\n";
   return out;
 }
 

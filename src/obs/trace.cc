@@ -6,33 +6,17 @@ namespace rcc {
 namespace obs {
 
 std::string_view TraceEventKindName(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kGuardProbe:
-      return "guard_probe";
-    case TraceEventKind::kSwitchDecision:
-      return "switch_decision";
-    case TraceEventKind::kRemoteAttempt:
-      return "remote_attempt";
-    case TraceEventKind::kRemoteBackoff:
-      return "remote_backoff";
-    case TraceEventKind::kRemoteTimeout:
-      return "remote_timeout";
-    case TraceEventKind::kBreakerOpen:
-      return "breaker_open";
-    case TraceEventKind::kBreakerFastFail:
-      return "breaker_fastfail";
-    case TraceEventKind::kRemoteFetch:
-      return "remote_fetch";
-    case TraceEventKind::kDegradedServe:
-      return "degraded_serve";
-    case TraceEventKind::kShedServe:
-      return "shed_serve";
-    case TraceEventKind::kReplicationDelivery:
-      return "replication_delivery";
-    case TraceEventKind::kRegionHealth:
-      return "region_health";
-  }
-  return "?";
+  // Indexed by the enum, in declaration order.
+  static constexpr std::string_view kNames[] = {
+      "guard_probe",      "switch_decision",      "remote_attempt",
+      "remote_backoff",   "remote_timeout",       "breaker_open",
+      "breaker_fastfail", "remote_fetch",         "degraded_serve",
+      "shed_serve",       "replication_delivery", "region_health",
+      "route"};
+  static_assert(std::size(kNames) ==
+                static_cast<size_t>(TraceEventKind::kRoute) + 1);
+  const auto i = static_cast<size_t>(kind);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 int QueryTrace::CountOf(TraceEventKind kind) const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "replication/health.h"
 
 namespace rcc {
 namespace obs {
@@ -43,6 +44,9 @@ enum class TraceEventKind {
   kReplicationDelivery,
   /// A region's replication-pipeline health changed: region, from, to.
   kRegionHealth,
+  /// A fleet-router dispatch attempt: chosen node, backend tier, probes
+  /// taken and how many were eligible.
+  kRoute,
 };
 
 std::string_view TraceEventKindName(TraceEventKind kind);
@@ -55,22 +59,20 @@ struct TraceEvent {
   int64_t region = -1;
   /// Rendered `key=value` payload.
   std::string detail;
+  /// Guard probes: pipeline health of the probed snapshot (EXPLAIN ANALYZE
+  /// prints it on the guard's decision line).
+  RegionHealth health = RegionHealth::kHealthy;
 };
 
 /// Structured per-query trace. A trace is owned by one query execution and
 /// only ever appended to from the thread running that query, so recording
-/// needs no synchronization. Iterator code reaches it through
-/// `ExecContext::trace`, which is null when tracing is off — the disabled
-/// path costs one pointer compare per would-be event.
+/// needs no synchronization. Only the statement's EventStream renders into
+/// it, and only when the statement is traced.
 class QueryTrace {
  public:
-  void Record(TraceEventKind kind, SimTimeMs at, std::string detail,
-              int64_t region = -1) {
-    events_.push_back(TraceEvent{kind, at, region, std::move(detail)});
-  }
+  void Record(TraceEvent event) { events_.push_back(std::move(event)); }
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  bool empty() const { return events_.empty(); }
 
   int CountOf(TraceEventKind kind) const;
   const TraceEvent* FirstOf(TraceEventKind kind) const;

@@ -272,7 +272,7 @@ TEST(ConcurrencyTest, GuardFailsExplicitlyOnUnknownHeartbeat) {
       "SELECT price FROM Books B WHERE B.isbn = 1 "
       "CURRENCY BOUND 10 MIN ON (B)");
 
-  ExecStats stats;
+  EventStream events;
   // Simulate a region whose heartbeat was never installed: the guard must
   // fail explicitly (counted) and route to the remote branch, not treat the
   // region as "synced at time 0" or as maximally stale by accident.
@@ -280,9 +280,10 @@ TEST(ConcurrencyTest, GuardFailsExplicitlyOnUnknownHeartbeat) {
   ExecContext ctx;
   ctx.reader = &reader;
   ctx.clock = fx.sys.backend()->clock();
-  ctx.stats = &stats;
+  ctx.events = &events;
   auto executed = ExecutePlan(plan, &ctx);
   ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  const ExecStats& stats = events.stats();
   EXPECT_GE(stats.guard_unknown_region, 1);
   EXPECT_EQ(stats.switch_local, 0);
   EXPECT_GE(stats.switch_remote, 1);
@@ -296,13 +297,13 @@ TEST(ConcurrencyTest, DegradeRefusesUnknownStaleness) {
       "SELECT price FROM Books B WHERE B.isbn = 1 "
       "CURRENCY BOUND 10 MIN ON (B)");
 
-  ExecStats stats;
+  EventStream events;
   UnknownHeartbeatReader reader(fx.sys.cache());
   reader.link_down = true;
   ExecContext ctx;
   ctx.reader = &reader;
   ctx.clock = fx.sys.backend()->clock();
-  ctx.stats = &stats;
+  ctx.events = &events;
   ctx.degrade = DegradeMode::kAlways;
   // Remote fails and the replica's staleness is unknown: even ALWAYS mode
   // has nothing safe to serve — the query must fail, not hand out data of

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/currency_verdict.h"
+#include "exec/event_stream.h"
 #include "exec/iterators.h"
 #include "exec/read_handle.h"
 #include "exec/remote.h"
@@ -33,7 +34,7 @@ class ExecUnitTest : public ::testing::Test {
     aliases_["i"] = 0;
     ctx_.reader = &reader_;
     ctx_.clock = &clock_;
-    ctx_.stats = &stats_;
+    ctx_.events = &events_;
   }
 
   /// Scan node over the full table.
@@ -90,7 +91,7 @@ class ExecUnitTest : public ::testing::Test {
   AliasMap aliases_;
   FakeReader reader_{this};
   ExecContext ctx_;
-  ExecStats stats_;
+  EventStream events_;
   VirtualClock clock_;
   SimTimeMs heartbeat_ = 0;
 };
@@ -281,7 +282,7 @@ TEST_F(ExecUnitTest, GuardSemantics) {
   EXPECT_FALSE(SwitchUnionIterator::EvaluateGuard(op, &ctx_));
   heartbeat_ = 4001;
   EXPECT_TRUE(SwitchUnionIterator::EvaluateGuard(op, &ctx_));
-  EXPECT_EQ(stats_.guard_evaluations, 3);
+  EXPECT_EQ(events_.stats().guard_evaluations, 3);
 }
 
 TEST_F(ExecUnitTest, GuardTimelineFloor) {

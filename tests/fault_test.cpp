@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "backend/fault_injector.h"
+#include "common/strings.h"
 #include "exec/remote_policy.h"
 #include "test_util.h"
 
@@ -14,6 +15,7 @@ namespace {
 
 using testing_util::BookstoreFixture;
 using testing_util::MustExecute;
+using testing_util::MustPrepare;
 
 // -- FaultInjector ------------------------------------------------------------
 
@@ -122,7 +124,8 @@ class PolicyTest : public ::testing::Test {
   }
 
   VirtualClock clock_;
-  ExecStats stats_;
+  EventStream events_;
+  const ExecStats& stats_ = events_.stats();
   SelectStmt stmt_;
 };
 
@@ -133,7 +136,7 @@ TEST_F(PolicyTest, FirstAttemptSuccessHasNoRetries) {
     a.latency_ms = 2;
     return a;
   });
-  EXPECT_TRUE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_TRUE(exec.Execute(stmt_, &events_).ok());
   EXPECT_EQ(stats_.remote_retries, 0);
   EXPECT_EQ(clock_.Now(), 2);  // waited only the attempt latency
 }
@@ -150,7 +153,7 @@ TEST_F(PolicyTest, RetriesThenSucceeds) {
     if (++calls <= 2) a.status = Status::Unavailable("flaky");
     return a;
   });
-  EXPECT_TRUE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_TRUE(exec.Execute(stmt_, &events_).ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(stats_.remote_retries, 2);
   // 3 attempts of 2ms plus backoffs 50*2^1 = 100 and 50*2^2 = 200.
@@ -178,7 +181,7 @@ TEST_F(PolicyTest, BackoffFollowsDocumentedSchedule) {
         return a;
       },
       &clock_, [&](SimTimeMs delta) { waits.push_back(delta); });
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   ASSERT_EQ(waits.size(), 3u);
   EXPECT_EQ(waits[0], 300);   // 100 * 3^1
   EXPECT_EQ(waits[1], 900);   // 100 * 3^2
@@ -205,12 +208,12 @@ TEST_F(PolicyTest, BackoffJitterIsSeedDeterministic) {
   {
     ResilientRemoteExecutor exec(policy, failing, &clock_,
                                  [&](SimTimeMs d) { first.push_back(d); });
-    EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+    EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   }
   {
     ResilientRemoteExecutor exec(policy, failing, &clock_,
                                  [&](SimTimeMs d) { second.push_back(d); });
-    EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+    EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   }
   ASSERT_EQ(first.size(), 2u);
   EXPECT_EQ(first, second);
@@ -236,7 +239,7 @@ TEST_F(PolicyTest, BackoffGrowsExponentiallyWithBoundedJitter) {
         return a;
       },
       &clock_, [&](SimTimeMs delta) { waits.push_back(delta); });
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   // Waits: 3 backoffs (attempt latency is 0 here, so no attempt waits).
   ASSERT_EQ(waits.size(), 3u);
   EXPECT_GE(waits[0], 100);
@@ -259,7 +262,7 @@ TEST_F(PolicyTest, SlowAttemptsCountAsTimeouts) {
     a.latency_ms = 5000;  // back-end answers, but far too late
     return a;
   });
-  Result<RemoteResult> r = exec.Execute(stmt_, &stats_);
+  Result<RemoteResult> r = exec.Execute(stmt_, &events_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable());
   EXPECT_EQ(stats_.remote_timeouts, 2);
@@ -282,22 +285,22 @@ TEST_F(PolicyTest, BreakerOpensFailsFastAndRecovers) {
     if (!healthy) a.status = Status::Unavailable("down");
     return a;
   });
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());  // streak 1
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());  // streak 1
   EXPECT_FALSE(exec.breaker_open());
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());  // streak 2 -> opens
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());  // streak 2 -> opens
   EXPECT_TRUE(exec.breaker_open());
   EXPECT_EQ(exec.breaker_opens(), 1);
   EXPECT_EQ(stats_.breaker_opens, 1);
 
   // Open breaker fails fast: the link is not touched.
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   EXPECT_EQ(calls, 2);
 
   // After the cooldown the next call goes through (half-open probe).
   clock_.AdvanceBy(6000);
   EXPECT_FALSE(exec.breaker_open());
   healthy = true;
-  EXPECT_TRUE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_TRUE(exec.Execute(stmt_, &events_).ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(exec.consecutive_failures(), 0);
 }
@@ -316,20 +319,20 @@ TEST_F(PolicyTest, BreakerCooldownBoundaryIsClosed) {
     a.status = Status::Unavailable("down");
     return a;
   });
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());  // opens at threshold 1
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());  // opens at threshold 1
   ASSERT_TRUE(exec.breaker_open());
   SimTimeMs opened_at = clock_.Now();
 
   // One tick before the deadline: still fast-failing, the link is untouched.
   clock_.AdvanceTo(opened_at + 4999);
   EXPECT_TRUE(exec.breaker_open());
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   EXPECT_EQ(calls, 1);
 
   // At exactly the deadline the breaker reads closed and the attempt is made.
   clock_.AdvanceTo(opened_at + 5000);
   EXPECT_FALSE(exec.breaker_open());
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   EXPECT_EQ(calls, 2);
 }
 
@@ -348,7 +351,7 @@ TEST_F(PolicyTest, FailureStreakRebuildsFromZeroAfterCooldown) {
     a.status = Status::Unavailable("down");
     return a;
   });
-  for (int i = 0; i < 3; ++i) EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   EXPECT_TRUE(exec.breaker_open());
   EXPECT_EQ(exec.breaker_opens(), 1);
   EXPECT_EQ(exec.consecutive_failures(), 0);
@@ -356,12 +359,12 @@ TEST_F(PolicyTest, FailureStreakRebuildsFromZeroAfterCooldown) {
   clock_.AdvanceBy(5000);
   EXPECT_FALSE(exec.breaker_open());
   // Two fresh failures: below the threshold, so the breaker stays closed.
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   EXPECT_FALSE(exec.breaker_open());
   EXPECT_EQ(exec.consecutive_failures(), 2);
   // The third completes a brand-new streak and re-opens.
-  EXPECT_FALSE(exec.Execute(stmt_, &stats_).ok());
+  EXPECT_FALSE(exec.Execute(stmt_, &events_).ok());
   EXPECT_TRUE(exec.breaker_open());
   EXPECT_EQ(exec.breaker_opens(), 2);
   EXPECT_EQ(calls, 6);  // every non-fast-fail call reached the link
@@ -639,6 +642,261 @@ TEST_F(DegradeTest, CumulativeStatsAccumulateAcrossQueries) {
   MustExecute(fx_.session.get(), kBoundedQuery);
   MustExecute(fx_.session.get(), kBoundedQuery);
   EXPECT_EQ(fx_.sys.metrics().counter("rcc.degrade.serves")->value(), 2);
+}
+
+// -- One statement's decisions: counters, trace and history -------------------
+//
+// Every guard probe, branch decision, serve and link event of a statement is
+// reported three ways: folded into ExecStats, rendered into the trace (SET
+// TRACE ON) and sent to the audit history. Each scripted case below pins all
+// three, so a change in how decisions are reported cannot move one of them
+// unnoticed.
+
+/// Names every audit event in arrival order. Single-threaded use only.
+class KindSink : public HistorySink {
+ public:
+  std::vector<std::string> kinds;
+
+  uint64_t BeginQuery(SimTimeMs) override { return ++queries_; }
+  void OnGuardProbe(const GuardObservation& obs) override {
+    kinds.push_back(obs.verdict_local ? "guard:local" : "guard:stale");
+  }
+  void OnServe(const ServeObservation& obs) override {
+    kinds.push_back(obs.shed       ? "serve:shed"
+                    : obs.degraded ? "serve:degraded"
+                    : obs.local    ? "serve:local"
+                                   : "serve:remote");
+  }
+  void OnAnswer(const AnswerObservation& obs) override {
+    kinds.push_back(obs.ok ? "answer" : "answer:failed");
+  }
+  void OnCommit(const CommittedTxn&, SimTimeMs) override {}
+  void OnInstall(const InstallObservation&) override {
+    kinds.push_back("install");
+  }
+  void OnHealth(RegionId, RegionHealth, RegionHealth, SimTimeMs,
+                int) override {
+    kinds.push_back("health");
+  }
+  void OnSessionMode(uint64_t, bool, SimTimeMs) override {}
+
+ private:
+  uint64_t queries_ = 0;
+};
+
+using Kinds = std::vector<std::string>;
+
+Kinds TraceKinds(const obs::QueryTrace& trace) {
+  Kinds kinds;
+  for (const obs::TraceEvent& e : trace.events()) {
+    kinds.emplace_back(obs::TraceEventKindName(e.kind));
+  }
+  return kinds;
+}
+
+/// Every ExecStats counter a decision feeds, on one line.
+std::string Counters(const ExecStats& s) {
+  return StrPrintf(
+      "guards=%lld unknown=%lld quarantined=%lld local=%lld remote=%lld "
+      "attempted=%lld fetches=%lld retries=%lld timeouts=%lld breaker=%lld "
+      "degraded=%lld shed=%lld deadline=%lld",
+      static_cast<long long>(s.guard_evaluations),
+      static_cast<long long>(s.guard_unknown_region),
+      static_cast<long long>(s.guard_quarantined_region),
+      static_cast<long long>(s.switch_local),
+      static_cast<long long>(s.switch_remote),
+      static_cast<long long>(s.switch_remote_attempted),
+      static_cast<long long>(s.remote_queries),
+      static_cast<long long>(s.remote_retries),
+      static_cast<long long>(s.remote_timeouts),
+      static_cast<long long>(s.breaker_opens),
+      static_cast<long long>(s.degraded_serves),
+      static_cast<long long>(s.shed_serves),
+      static_cast<long long>(s.deadline_timeouts));
+}
+
+class DecisionFoldTest : public DegradeTest {
+ protected:
+  DecisionFoldTest() {
+    fx_.sys.SetHistorySink(&sink_);
+    MustExecute(fx_.session.get(), "SET TRACE ON");
+  }
+  ~DecisionFoldTest() override { fx_.sys.SetHistorySink(nullptr); }
+
+  /// Runs `sql` traced, with the history cleared of earlier events.
+  QueryResult Run(const std::string& sql,
+                  const Session::StatementOptions& opts = {}) {
+    sink_.kinds.clear();
+    auto r = fx_.session->Execute(sql, opts);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return QueryResult{};
+    EXPECT_NE(r->trace, nullptr);
+    return std::move(r).value();
+  }
+
+  KindSink sink_;
+};
+
+TEST_F(DecisionFoldTest, LocalPass) {
+  fx_.sys.AdvanceTo(42500);  // just after the delivery at 42000
+  QueryResult r = Run(kBoundedQuery);
+  EXPECT_EQ(Counters(r.stats),
+            "guards=1 unknown=0 quarantined=0 local=1 remote=0 attempted=0 "
+            "fetches=0 retries=0 timeouts=0 breaker=0 degraded=0 shed=0 "
+            "deadline=0");
+  EXPECT_EQ(TraceKinds(*r.trace), (Kinds{"guard_probe", "switch_decision"}));
+  EXPECT_EQ(sink_.kinds, (Kinds{"guard:local", "serve:local", "answer"}));
+}
+
+TEST_F(DecisionFoldTest, RemoteServe) {
+  AdvanceToStaleness(8000);  // past the 6s bound; the link is healthy
+  QueryResult r = Run(kBoundedQuery);
+  EXPECT_EQ(Counters(r.stats),
+            "guards=1 unknown=0 quarantined=0 local=0 remote=1 attempted=1 "
+            "fetches=1 retries=0 timeouts=0 breaker=0 degraded=0 shed=0 "
+            "deadline=0");
+  EXPECT_EQ(TraceKinds(*r.trace),
+            (Kinds{"guard_probe", "switch_decision", "remote_fetch"}));
+  EXPECT_EQ(sink_.kinds, (Kinds{"guard:stale", "serve:remote", "answer"}));
+}
+
+TEST(DecisionFoldJoinTest, CorrelatedRemoteInnerFetchesPerOuterRowServesOnce) {
+  // f = 60s, d = 2s and a 55s bound on Reviews: the optimizer bets on the
+  // local replica (est_p_local 0.88) and plans an index nested-loop join
+  // whose inner SwitchUnion ships R.isbn = <outer B.isbn> to the back-end.
+  BookstoreFixture fx(60000, 2000);
+  KindSink sink;
+  fx.sys.SetHistorySink(&sink);
+  MustExecute(fx.session.get(), "SET TRACE ON");
+  fx.sys.AdvanceTo(118000);  // Reviews heartbeat 59s: 59s stale > 55s bound
+  sink.kinds.clear();
+  QueryResult r = MustExecute(
+      fx.session.get(),
+      "SELECT B.isbn, R.rating FROM Books B, Reviews R "
+      "WHERE B.isbn <= 3 AND R.isbn = B.isbn "
+      "CURRENCY BOUND 1 HOUR ON (B), 55 SECONDS ON (R)");
+  fx.sys.SetHistorySink(nullptr);
+  ASSERT_NE(r.trace, nullptr);
+  // The inner guard decides once per execution; its remote branch re-opens,
+  // and so re-fetches, once per outer row (three books), but the serve is
+  // recorded once.
+  EXPECT_EQ(Counters(r.stats),
+            "guards=2 unknown=0 quarantined=0 local=1 remote=1 attempted=1 "
+            "fetches=3 retries=0 timeouts=0 breaker=0 degraded=0 shed=0 "
+            "deadline=0");
+  EXPECT_EQ(TraceKinds(*r.trace),
+            (Kinds{"guard_probe", "switch_decision", "guard_probe",
+                   "switch_decision", "remote_fetch", "remote_fetch",
+                   "remote_fetch"}));
+  EXPECT_EQ(sink.kinds, (Kinds{"guard:local", "serve:local", "guard:stale",
+                               "serve:remote", "answer"}));
+}
+
+TEST_F(DecisionFoldTest, CorrelatedExistsRebuildsItsSubplanPerOuterRow) {
+  // An EXISTS subquery's plan is built afresh for every outer row, so unlike
+  // a join's inner side it probes, switches and serves once per row.
+  AdvanceToStaleness(8000);
+  QueryResult r = Run(
+      "SELECT B.isbn FROM Books B WHERE B.isbn <= 5 AND EXISTS ("
+      " SELECT 1 FROM Sales S WHERE S.isbn = B.isbn"
+      " CURRENCY BOUND 6 SECONDS ON (S)) "
+      "CURRENCY BOUND 1 HOUR ON (B)");
+  EXPECT_EQ(Counters(r.stats),
+            "guards=6 unknown=0 quarantined=0 local=1 remote=5 attempted=5 "
+            "fetches=5 retries=0 timeouts=0 breaker=0 degraded=0 shed=0 "
+            "deadline=0");
+  Kinds trace{"guard_probe", "switch_decision"};
+  Kinds history{"guard:local", "serve:local"};
+  for (int row = 0; row < 5; ++row) {
+    trace.insert(trace.end(),
+                 {"guard_probe", "switch_decision", "remote_fetch"});
+    history.insert(history.end(), {"guard:stale", "serve:remote"});
+  }
+  history.push_back("answer");
+  EXPECT_EQ(TraceKinds(*r.trace), trace);
+  EXPECT_EQ(sink_.kinds, history);
+}
+
+TEST_F(DecisionFoldTest, BoundedDegradeReprobeIsCountedNotReported) {
+  // The scenario of BoundedDegradeServesAfterDeliveryDuringBackoff: every
+  // attempt hits the outage, a delivery lands during the backoff, and the
+  // degrade re-probe finds the replica back within bound.
+  fx_.sys.cache()->SetFaultInjector(PermanentOutage());
+  RemotePolicy policy;
+  policy.timeout_ms = 1000;
+  policy.max_retries = 3;
+  policy.backoff_base_ms = 2000;
+  policy.backoff_multiplier = 1.0;
+  policy.backoff_jitter_ms = 0;
+  policy.breaker_threshold = 0;
+  fx_.sys.cache()->SetRemotePolicy(policy);
+  MustExecute(fx_.session.get(), "SET DEGRADE BOUNDED");
+  AdvanceToStaleness(8000);
+  QueryResult r = Run(kBoundedQuery);
+  // Two guard evaluations (the probe and the degrade re-probe), but one
+  // guard_probe line and one guard event: the re-probe is only counted.
+  EXPECT_EQ(Counters(r.stats),
+            "guards=2 unknown=0 quarantined=0 local=1 remote=0 attempted=1 "
+            "fetches=0 retries=3 timeouts=0 breaker=0 degraded=1 shed=0 "
+            "deadline=0");
+  EXPECT_EQ(TraceKinds(*r.trace),
+            (Kinds{"guard_probe", "switch_decision", "remote_attempt",
+                   "remote_backoff", "remote_attempt", "remote_backoff",
+                   "remote_attempt", "remote_backoff", "replication_delivery",
+                   "replication_delivery", "remote_attempt",
+                   "degraded_serve"}));
+  // Both regions deliver during the third backoff; their installs stay
+  // after the probe that came before them.
+  EXPECT_EQ(sink_.kinds, (Kinds{"guard:stale", "install", "install",
+                                "serve:degraded", "answer"}));
+}
+
+TEST_F(DecisionFoldTest, ShedServe) {
+  MustExecute(fx_.session.get(), "SET DEGRADE ALWAYS");
+  AdvanceToStaleness(8000);
+  Session::StatementOptions shed;
+  shed.shed_hint = true;
+  QueryResult r = Run(kBoundedQuery, shed);
+  EXPECT_EQ(Counters(r.stats),
+            "guards=1 unknown=0 quarantined=0 local=1 remote=0 attempted=1 "
+            "fetches=0 retries=0 timeouts=0 breaker=0 degraded=1 shed=1 "
+            "deadline=0");
+  EXPECT_EQ(TraceKinds(*r.trace),
+            (Kinds{"guard_probe", "switch_decision", "shed_serve"}));
+  EXPECT_EQ(sink_.kinds, (Kinds{"guard:stale", "serve:shed", "answer"}));
+}
+
+TEST_F(DecisionFoldTest, QuarantinedRegion) {
+  // Planned while healthy: a quarantine re-plans cached texts remote-only,
+  // so only a plan prepared before it still probes the region.
+  QueryPlan plan = MustPrepare(fx_.session.get(), kBoundedQuery);
+  ASSERT_NE(plan.Shape(), PlanShape::kRemoteOnly);
+  ReplicationFaultConfig faults;
+  faults.poison_probability = 1.0;
+  fx_.sys.cache()->SetReplicationFaults(faults);
+  for (int i = 0; i < 3; ++i) {
+    fx_.sys.AdvanceBy(500);
+    MustExecute(fx_.session.get(),
+                "UPDATE Books SET price = " + std::to_string(10 + i) +
+                    " WHERE isbn = " + std::to_string(1 + i));
+  }
+  fx_.sys.AdvanceBy(13000);  // past the next wakeup and delivery
+  ASSERT_EQ(fx_.sys.cache()->RegionHealthOf(1), RegionHealth::kQuarantined);
+
+  sink_.kinds.clear();
+  obs::QueryTrace trace;
+  EventStream events(&trace);
+  PreparedExecOptions traced;
+  traced.events = &events;
+  auto r = fx_.sys.cache()->ExecutePrepared(plan, traced);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Counters(r->stats),
+            "guards=1 unknown=1 quarantined=1 local=0 remote=1 attempted=1 "
+            "fetches=1 retries=0 timeouts=0 breaker=0 degraded=0 shed=0 "
+            "deadline=0");
+  EXPECT_EQ(TraceKinds(trace),
+            (Kinds{"guard_probe", "switch_decision", "remote_fetch"}));
+  EXPECT_EQ(sink_.kinds, (Kinds{"guard:stale", "serve:remote", "answer"}));
 }
 
 // -- Acceptance thresholds (ISSUE): resilient vs vanilla under 30% outage ----

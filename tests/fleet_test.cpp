@@ -437,6 +437,64 @@ TEST(FleetSessionTest, SessionSelectsRouteAcrossTheFleet) {
   ExpectNoLeakedPins(&f);
 }
 
+TEST(FleetSessionTest, SetTraceShowsEveryRouteAttemptAndTheServingNode) {
+  FleetSystem f(ThreeNodeConfig());
+  ASSERT_TRUE(SetupFleet(&f).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+  ASSERT_TRUE(session->Execute("SET TRACE ON").ok());
+  auto kinds = [](const obs::QueryTrace& trace) {
+    std::vector<std::string> out;
+    for (const obs::TraceEvent& e : trace.events()) {
+      out.emplace_back(obs::TraceEventKindName(e.kind));
+    }
+    return out;
+  };
+
+  // A loose bound: every node's probe is eligible, and the chosen node's
+  // guard passes and serves locally.
+  auto local = session->Execute(
+      "SELECT isbn, price FROM Books B WHERE B.isbn < 40 "
+      "CURRENCY BOUND 1 HOUR ON (B)");
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  ASSERT_NE(local->trace, nullptr);
+  EXPECT_EQ(kinds(*local->trace),
+            (std::vector<std::string>{"route", "guard_probe",
+                                      "switch_decision"}));
+  EXPECT_EQ(local->trace->events()[0].detail,
+            "node=1 backend_tier=no probes=3 eligible=3");
+  EXPECT_EQ(local->stats.switch_local, 1);
+
+  // Node 1's query channel broken: the all-remote (B, R) plan fails there
+  // and falls through to node 3. Each attempt has its own route line; the
+  // stats are the serving attempt's.
+  FaultInjectorConfig fi;
+  fi.transient_error_probability = 1.0;
+  f.node(1)->SetFaultInjector(fi);
+  auto fell = session->Execute(
+      "SELECT B.isbn, R.rating FROM Books B, Reviews R "
+      "WHERE B.isbn = R.isbn AND B.isbn < 10 "
+      "CURRENCY BOUND 1 HOUR ON (B, R)");
+  ASSERT_TRUE(fell.ok()) << fell.status().ToString();
+  ASSERT_NE(fell->trace, nullptr);
+  EXPECT_EQ(kinds(*fell->trace),
+            (std::vector<std::string>{"route", "route", "remote_fetch"}));
+  EXPECT_EQ(fell->trace->events()[0].detail,
+            "node=1 backend_tier=no probes=6 eligible=5");
+  EXPECT_EQ(fell->trace->events()[1].detail,
+            "node=3 backend_tier=no probes=6 eligible=5");
+  EXPECT_EQ(fell->stats.remote_queries, 1);
+
+  // Tracing off again: no trace object.
+  ASSERT_TRUE(session->Execute("SET TRACE OFF").ok());
+  auto off = session->Execute(
+      "SELECT isbn, price FROM Books B WHERE B.isbn < 40 "
+      "CURRENCY BOUND 1 HOUR ON (B)");
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_EQ(off->trace, nullptr);
+  ExpectNoLeakedPins(&f);
+}
+
 TEST(FleetPropertyTest, RouterAlwaysPicksCheapestEligibleNode) {
   // Randomized per-node heartbeats (seeded fleets advanced to arbitrary
   // points in their refresh cycles) against an independent re-derivation of

@@ -509,8 +509,9 @@ TEST(ReplicationFaultSystemTest, QuarantineWithdrawsHeartbeatAndGuardsRefuse) {
   // Quarantined: the same plan's guard now sees an unknown heartbeat and
   // routes remote — the half-applied region is never served.
   obs::QueryTrace trace;
+  EventStream events(&trace);
   PreparedExecOptions traced;
-  traced.trace = &trace;
+  traced.events = &events;
   auto outcome = fx.sys.cache()->ExecutePrepared(plan, traced);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->stats.switch_local, 0);
@@ -572,6 +573,10 @@ TEST(ReplicationFaultSystemTest, ExplainAnalyzeShowsRegionHealthAtGuardTime) {
   QueryResult r = MustExecute(fx.session.get(),
                               std::string("EXPLAIN ANALYZE ") + kGuardedQuery);
   EXPECT_NE(r.message.find("health=healthy"), std::string::npos);
+  // The guard's decision line carries the health its probe saw.
+  EXPECT_NE(r.message.find("actual: local health=healthy\n"),
+            std::string::npos)
+      << r.message;
   EXPECT_NE(r.message.find("quarantined_region="), std::string::npos);
 }
 
