@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks for the pipeline stages: parsing the
 // extended SQL (currency clause included), constraint normalization,
 // cache-mode optimization, guard evaluation, and end-to-end execution of the
-// paper's Q1. These are the building blocks behind Tables 4.4/4.5.
+// paper's Q1. These are the building blocks behind Tables 4.4/4.5. The DML
+// pair times a one-key UPDATE against an INSERT through Session::Execute.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "common/strings.h"
 #include "exec/event_stream.h"
 #include "exec/switch_union.h"
 #include "semantics/resolver.h"
@@ -117,6 +119,53 @@ void BM_ExecuteRemotePointLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteRemotePointLookup);
+
+constexpr int64_t kDmlCustomers = 7500;  // TPCD scale 0.05
+
+// The DML pair writes to its own system, loaded like perfbench's
+// currency_rw, so the shared one above never sees its commits.
+Session* DmlSession() {
+  static Session* session = [] {
+    RccSystem* sys = bench::MakePaperSystem(0.05).release();
+    return sys->CreateSession().release();
+  }();
+  return session;
+}
+
+void BM_UpdateOneKey(benchmark::State& state) {
+  Session* session = DmlSession();
+  int64_t key = 0;
+  for (auto _ : state) {
+    key = key % kDmlCustomers + 1;
+    auto r = session->Execute(StrPrintf(
+        "UPDATE Customer SET c_acctbal = c_acctbal + 1 WHERE c_custkey = %lld",
+        static_cast<long long>(key)));
+    benchmark::DoNotOptimize(r);
+    if (!r.ok() || r->rows_affected != 1) {
+      state.SkipWithError("update failed");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_UpdateOneKey);
+
+void BM_InsertOneRow(benchmark::State& state) {
+  Session* session = DmlSession();
+  static int64_t key = kDmlCustomers;  // new keys, across repetitions too
+  for (auto _ : state) {
+    ++key;
+    auto r = session->Execute(StrPrintf(
+        "INSERT INTO Customer (c_custkey, c_name, c_nationkey, c_acctbal) "
+        "VALUES (%lld, 'Customer#%09lld', 1, 0.00)",
+        static_cast<long long>(key), static_cast<long long>(key)));
+    benchmark::DoNotOptimize(r);
+    if (!r.ok()) {
+      state.SkipWithError("insert failed");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_InsertOneRow);
 
 void BM_ReplicationDelivery(benchmark::State& state) {
   // One full sync cycle of both regions, including heartbeats.

@@ -104,14 +104,6 @@ Result<ExecutedQuery> BackendServer::ExecuteQuery(const SelectStmt& stmt) {
   return ExecutePlan(plan, &ctx);
 }
 
-Result<RemoteResult> BackendServer::ExecuteRemote(const SelectStmt& stmt) {
-  RCC_ASSIGN_OR_RETURN(ExecutedQuery result, ExecuteQuery(stmt));
-  RemoteResult out;
-  out.layout = std::move(result.layout);
-  out.rows = std::move(result.rows);
-  return out;
-}
-
 void BackendServer::RegisterRegionHeartbeat(const RegionDef& region,
                                             SimulationScheduler* scheduler) {
   heartbeat_.Beat(region.cid, clock_->Now());

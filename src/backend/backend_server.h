@@ -63,9 +63,6 @@ class BackendServer : private ReadHandle {
   /// Plans (back-end mode: base tables + indexes only) and executes a query.
   Result<ExecutedQuery> ExecuteQuery(const SelectStmt& stmt);
 
-  /// Adapter used as the cache's remote executor.
-  Result<RemoteResult> ExecuteRemote(const SelectStmt& stmt);
-
   /// -- heartbeats ---------------------------------------------------------------
 
   /// Registers a currency region's heartbeat row and schedules its beats.

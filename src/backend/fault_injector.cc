@@ -10,7 +10,7 @@ bool FaultInjector::InOutage(SimTimeMs now) const {
 
 RemoteAttempt FaultInjector::Execute(
     const SelectStmt& stmt,
-    const std::function<Result<RemoteResult>(const SelectStmt&)>& inner) {
+    const std::function<Result<ExecutedQuery>(const SelectStmt&)>& inner) {
   ++attempts_;
   RemoteAttempt out;
   out.latency_ms = config_.base_latency_ms;
@@ -37,7 +37,7 @@ RemoteAttempt FaultInjector::Execute(
                             FormatSimTime(now));
     return out;
   }
-  Result<RemoteResult> result = inner(stmt);
+  Result<ExecutedQuery> result = inner(stmt);
   if (!result.ok()) {
     out.status = result.status();
     return out;
@@ -47,7 +47,7 @@ RemoteAttempt FaultInjector::Execute(
 }
 
 RemoteAttemptFn FaultInjector::Wrap(
-    std::function<Result<RemoteResult>(const SelectStmt&)> inner) {
+    std::function<Result<ExecutedQuery>(const SelectStmt&)> inner) {
   return [this, inner = std::move(inner)](const SelectStmt& stmt) {
     return Execute(stmt, inner);
   };

@@ -43,13 +43,13 @@ class FaultInjector {
   /// Runs one attempt of `stmt` against `inner` with faults applied.
   RemoteAttempt Execute(
       const SelectStmt& stmt,
-      const std::function<Result<RemoteResult>(const SelectStmt&)>& inner);
+      const std::function<Result<ExecutedQuery>(const SelectStmt&)>& inner);
 
   /// Adapts this injector + a plain remote executor into an attempt function
   /// for ResilientRemoteExecutor. The injector must outlive the returned
   /// callable.
   RemoteAttemptFn Wrap(
-      std::function<Result<RemoteResult>(const SelectStmt&)> inner);
+      std::function<Result<ExecutedQuery>(const SelectStmt&)> inner);
 
   /// True when `now` falls into an outage (explicit window or periodic).
   bool InOutage(SimTimeMs now) const;

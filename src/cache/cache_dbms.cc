@@ -134,13 +134,13 @@ Status CacheDbms::UpdateStatistics(const std::string& table,
 
 RemoteAttemptFn CacheDbms::MakeAttemptFn() const {
   auto inner = [this](const SelectStmt& stmt) {
-    return backend_->ExecuteRemote(stmt);
+    return backend_->ExecuteQuery(stmt);
   };
   if (fault_injector_ != nullptr) return fault_injector_->Wrap(inner);
   // Healthy link: an attempt is just the back-end call, zero latency.
   return [inner](const SelectStmt& stmt) {
     RemoteAttempt attempt;
-    Result<RemoteResult> r = inner(stmt);
+    Result<ExecutedQuery> r = inner(stmt);
     attempt.status = r.ok() ? Status::OK() : r.status();
     if (r.ok()) attempt.data = std::move(r).value();
     return attempt;
@@ -296,7 +296,7 @@ void CacheDbms::Reader::RefreshUnlessServed(RegionId region) {
   if (r != nullptr) pin_.Refresh(r);
 }
 
-Result<RemoteResult> CacheDbms::Reader::ExecuteRemote(
+Result<ExecutedQuery> CacheDbms::Reader::ExecuteRemote(
     const SelectStmt& stmt, const ExecContext& ctx) {
   // The whole remote stack (breaker state, injector RNG, back-end executor
   // counters) is single-threaded; workers of a concurrent batch take turns.
@@ -318,11 +318,11 @@ Result<RemoteResult> CacheDbms::Reader::ExecuteRemote(
     // immediately.
     RemoteAttempt attempt = cache_->fault_injector_->Execute(
         stmt,
-        [backend](const SelectStmt& s) { return backend->ExecuteRemote(s); });
+        [backend](const SelectStmt& s) { return backend->ExecuteQuery(s); });
     if (!attempt.status.ok()) return attempt.status;
     return std::move(attempt.data);
   }
-  return backend->ExecuteRemote(stmt);
+  return backend->ExecuteQuery(stmt);
 }
 
 Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(

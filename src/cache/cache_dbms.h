@@ -273,9 +273,9 @@ class CacheDbms {
     void RefreshUnlessServed(RegionId region) override;
     void MarkServed(RegionId region) override { pin_.MarkServed(region); }
     /// One remote execution through the configured stack: policy (if any)
-    /// over injector (if any) over the back-end adapter.
-    Result<RemoteResult> ExecuteRemote(const SelectStmt& stmt,
-                                       const ExecContext& ctx) override;
+    /// over injector (if any) over BackendServer::ExecuteQuery.
+    Result<ExecutedQuery> ExecuteRemote(const SelectStmt& stmt,
+                                        const ExecContext& ctx) override;
 
    private:
     const CacheDbms* cache_;

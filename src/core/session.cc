@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
 #include <optional>
@@ -218,26 +219,6 @@ std::vector<Result<QueryResult>> Session::ExecuteBatch(
 
 namespace {
 
-/// Scope over one master-table row for evaluating DML predicates and
-/// assignment expressions. The table is addressable by its own name.
-struct TableRowScope {
-  explicit TableRowScope(const TableDef& def) {
-    for (const Column& c : def.schema.columns()) {
-      layout.Add(0, c.name, c.type);
-    }
-    aliases[ToLower(def.name)] = 0;
-  }
-  EvalScope For(const Row& row) {
-    EvalScope s;
-    s.layout = &layout;
-    s.row = &row;
-    s.aliases = &aliases;
-    return s;
-  }
-  RowLayout layout;
-  AliasMap aliases;
-};
-
 Result<QueryResult> ForwardTransaction(RccSystem* system,
                                        std::vector<RowOp> ops,
                                        const char* verb) {
@@ -251,6 +232,70 @@ Result<QueryResult> ForwardTransaction(RccSystem* system,
                 " row(s), committed as txn " + std::to_string(ts) +
                 " at the back-end";
   return out;
+}
+
+using Assignments = std::vector<std::pair<std::string, std::unique_ptr<Expr>>>;
+
+/// UPDATE (`kind` kUpdate) and DELETE: the back end finds the target rows
+/// the way it finds any SELECT's, by planning
+///   SELECT <every column>, <assigned expressions> FROM <table> WHERE <where>
+/// (clustered-key seek, secondary index or scan) over the master tables.
+/// Each returned row becomes one op: its first num_columns slots are the
+/// pre-image, and for UPDATE the trailing slots overwrite the assigned
+/// columns. Ops are logged in clustered-key order whatever access path the
+/// optimizer picked.
+Result<QueryResult> ForwardDml(RccSystem* system, RowOp::Kind kind,
+                               const std::string& table,
+                               const Assignments& assignments,
+                               const Expr* where, const char* verb) {
+  BackendServer* backend = system->backend();
+  const TableDef* def = backend->catalog().FindTable(table);
+  if (def == nullptr) return Status::NotFound("table " + table + " not found");
+  SelectStmt select;
+  for (const Column& c : def->schema.columns()) {
+    select.items.push_back({Expr::MakeColumn(def->name, c.name), ""});
+  }
+  std::vector<size_t> positions;
+  for (const auto& [col, expr] : assignments) {
+    auto idx = def->schema.FindColumn(col);
+    if (!idx) return Status::NotFound("column " + col + " not in " + table);
+    positions.push_back(*idx);
+    select.items.push_back({expr->Clone(), ""});
+  }
+  select.from.push_back(TableRef{def->name, def->name, nullptr});
+  if (where != nullptr) select.where = where->Clone();
+  RCC_ASSIGN_OR_RETURN(ExecutedQuery found, backend->ExecuteQuery(select));
+
+  const Table* master = backend->table(def->name);
+  const size_t width = def->schema.num_columns();
+  std::vector<RowOp> ops;
+  ops.reserve(found.rows.size());
+  for (Row& row : found.rows) {
+    RowOp op;
+    op.kind = kind;
+    op.table = def->name;
+    // Log the pre-image key: if an assignment touched a clustered-key
+    // column, replicas must delete the old row image, not upsert blindly.
+    op.key = master->KeyOf(row);
+    if (kind == RowOp::Kind::kUpdate) {
+      for (size_t i = 0; i < positions.size(); ++i) {
+        row[positions[i]] = std::move(row[width + i]);
+      }
+      row.resize(width);
+      op.row = std::move(row);
+    }
+    ops.push_back(std::move(op));
+  }
+  if (ops.empty()) {
+    QueryResult out;
+    out.message = std::string(verb) + " 0 row(s)";
+    out.executed_at = system->Now();
+    return out;
+  }
+  std::sort(ops.begin(), ops.end(), [](const RowOp& a, const RowOp& b) {
+    return TableKeyLess()(a.key, b.key);
+  });
+  return ForwardTransaction(system, std::move(ops), verb);
 }
 
 }  // namespace
@@ -296,93 +341,13 @@ Result<QueryResult> Session::ExecuteInsert(const InsertStmt& stmt) {
 }
 
 Result<QueryResult> Session::ExecuteUpdate(const UpdateStmt& stmt) {
-  const TableDef* def = system_->backend()->catalog().FindTable(stmt.table);
-  if (def == nullptr) {
-    return Status::NotFound("table " + stmt.table + " not found");
-  }
-  const Table* master = system_->backend()->table(stmt.table);
-  std::vector<size_t> positions;
-  for (const auto& [col, expr] : stmt.assignments) {
-    auto idx = def->schema.FindColumn(col);
-    if (!idx) return Status::NotFound("column " + col + " not in " + stmt.table);
-    positions.push_back(*idx);
-  }
-  TableRowScope scope(*def);
-  std::vector<RowOp> ops;
-  Status failure = Status::OK();
-  master->Scan([&](const Row& row) {
-    EvalScope s = scope.For(row);
-    if (stmt.where != nullptr) {
-      auto match = EvalPredicate(*stmt.where, s, nullptr);
-      if (!match.ok()) {
-        failure = match.status();
-        return false;
-      }
-      if (!*match) return true;
-    }
-    Row updated = row;
-    for (size_t i = 0; i < positions.size(); ++i) {
-      auto v = EvalExpr(*stmt.assignments[i].second, s, nullptr);
-      if (!v.ok()) {
-        failure = v.status();
-        return false;
-      }
-      updated[positions[i]] = std::move(*v);
-    }
-    RowOp op;
-    op.kind = RowOp::Kind::kUpdate;
-    op.table = def->name;
-    // Log the pre-image key: if an assignment touched a clustered-key
-    // column, replicas must delete the old row image, not upsert blindly.
-    op.key = master->KeyOf(row);
-    op.row = std::move(updated);
-    ops.push_back(std::move(op));
-    return true;
-  });
-  RCC_RETURN_NOT_OK(failure);
-  if (ops.empty()) {
-    QueryResult out;
-    out.message = "updated 0 row(s)";
-    out.executed_at = system_->Now();
-    return out;
-  }
-  return ForwardTransaction(system_, std::move(ops), "updated");
+  return ForwardDml(system_, RowOp::Kind::kUpdate, stmt.table,
+                    stmt.assignments, stmt.where.get(), "updated");
 }
 
 Result<QueryResult> Session::ExecuteDelete(const DeleteStmt& stmt) {
-  const TableDef* def = system_->backend()->catalog().FindTable(stmt.table);
-  if (def == nullptr) {
-    return Status::NotFound("table " + stmt.table + " not found");
-  }
-  const Table* master = system_->backend()->table(stmt.table);
-  TableRowScope scope(*def);
-  std::vector<RowOp> ops;
-  Status failure = Status::OK();
-  master->Scan([&](const Row& row) {
-    if (stmt.where != nullptr) {
-      EvalScope s = scope.For(row);
-      auto match = EvalPredicate(*stmt.where, s, nullptr);
-      if (!match.ok()) {
-        failure = match.status();
-        return false;
-      }
-      if (!*match) return true;
-    }
-    RowOp op;
-    op.kind = RowOp::Kind::kDelete;
-    op.table = def->name;
-    op.key = master->KeyOf(row);
-    ops.push_back(std::move(op));
-    return true;
-  });
-  RCC_RETURN_NOT_OK(failure);
-  if (ops.empty()) {
-    QueryResult out;
-    out.message = "deleted 0 row(s)";
-    out.executed_at = system_->Now();
-    return out;
-  }
-  return ForwardTransaction(system_, std::move(ops), "deleted");
+  return ForwardDml(system_, RowOp::Kind::kDelete, stmt.table, {},
+                    stmt.where.get(), "deleted");
 }
 
 Result<QueryPlan> Session::Prepare(const std::string& sql) const {

@@ -124,9 +124,10 @@ class Session {
     deadline_ms_.store(ms, std::memory_order_release);
   }
 
-  /// DML: builds the row operations (evaluating predicates against the
-  /// master data) and forwards them as one transaction to the back-end —
-  /// the cache never applies writes itself (paper §3 item 5).
+  /// DML: builds the row operations (UPDATE and DELETE find their rows with
+  /// a SELECT planned by the back-end) and forwards them as one transaction
+  /// to the back-end — the cache never applies writes itself (paper §3
+  /// item 5).
   Result<QueryResult> ExecuteInsert(const InsertStmt& stmt);
   Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt);
   Result<QueryResult> ExecuteDelete(const DeleteStmt& stmt);

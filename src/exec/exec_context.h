@@ -17,9 +17,9 @@ namespace rcc {
 class EventStream;
 class ReadHandle;
 
-/// Rows returned by a remote (back-end) query, in the remote select-list
-/// order.
-struct RemoteResult {
+/// A fully materialized query result: what ExecutePlan returns, and the rows
+/// of a remote (back-end) query in the remote select-list order.
+struct ExecutedQuery {
   RowLayout layout;
   std::vector<Row> rows;
 };

@@ -1,17 +1,9 @@
 #ifndef RCC_EXEC_EXECUTOR_H_
 #define RCC_EXEC_EXECUTOR_H_
 
-#include <vector>
-
 #include "exec/exec_context.h"
 
 namespace rcc {
-
-/// A fully materialized query result.
-struct ExecutedQuery {
-  RowLayout layout;
-  std::vector<Row> rows;
-};
 
 /// Executes an optimized plan: instantiates the iterator tree (setup phase),
 /// drains it (run phase), and tears it down (shutdown phase). Phase timings

@@ -43,8 +43,8 @@ class ReadHandle {
 
   /// Ships `stmt` to the back-end under `ctx.deadline`, recording link
   /// events into `ctx.events`.
-  virtual Result<RemoteResult> ExecuteRemote(const SelectStmt& /*stmt*/,
-                                             const ExecContext& /*ctx*/) {
+  virtual Result<ExecutedQuery> ExecuteRemote(const SelectStmt& /*stmt*/,
+                                              const ExecContext& /*ctx*/) {
     return Status::Internal("no remote executor configured");
   }
 };

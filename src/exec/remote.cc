@@ -141,7 +141,7 @@ Status RemoteQueryIterator::Open(const EvalScope* outer) {
     }
     RCC_RETURN_NOT_OK(BindStmtParams(parameterized.get(), *ctx_->params));
   }
-  Result<RemoteResult> result = ctx_->reader->ExecuteRemote(*stmt, *ctx_);
+  Result<ExecutedQuery> result = ctx_->reader->ExecuteRemote(*stmt, *ctx_);
   if (!result.ok()) return result.status();
   const SimTimeMs now = ctx_->clock->Now();
   ctx_->events->Record(FetchRecord{now, result->rows.size()});

@@ -8,9 +8,9 @@
 
 namespace rcc {
 
-Result<RemoteResult> ResilientRemoteExecutor::Execute(const SelectStmt& stmt,
-                                                      EventStream* events,
-                                                      Deadline deadline) {
+Result<ExecutedQuery> ResilientRemoteExecutor::Execute(const SelectStmt& stmt,
+                                                       EventStream* events,
+                                                       Deadline deadline) {
   using obs::TraceEventKind;
   if (breaker_open()) {
     events->Record(LinkRecord{.kind = TraceEventKind::kBreakerFastFail,

@@ -12,9 +12,9 @@ namespace rcc {
 /// remote-executor callback this carries the attempt's simulated latency, so
 /// a policy layer can decide whether the caller would have given up waiting.
 struct RemoteAttempt {
-  Status status;            // outcome of the attempt
-  RemoteResult data;        // valid only when status.ok()
-  SimTimeMs latency_ms = 0; // virtual time the attempt took
+  Status status;             // outcome of the attempt
+  ExecutedQuery data;        // valid only when status.ok()
+  SimTimeMs latency_ms = 0;  // virtual time the attempt took
 };
 
 /// Produces one attempt; fault injectors and transports implement this.
@@ -73,8 +73,8 @@ class ResilientRemoteExecutor {
   /// real-time cancellation deadline: each retry-loop iteration is a
   /// cancellation point, so an expired statement stops retrying (and
   /// backing off) immediately instead of riding out the whole retry budget.
-  Result<RemoteResult> Execute(const SelectStmt& stmt, EventStream* events,
-                               Deadline deadline = Deadline::None());
+  Result<ExecutedQuery> Execute(const SelectStmt& stmt, EventStream* events,
+                                Deadline deadline = Deadline::None());
 
   /// Replaces the attempt function (e.g. when a fault injector is added to
   /// an already-wired link).

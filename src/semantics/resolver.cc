@@ -108,8 +108,7 @@ class ResolverImpl {
     }
 
     scope_stack_.push_back(stmt);
-    QualifyBareColumns(stmt);
-    Status st = Status::OK();
+    Status st = QualifyBareColumns(stmt);
     ForEachChildBlock(stmt, [&](SelectStmt* child) {
       if (st.ok()) {
         Status s = ResolveBlock(child);
@@ -123,19 +122,46 @@ class ResolverImpl {
 
   /// Rewrites unqualified column references of this block to qualified ones
   /// when the column belongs to exactly one table in scope (innermost scope
-  /// first). Ambiguous or unknown names stay bare and surface at run time.
-  void QualifyBareColumns(SelectStmt* stmt) {
+  /// first); ambiguous names stay bare. A reference that names no column
+  /// fails with NotFound: a qualified one whose alias names a base table
+  /// without that column, and a bare one that no base table in any scope
+  /// has, unless a derived table is in scope (its columns are not known
+  /// here) or the name is a select-list alias of this block.
+  Status QualifyBareColumns(SelectStmt* stmt) {
+    bool derived_in_scope = false;
+    for (const SelectStmt* block : scope_stack_) {
+      for (const TableRef& ref : block->from) {
+        derived_in_scope = derived_in_scope || ref.is_subquery();
+      }
+    }
+    auto is_item_alias = [stmt](const std::string& name) {
+      for (const SelectItem& item : stmt->items) {
+        if (EqualsIgnoreCase(item.alias, name)) return true;
+      }
+      return false;
+    };
+    Status st = Status::OK();
     std::function<void(Expr*)> walk = [&](Expr* e) {
-      if (e == nullptr) return;
-      if (e->kind == ExprKind::kColumnRef && e->table.empty()) {
+      if (e == nullptr || !st.ok()) return;
+      if (e->kind == ExprKind::kColumnRef && !e->table.empty()) {
+        const TableRef* ref = LookupAlias(e->table);
+        if (ref == nullptr || ref->is_subquery()) return;
+        const TableDef* def = operands_[ref->resolved_operand].table;
+        if (!def->schema.FindColumn(e->column)) {
+          st = Status::NotFound("column '" + e->table + "." + e->column +
+                                "' not found in " + def->name);
+        }
+        return;
+      }
+      if (e->kind == ExprKind::kColumnRef) {
         for (auto it = scope_stack_.rbegin(); it != scope_stack_.rend();
              ++it) {
           const TableRef* owner = nullptr;
           int matches = 0;
           for (const TableRef& ref : (*it)->from) {
             if (ref.is_subquery()) continue;  // derived columns stay bare
-            const TableDef* def = catalog_.FindTable(ref.table);
-            if (def != nullptr && def->schema.FindColumn(e->column)) {
+            const TableDef* def = operands_[ref.resolved_operand].table;
+            if (def->schema.FindColumn(e->column)) {
               owner = &ref;
               ++matches;
             }
@@ -145,6 +171,9 @@ class ResolverImpl {
             return;
           }
           if (matches > 1) return;  // ambiguous: leave bare
+        }
+        if (!derived_in_scope && !is_item_alias(e->column)) {
+          st = Status::NotFound("column '" + e->column + "' not found");
         }
         return;
       }
@@ -158,6 +187,7 @@ class ResolverImpl {
     for (auto& g : stmt->group_by) walk(g.get());
     walk(stmt->having.get());
     for (auto& o : stmt->order_by) walk(o.expr.get());
+    return st;
   }
 
   /// Resolves the block's currency clause against the scope stack. A target

@@ -252,8 +252,8 @@ class UnknownHeartbeatReader : public ReadHandle {
   const Table* ScanTable(const ScanTarget& target) override {
     return cache_.ScanTable(target);
   }
-  Result<RemoteResult> ExecuteRemote(const SelectStmt& stmt,
-                                     const ExecContext& ctx) override {
+  Result<ExecutedQuery> ExecuteRemote(const SelectStmt& stmt,
+                                      const ExecContext& ctx) override {
     if (link_down) return Status::Unavailable("link down");
     return cache_.ExecuteRemote(stmt, ctx);
   }

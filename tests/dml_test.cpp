@@ -134,6 +134,36 @@ TEST_F(DmlTest, KeyChangingUpdateReplicatesWithoutOrphans) {
   EXPECT_EQ(copy->data().num_rows(), master->num_rows());
 }
 
+TEST_F(DmlTest, OpsFollowClusteredKeyOrderWhateverTheAccessPath) {
+  // The price predicate lets the planner reach the rows through
+  // idx_books_price, which yields them in price order; the logged ops must
+  // still be in clustered-key order, as a full scan would produce them, so
+  // the update log does not depend on the access path.
+  size_t before = fx_.sys.backend()->log().size();
+  QueryResult r = Run("UPDATE Books SET stock = stock + 1 WHERE price <= 8.0");
+  ASSERT_GT(r.rows_affected, 1);
+  ASSERT_EQ(fx_.sys.backend()->log().size(), before + 1);
+  const std::vector<RowOp>& ops = fx_.sys.backend()->log().at(before).ops;
+  ASSERT_EQ(ops.size(), static_cast<size_t>(r.rows_affected));
+  for (size_t i = 1; i < ops.size(); ++i) {
+    EXPECT_TRUE(TableKeyLess()(ops[i - 1].key, ops[i].key))
+        << "op " << i << " is out of clustered-key order";
+  }
+}
+
+TEST_F(DmlTest, UnknownColumnsFailEvenWhenNoRowMatches) {
+  // isbn 123456 matches no row, so only analysis can catch the bad name.
+  for (const char* sql : {
+           "SELECT nope FROM Books B WHERE B.isbn = 123456",
+           "SELECT isbn FROM Books B WHERE B.nope = 1 AND B.isbn = 123456",
+           "UPDATE Books SET price = nope WHERE isbn = 123456",
+           "DELETE FROM Books WHERE nope = 1 AND isbn = 123456",
+       }) {
+    auto r = fx_.session->Execute(sql);
+    EXPECT_TRUE(!r.ok() && r.status().IsNotFound()) << sql;
+  }
+}
+
 TEST_F(DmlTest, ParserRejectsMalformedDml) {
   EXPECT_FALSE(fx_.session->Execute("INSERT Books VALUES (1)").ok());
   EXPECT_FALSE(fx_.session->Execute("UPDATE Books price = 1").ok());

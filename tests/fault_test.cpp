@@ -56,7 +56,7 @@ TEST(FaultInjectorTest, OutagePreemptsInnerCall) {
   SelectStmt stmt;
   RemoteAttempt attempt = injector.Execute(stmt, [&](const SelectStmt&) {
     ++inner_calls;
-    return Result<RemoteResult>(RemoteResult{});
+    return Result<ExecutedQuery>(ExecutedQuery{});
   });
   EXPECT_EQ(inner_calls, 0);
   EXPECT_TRUE(attempt.status.IsUnavailable());
@@ -72,7 +72,7 @@ TEST(FaultInjectorTest, TransientErrorsAndSpikes) {
   FaultInjector injector(config, &clock);
   SelectStmt stmt;
   auto inner = [](const SelectStmt&) {
-    return Result<RemoteResult>(RemoteResult{});
+    return Result<ExecutedQuery>(ExecutedQuery{});
   };
   EXPECT_TRUE(injector.Execute(stmt, inner).status.IsUnavailable());
   EXPECT_EQ(injector.injected_errors(), 1);
@@ -100,7 +100,7 @@ TEST(FaultInjectorTest, SameSeedSameFaultSchedule) {
   FaultInjector b(config, &clock);
   SelectStmt stmt;
   auto inner = [](const SelectStmt&) {
-    return Result<RemoteResult>(RemoteResult{});
+    return Result<ExecutedQuery>(ExecutedQuery{});
   };
   for (int i = 0; i < 50; ++i) {
     RemoteAttempt ra = a.Execute(stmt, inner);
@@ -262,7 +262,7 @@ TEST_F(PolicyTest, SlowAttemptsCountAsTimeouts) {
     a.latency_ms = 5000;  // back-end answers, but far too late
     return a;
   });
-  Result<RemoteResult> r = exec.Execute(stmt_, &events_);
+  Result<ExecutedQuery> r = exec.Execute(stmt_, &events_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable());
   EXPECT_EQ(stats_.remote_timeouts, 2);

@@ -64,6 +64,33 @@ TEST(ResolverTest, UnknownTableFails) {
   EXPECT_TRUE(rq.status().IsNotFound());
 }
 
+TEST(ResolverTest, UnknownColumnFails) {
+  Catalog cat = MakeBookstoreCatalog();
+  for (const char* sql : {
+           "SELECT nope FROM Books B",
+           "SELECT isbn FROM Books B WHERE B.nope = 1",
+           "SELECT isbn FROM Books B WHERE EXISTS "
+           "(SELECT * FROM Reviews R WHERE R.isbn = B.isbn AND nope = 1)",
+       }) {
+    auto stmt = ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    auto rq = ResolveQuery(**stmt, cat);
+    EXPECT_TRUE(rq.status().IsNotFound()) << sql;
+  }
+}
+
+TEST(ResolverTest, NamesOutsideBaseTablesStayBare) {
+  Catalog cat = MakeBookstoreCatalog();
+  // A select-list alias, a derived table's column and an outer block's
+  // column are not errors.
+  MustResolve(cat, "SELECT price AS p FROM Books B ORDER BY p");
+  MustResolve(cat,
+              "SELECT D.n FROM (SELECT isbn AS n FROM Books) D WHERE n > 1");
+  MustResolve(cat,
+              "SELECT isbn FROM Books B WHERE EXISTS "
+              "(SELECT * FROM Sales S WHERE S.isbn = B.isbn AND price > 1)");
+}
+
 TEST(ResolverTest, DuplicateAliasFails) {
   Catalog cat = MakeBookstoreCatalog();
   auto stmt = ParseSelect("SELECT * FROM Books B, Reviews B");
