@@ -151,8 +151,10 @@ TierResult RunTier(const std::string& uds_path, int connections) {
 //
 // The survivability tier (DESIGN.md §15): far more pipelined statements than
 // the admission limit, through few connections, so the server's overload
-// machinery — early rejection, queue-delay refusal, C&C-aware shedding,
-// per-statement deadlines — all fire at once. Every connection first runs
+// machinery — admission refusal, C&C-aware shedding, per-statement
+// deadlines — all fire at once. Each event loop decodes a connection's
+// whole burst before running it, so the backlog is visible to admission and
+// to the decode-time stamps rather than waiting unseen in socket buffers. Every connection first runs
 // SET DEGRADE ALWAYS and then pipelines tight-bound lookups (10s bound:
 // plan-time feasible, since the region's refresh delay keeps minimum
 // staleness at 5s, but failing at run time against the replica's current
@@ -196,9 +198,12 @@ OverloadResult RunOverloadTier(const std::string& uds_path, int connections,
       threads.emplace_back([&, i] {
         RccClient& c = clients[static_cast<size_t>(i)];
         if (!c.connected()) return;
-        // One contiguous burst: the event loop parses it in a few reads and
-        // dispatches the statements back to back, holding in_flight at the
-        // admission limit for the whole storm.
+        // One contiguous burst: the connection's loop decodes all of it
+        // that its socket holds into its run queue before running any, so
+        // the admission limit (counting queued plus running statements
+        // server-wide) refuses the excess, and the statements that wait
+        // behind the rest carry their decode-time stamps into the
+        // queue-delay shed hint and the 1ms wire deadlines.
         std::string batch;
         for (int q = 0; q < burst_per_connection; ++q) {
           std::string sql =

@@ -12,9 +12,8 @@
 namespace rcc {
 
 /// A fixed pool of worker threads executing submitted tasks FIFO. Used by the
-/// concurrent query-execution layer (`RccSystem::ExecuteConcurrent`) and the
-/// network front end (`server::RccServer`) to run read-only sessions in
-/// parallel between virtual-clock ticks.
+/// concurrent query-execution layer (`RccSystem::ExecuteConcurrent`) to run
+/// read-only sessions in parallel between virtual-clock ticks.
 ///
 /// Tasks must not throw (the library is exception-free) and must not submit
 /// further tasks into the same pool from within a task (no nesting — a query

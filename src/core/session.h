@@ -29,10 +29,10 @@ class Session {
 
   /// Per-statement execution options the admission layer (network server)
   /// hands down with each request. The deadline base is the request's
-  /// *enqueue* time, so time spent waiting in the admission queue counts
+  /// decode time, so time spent queued behind other statements counts
   /// against the statement's budget.
   struct StatementOptions {
-    /// When the request entered the system (admission-queue enqueue for
+    /// When the request entered the system (the server's frame decode for
     /// served statements; defaults to "now" for in-process callers).
     std::chrono::steady_clock::time_point enqueued_at =
         std::chrono::steady_clock::now();

@@ -15,8 +15,12 @@
 #include <cctype>
 #include <chrono>
 #include <cstring>
+#include <deque>
+#include <map>
+#include <thread>
 
 #include "common/strings.h"
+#include "common/thread_pool.h"
 
 namespace rcc {
 namespace server {
@@ -73,38 +77,65 @@ StatusFramePayload StatusFromResult(const Result<QueryResult>& result) {
 
 }  // namespace
 
-/// Per-connection state. The event loop owns the socket and read side; the
-/// write queue is shared with workers under `mu`. The Session is used by one
-/// worker at a time per statement, but pipelined statements of one
-/// connection may overlap — which is exactly the interleaving the Session's
-/// atomic control state is specified for.
+/// Per-connection state. Only the owning loop's thread touches it: the
+/// socket, the decoder, the Session and the unsent answers.
 struct RccServer::Connection {
   explicit Connection(size_t max_frame_bytes) : decoder(max_frame_bytes) {}
 
   int fd = -1;
-  uint64_t id = 0;
   FrameDecoder decoder;
   std::unique_ptr<Session> session;
   bool hello_done = false;
 
   /// Prepared statements: id -> SQL text. Executing re-enters through the
   /// plan cache, whose L1 exact-text tier makes re-execution skip even the
-  /// lexer. Guarded by `mu` (kPrepare runs on a worker).
+  /// lexer.
   std::map<uint32_t, std::string> prepared;
   uint32_t next_stmt_id = 1;
 
-  std::mutex mu;
-  std::condition_variable write_cv;
-  std::deque<std::string> outq;
-  size_t outq_bytes = 0;
-  size_t front_offset = 0;
-  /// Close once outq flushes (goodbye or protocol error).
+  /// Answers not yet written to the socket: out[out_offset..].
+  std::string out;
+  size_t out_offset = 0;
+  /// No further frames are decoded (GOODBYE or a framing error seen).
+  bool closing = false;
+  /// Close once `out` flushes (goodbye or protocol error); frames still
+  /// queued behind it are dropped.
   bool close_after_flush = false;
+  /// Unsent bytes passed max_write_queue_bytes: the socket is not read and
+  /// the connection's statements wait in `parked` until EPOLLOUT drains it.
+  bool paused = false;
+  std::deque<Task> parked;
+  bool closed = false;
+  /// The epoll interest currently registered.
+  uint32_t events = EPOLLIN;
 
-  std::atomic<bool> closed{false};
-  std::atomic<int> in_flight{0};
-  /// Event-loop-only: whether EPOLLOUT is currently registered.
-  bool epollout_armed = false;
+  size_t unsent() const { return out.size() - out_offset; }
+};
+
+/// One decoded frame waiting in its loop's run queue.
+struct RccServer::Task {
+  ConnPtr conn;
+  Frame frame;
+  std::chrono::steady_clock::time_point decoded_at;
+  /// Holds an in_flight_ slot (an admitted statement or a PREPARE).
+  bool counted = false;
+  /// The decoder lost framing; `frame.payload` holds the reason, answered
+  /// in order as a protocol error.
+  bool decode_error = false;
+};
+
+struct RccServer::Loop {
+  int epoll_fd = -1;
+  int wake_fd = -1;
+  /// Live connections by fd. Loop thread only.
+  std::map<int, ConnPtr> conns;
+  /// Decoded frames in decode order. Loop thread only; empty between passes.
+  std::deque<Task> run_queue;
+  /// Connections accepted by loop 0 for this loop, handed over with a
+  /// wake_fd write.
+  std::mutex inbox_mu;
+  std::vector<ConnPtr> inbox;
+  std::thread thread;
 };
 
 RccServer::RccServer(RccSystem* system, ServerOptions options)
@@ -167,22 +198,27 @@ Status RccServer::Start() {
     return st;
   }
 
-  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    if (epoll_fd_ >= 0) close(epoll_fd_);
-    if (wake_fd_ >= 0) close(wake_fd_);
-    close(listen_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
-    return Status::Internal("epoll/eventfd setup failed");
+  const int workers =
+      opts_.workers > 0 ? opts_.workers : ThreadPool::DefaultWorkers();
+  for (int i = 0; i < workers; ++i) {
+    auto loop = std::make_unique<Loop>();
+    loop->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
+    loop->wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = loop->wake_fd;
+    bool ok = loop->epoll_fd >= 0 && loop->wake_fd >= 0 &&
+              epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev) == 0;
+    if (ok && i == 0) {
+      ev.data.fd = listen_fd_;
+      ok = epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev) == 0;
+    }
+    loops_.push_back(std::move(loop));
+    if (!ok) {
+      CloseLoops();
+      return Status::Internal("epoll/eventfd setup failed");
+    }
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.events = EPOLLIN;
-  ev.data.fd = wake_fd_;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
   // Instruments (stable pointers; recording is lock-free afterwards).
   obs::MetricsRegistry& m = system_->metrics();
@@ -213,61 +249,59 @@ Status RccServer::Start() {
   // driver) must not unfreeze the server, hence the counted semantics.
   system_->cache()->BeginConcurrentBatch();
 
-  int workers = opts_.workers > 0 ? opts_.workers : ThreadPool::DefaultWorkers();
-  pool_ = std::make_unique<ThreadPool>(workers);
-  // Admission defaults to a small multiple of the worker count: deep enough
+  // Admission defaults to a small multiple of the loop count: deep enough
   // to absorb bursts, shallow enough that queue delay stays bounded by a
   // few statement times rather than growing without limit.
   admission_limit_ =
       opts_.admission_limit > 0 ? opts_.admission_limit : workers * 16;
   running_.store(true, std::memory_order_release);
-  io_thread_ = std::thread([this] { EventLoop(); });
+  loops_running_ = workers;
+  for (auto& loop : loops_) {
+    Loop* l = loop.get();
+    l->thread = std::thread([this, l] { RunLoop(l); });
+  }
   return Status::OK();
 }
 
 void RccServer::Stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   stopping_.store(true, std::memory_order_release);
-  WakeLoop();
+  for (auto& loop : loops_) Wake(loop.get());
 
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(opts_.drain_timeout_ms);
-
-  // Phase 1: let dispatched statements finish (their responses enqueue).
+  // Each loop stops accepting, runs what it has queued, flushes, and exits
+  // once nothing is left to answer; past the deadline they are forced out.
   {
     std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait_until(lock, deadline, [this] {
-      return in_flight_.load(std::memory_order_acquire) == 0;
-    });
-  }
-  // Phase 2: the event loop keeps flushing write queues; it exits once every
-  // queue is empty (or the deadline passes), closing all sockets.
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait_until(lock, deadline, [this] {
-      return !running_.load(std::memory_order_acquire);
-    });
+    drain_cv_.wait_until(
+        lock,
+        std::chrono::steady_clock::now() +
+            std::chrono::milliseconds(opts_.drain_timeout_ms),
+        [this] { return loops_running_ == 0; });
   }
   running_.store(false, std::memory_order_release);
-  WakeLoop();
-  if (io_thread_.joinable()) io_thread_.join();
-
-  // Workers are idle (in_flight drained) or blocked on closed connections;
-  // Shutdown drains deterministically — queued tasks run, they observe
-  // closed connections and drop their responses.
-  if (pool_ != nullptr) {
-    pool_->Shutdown();
-    pool_.reset();
+  for (auto& loop : loops_) Wake(loop.get());
+  for (auto& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
-
-  if (listen_fd_ >= 0) close(listen_fd_);
-  if (epoll_fd_ >= 0) close(epoll_fd_);
-  if (wake_fd_ >= 0) close(wake_fd_);
-  listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  CloseLoops();
   if (!opts_.uds_path.empty()) unlink(opts_.uds_path.c_str());
 
   system_->cache()->EndConcurrentBatch();
+}
+
+void RccServer::CloseLoops() {
+  for (auto& loop : loops_) {
+    // A connection handed over while its loop was already exiting.
+    for (const ConnPtr& conn : loop->inbox) {
+      close(conn->fd);
+      connections_open_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (loop->epoll_fd >= 0) close(loop->epoll_fd);
+    if (loop->wake_fd >= 0) close(loop->wake_fd);
+  }
+  loops_.clear();
+  if (listen_fd_ >= 0) close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void RccServer::AdvanceVirtualTime(SimTimeMs delta) {
@@ -279,192 +313,243 @@ void RccServer::AdvanceVirtualTime(SimTimeMs delta) {
   system_->cache()->BeginConcurrentBatch();
 }
 
-void RccServer::WakeLoop() {
-  if (wake_fd_ >= 0) {
-    uint64_t one = 1;
-    ssize_t ignored = write(wake_fd_, &one, sizeof(one));
-    (void)ignored;
-  }
+void RccServer::Wake(Loop* loop) {
+  uint64_t one = 1;
+  ssize_t ignored = write(loop->wake_fd, &one, sizeof(one));
+  (void)ignored;
 }
 
-void RccServer::NotifyWritable(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_writable_.push_back(conn);
-  }
-  WakeLoop();
-}
-
-void RccServer::EventLoop() {
+void RccServer::RunLoop(Loop* loop) {
   std::vector<epoll_event> events(256);
   bool draining = false;
   for (;;) {
     // Stop() flips running_ off once the drain deadline passes — force exit.
     if (!running_.load(std::memory_order_acquire)) break;
-    if (stopping_.load(std::memory_order_acquire) && !draining) {
-      // Stop accepting; existing queues keep flushing below.
-      if (listen_fd_ >= 0) {
-        epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+    if (stopping_.load(std::memory_order_acquire)) {
+      if (!draining && loop == loops_[0].get()) {
+        epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
       }
       draining = true;
-    }
-    if (draining) {
-      bool all_flushed = in_flight_.load(std::memory_order_acquire) == 0;
-      if (all_flushed) {
-        for (auto& [fd, conn] : conns_) {
-          // Requests a client sent before we stopped accepting may still sit
-          // unread in the socket buffer (level-triggered EPOLLIN will hand
-          // them to us next iteration) — closing now would RST them away.
-          int unread = 0;
-          if (ioctl(fd, FIONREAD, &unread) == 0 && unread > 0) {
-            all_flushed = false;
-            break;
-          }
-          std::lock_guard<std::mutex> lock(conn->mu);
-          if (!conn->outq.empty()) {
-            all_flushed = false;
-            break;
-          }
-        }
-      }
-      if (all_flushed) break;
+      if (Drained(loop)) break;
     }
 
-    int n = epoll_wait(epoll_fd_, events.data(),
+    int n = epoll_wait(loop->epoll_fd, events.data(),
                        static_cast<int>(events.size()), 50);
     if (n < 0 && errno != EINTR) break;
-
-    // Arm EPOLLOUT for connections workers just wrote to.
-    std::vector<std::shared_ptr<Connection>> writable;
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      writable.swap(pending_writable_);
-    }
-    for (const auto& conn : writable) {
-      if (conn->closed.load(std::memory_order_acquire)) continue;
-      // Try an eager flush first; only arm EPOLLOUT when the socket is full.
-      HandleWritable(conn);
-    }
-
     for (int i = 0; i < n; ++i) {
       int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
+      if (fd == loop->wake_fd) {
         uint64_t junk;
-        while (read(wake_fd_, &junk, sizeof(junk)) > 0) {
+        while (read(loop->wake_fd, &junk, sizeof(junk)) > 0) {
         }
+        std::vector<ConnPtr> handed;
+        {
+          std::lock_guard<std::mutex> lock(loop->inbox_mu);
+          handed.swap(loop->inbox);
+        }
+        for (ConnPtr& conn : handed) Adopt(loop, std::move(conn));
         continue;
       }
       if (fd == listen_fd_) {
-        HandleAccept();
+        HandleAccept(loop);
         continue;
       }
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;
-      std::shared_ptr<Connection> conn = it->second;
+      auto it = loop->conns.find(fd);
+      if (it == loop->conns.end()) continue;
+      ConnPtr conn = it->second;
       if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        CloseConnection(conn);
+        CloseConnection(loop, conn);
         continue;
       }
-      if (events[i].events & EPOLLOUT) HandleWritable(conn);
-      if (events[i].events & EPOLLIN) HandleReadable(conn);
+      if (events[i].events & EPOLLOUT) HandleWritable(loop, conn);
+      if (events[i].events & EPOLLIN) HandleReadable(loop, conn);
     }
+    RunQueue(loop);
   }
 
-  // Loop exit: force-close every connection (queues are flushed or the
-  // drain deadline passed and Stop() re-woke us with running_ false).
-  std::vector<std::shared_ptr<Connection>> leftover;
-  leftover.reserve(conns_.size());
-  for (auto& [fd, conn] : conns_) leftover.push_back(conn);
-  for (const auto& conn : leftover) CloseConnection(conn);
+  // Loop exit: force-close every connection (all answered and flushed, or
+  // the drain deadline passed). The run queue is empty between passes.
+  std::vector<ConnPtr> leftover;
+  leftover.reserve(loop->conns.size());
+  for (auto& [fd, conn] : loop->conns) leftover.push_back(conn);
+  for (const ConnPtr& conn : leftover) CloseConnection(loop, conn);
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
-    running_.store(false, std::memory_order_release);
+    --loops_running_;
   }
   drain_cv_.notify_all();
 }
 
-void RccServer::HandleAccept() {
+bool RccServer::Drained(Loop* loop) {
+  {
+    std::lock_guard<std::mutex> lock(loop->inbox_mu);
+    if (!loop->inbox.empty()) return false;
+  }
+  for (auto& [fd, conn] : loop->conns) {
+    if (!conn->parked.empty() || conn->unsent() > 0) return false;
+    // Requests a client sent before we stopped accepting may still sit
+    // unread in the socket buffer (level-triggered EPOLLIN hands them to us
+    // next iteration) — closing now would RST them away.
+    int unread = 0;
+    if (ioctl(fd, FIONREAD, &unread) == 0 && unread > 0) return false;
+  }
+  return true;
+}
+
+void RccServer::HandleAccept(Loop* loop) {
   for (;;) {
-    int fd = accept(listen_fd_, nullptr, nullptr);
+    int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or transient error: back to epoll
-    if (static_cast<int>(conns_.size()) >= opts_.max_connections ||
+    if (connections_open_.load(std::memory_order_relaxed) >=
+            opts_.max_connections ||
         stopping_.load(std::memory_order_acquire)) {
       inst_.accept_rejected->Add();
       close(fd);
       continue;
     }
-    SetNonBlocking(fd);
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>(opts_.max_frame_bytes);
     conn->fd = fd;
-    conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-    conns_[fd] = conn;
-    connections_open_.fetch_add(1, std::memory_order_relaxed);
     inst_.connections_total->Add();
-    inst_.connections_open->Set(static_cast<double>(conns_.size()));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+    inst_.connections_open->Set(static_cast<double>(
+        connections_open_.fetch_add(1, std::memory_order_relaxed) + 1));
+    // Round-robin ownership: the connection lives on one loop from here on.
+    Loop* owner = loops_[next_loop_++ % loops_.size()].get();
+    if (owner == loop) {
+      Adopt(loop, std::move(conn));
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(owner->inbox_mu);
+      owner->inbox.push_back(std::move(conn));
+    }
+    Wake(owner);
   }
 }
 
-void RccServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
+void RccServer::Adopt(Loop* loop, ConnPtr conn) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = conn->fd;
+  epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, conn->fd, &ev);
+  loop->conns[conn->fd] = std::move(conn);
+}
+
+void RccServer::HandleReadable(Loop* loop, const ConnPtr& conn) {
   char buf[64 * 1024];
   for (;;) {
     ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       inst_.bytes_rx->Add(n);
-      conn->decoder.Feed(buf, static_cast<size_t>(n));
+      if (!conn->closing) conn->decoder.Feed(buf, static_cast<size_t>(n));
       if (static_cast<ssize_t>(sizeof(buf)) > n) break;  // drained socket
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     // Peer closed (or hard error) — possibly mid-frame or with statements
-    // still in flight; workers notice via conn->closed and drop responses.
-    CloseConnection(conn);
+    // still queued; they are dropped unexecuted.
+    CloseConnection(loop, conn);
     return;
   }
-  DrainFrames(conn);
-}
-
-void RccServer::DrainFrames(const std::shared_ptr<Connection>& conn) {
-  for (;;) {
-    if (conn->closed.load(std::memory_order_acquire)) return;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->close_after_flush) return;  // error already sent; drop rest
-    }
-    Frame frame;
+  const auto decoded_at = std::chrono::steady_clock::now();
+  while (!conn->closing) {
+    Task task{conn, Frame{}, decoded_at};
     std::string error;
-    FrameDecoder::Next next = conn->decoder.Pop(&frame, &error);
+    FrameDecoder::Next next = conn->decoder.Pop(&task.frame, &error);
     if (next == FrameDecoder::Next::kNeedMore) return;
     if (next == FrameDecoder::Next::kError) {
-      ProtocolError(conn, 0, error);
-      return;
+      conn->closing = true;  // framing is lost; answer in order, then close
+      task.decode_error = true;
+      task.frame.payload = std::move(error);
+    } else {
+      inst_.frames_rx->Add();
+      if (task.frame.op == Opcode::kGoodbye) conn->closing = true;
+      task.counted = Admit(task.frame.op);
     }
-    inst_.frames_rx->Add();
-    DispatchFrame(conn, std::move(frame));
+    loop->run_queue.push_back(std::move(task));
   }
 }
 
-void RccServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
-                              Frame frame) {
+bool RccServer::Admit(Opcode op) {
+  if (op != Opcode::kQuery && op != Opcode::kQueryDeadline &&
+      op != Opcode::kExecute && op != Opcode::kPrepare) {
+    return false;
+  }
+  // Admission control counts every decoded statement still queued in any
+  // loop plus the running ones. Past the limit the statement is refused
+  // with a structured, retryable status when its turn comes — never run,
+  // never a disconnect. PREPARE only validates, so it is not gated.
+  int before = in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  if (before >= admission_limit_ && op != Opcode::kPrepare) {
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    return false;
+  }
+  inst_.in_flight->Set(before + 1);
+  return true;
+}
+
+void RccServer::Release(Task& task) {
+  if (!task.counted) return;
+  task.counted = false;
+  inst_.in_flight->Set(in_flight_.fetch_sub(1, std::memory_order_acq_rel) - 1);
+}
+
+void RccServer::Drop(Task& task) {
+  inst_.dropped_responses->Add();
+  Release(task);
+}
+
+void RccServer::RunQueue(Loop* loop) {
+  std::deque<Task>& queue = loop->run_queue;
+  while (!queue.empty()) {
+    Task task = std::move(queue.front());
+    queue.pop_front();
+    Connection& conn = *task.conn;
+    if (conn.closed || conn.close_after_flush) {
+      Drop(task);
+      continue;
+    }
+    if (conn.paused) {
+      conn.parked.push_back(std::move(task));
+      continue;
+    }
+    RunTask(conn, task);
+    Release(task);
+    // Answers to one connection's consecutive statements go out in one
+    // write. Past the bound the connection pauses: nothing more of it is
+    // read or run until EPOLLOUT drains it back within the bound.
+    if (conn.unsent() > opts_.max_write_queue_bytes) {
+      conn.paused = true;
+      inst_.backpressure_stalls->Add();
+    }
+    if (conn.paused || conn.close_after_flush || queue.empty() ||
+        queue.front().conn != task.conn) {
+      Flush(loop, task.conn);
+      if (!conn.closed) Arm(loop, conn);
+    }
+  }
+}
+
+void RccServer::RunTask(Connection& conn, Task& task) {
+  Frame& frame = task.frame;
+  if (task.decode_error) {
+    ProtocolError(conn, 0, frame.payload);
+    return;
+  }
   if (!IsClientOpcode(static_cast<uint8_t>(frame.op))) {
     ProtocolError(conn, frame.seq,
                   "unknown opcode " +
                       std::to_string(static_cast<unsigned>(frame.op)));
     return;
   }
-  if (!conn->hello_done && frame.op != Opcode::kHello) {
+  if (!conn.hello_done && frame.op != Opcode::kHello) {
     ProtocolError(conn, frame.seq, "first frame must be HELLO");
     return;
   }
   switch (frame.op) {
     case Opcode::kHello: {
-      if (conn->hello_done) {
+      if (conn.hello_done) {
         ProtocolError(conn, frame.seq, "duplicate HELLO");
         return;
       }
@@ -481,28 +566,27 @@ void RccServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
                           std::to_string(version));
         return;
       }
-      conn->session = system_->CreateSession();
-      if (router_ != nullptr) conn->session->set_router(router_);
-      conn->hello_done = true;
-      std::string out;
-      AppendFrame(&out, Opcode::kHelloOk, frame.seq,
-                  EncodeHelloOkPayload(kProtocolVersion, conn->session->id(),
+      conn.session = system_->CreateSession();
+      if (router_ != nullptr) conn.session->set_router(router_);
+      conn.hello_done = true;
+      AppendFrame(&conn.out, Opcode::kHelloOk, frame.seq,
+                  EncodeHelloOkPayload(kProtocolVersion, conn.session->id(),
                                        "rcc-server/1 (relaxed C&C cache)"));
-      if (EnqueueDirect(conn, std::move(out))) inst_.frames_tx->Add();
+      inst_.frames_tx->Add();
       return;
     }
     case Opcode::kSet: {
-      // Control frames are applied inline on the event loop — out-of-band
-      // of any queued or in-flight statements of this connection, which is
-      // the interleaving Session's atomic control state exists for. Only
-      // SET is allowed here; statements must use kQuery.
+      // SET runs in arrival order like every frame; statements of other
+      // connections may interleave with it, which is the interleaving
+      // Session's atomic control state exists for. Only SET is allowed
+      // here; statements must use kQuery.
       if (FirstWord(frame.payload) != "set") {
         ProtocolError(conn, frame.seq, "SET frame must carry a SET statement");
         return;
       }
       inst_.sets->Add();
       std::shared_lock<std::shared_mutex> engine(engine_mu_);
-      Result<QueryResult> result = conn->session->Execute(frame.payload);
+      Result<QueryResult> result = conn.session->Execute(frame.payload);
       engine.unlock();
       SendStatus(conn, frame.seq, StatusFromResult(result));
       return;
@@ -510,7 +594,8 @@ void RccServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
     case Opcode::kQuery:
     case Opcode::kQueryDeadline:
     case Opcode::kExecute: {
-      std::string sql;
+      const std::string* sql = &frame.payload;
+      std::string deadline_sql;
       int64_t deadline_ms = 0;
       if (frame.op == Opcode::kExecute) {
         uint32_t stmt_id;
@@ -519,16 +604,8 @@ void RccServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
           ProtocolError(conn, frame.seq, "malformed EXECUTE payload");
           return;
         }
-        bool found = false;
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          auto it = conn->prepared.find(stmt_id);
-          if (it != conn->prepared.end()) {
-            sql = it->second;
-            found = true;
-          }
-        }
-        if (!found) {
+        auto it = conn.prepared.find(stmt_id);
+        if (it == conn.prepared.end()) {
           StatusFramePayload status;
           status.code = static_cast<uint16_t>(StatusCode::kNotFound);
           status.message =
@@ -536,26 +613,23 @@ void RccServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
           SendStatus(conn, frame.seq, status);
           return;
         }
+        sql = &it->second;
         inst_.executes->Add();
       } else if (frame.op == Opcode::kQueryDeadline) {
         uint32_t wire_deadline = 0;
-        Status st =
-            DecodeQueryDeadlinePayload(frame.payload, &wire_deadline, &sql);
+        Status st = DecodeQueryDeadlinePayload(frame.payload, &wire_deadline,
+                                               &deadline_sql);
         if (!st.ok()) {
           ProtocolError(conn, frame.seq, st.message());
           return;
         }
+        sql = &deadline_sql;
         deadline_ms = wire_deadline;
         inst_.queries->Add();
       } else {
-        sql = std::move(frame.payload);
         inst_.queries->Add();
       }
-      // Admission control: past the limit, answer Overloaded right here on
-      // the event loop — a structured, retryable refusal, not a disconnect.
-      // Cheaper for both sides than queueing work that the queue-delay check
-      // would refuse at pickup anyway.
-      if (in_flight_.load(std::memory_order_acquire) >= admission_limit_) {
+      if (!task.counted) {
         inst_.overload_rejected->Add();
         StatusFramePayload status;
         status.code = static_cast<uint16_t>(StatusCode::kOverloaded);
@@ -565,50 +639,16 @@ void RccServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
         SendStatus(conn, frame.seq, status);
         return;
       }
-      conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-      in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      inst_.in_flight->Set(in_flight_.load(std::memory_order_relaxed));
-      uint32_t seq = frame.seq;
-      auto enqueued_at = std::chrono::steady_clock::now();
-      bool accepted = pool_->Submit([this, conn, seq, deadline_ms, enqueued_at,
-                                     sql = std::move(sql)]() mutable {
-        RunStatement(conn, seq, std::move(sql), deadline_ms, enqueued_at);
-      });
-      if (!accepted) {
-        conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-        StatusFramePayload status;
-        status.code = static_cast<uint16_t>(StatusCode::kUnavailable);
-        status.message = "server shutting down";
-        SendStatus(conn, seq, status);
-      }
+      RunStatement(conn, frame.seq, *sql, deadline_ms, task.decoded_at);
       return;
     }
-    case Opcode::kPrepare: {
+    case Opcode::kPrepare:
       inst_.prepares->Add();
-      conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-      in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      uint32_t seq = frame.seq;
-      bool accepted =
-          pool_->Submit([this, conn, seq, sql = std::move(frame.payload)] {
-            RunPrepare(conn, seq, sql);
-          });
-      if (!accepted) {
-        conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-        StatusFramePayload status;
-        status.code = static_cast<uint16_t>(StatusCode::kUnavailable);
-        status.message = "server shutting down";
-        SendStatus(conn, seq, status);
-      }
+      RunPrepare(conn, frame.seq, std::move(frame.payload));
       return;
-    }
-    case Opcode::kGoodbye: {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->close_after_flush = true;
-      NotifyWritable(conn);
+    case Opcode::kGoodbye:
+      conn.close_after_flush = true;
       return;
-    }
     default:
       ProtocolError(conn, frame.seq, "server-side opcode from client");
       return;
@@ -616,19 +656,19 @@ void RccServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
 }
 
 void RccServer::RunStatement(
-    const std::shared_ptr<Connection>& conn, uint32_t seq, std::string sql,
-    int64_t deadline_ms, std::chrono::steady_clock::time_point enqueued_at) {
+    Connection& conn, uint32_t seq, const std::string& sql, int64_t deadline_ms,
+    std::chrono::steady_clock::time_point decoded_at) {
   auto t0 = std::chrono::steady_clock::now();
   const int64_t queue_delay_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(t0 - enqueued_at)
+      std::chrono::duration_cast<std::chrono::milliseconds>(t0 - decoded_at)
           .count();
   inst_.queue_delay_ms->Observe(static_cast<double>(queue_delay_ms));
 
-  // Second admission gate, at pickup: a statement that waited past the
-  // queue-delay bound is refused rather than executed — running it now only
-  // deepens the backlog that delayed it, and its client has likely timed
-  // out or retried already. Same structured, retryable refusal as at
-  // dispatch; the connection stays open.
+  // Second admission gate, at the start of the run: a statement that waited
+  // past the queue-delay bound is refused rather than executed — running it
+  // now only deepens the backlog that delayed it, and its client has likely
+  // timed out or retried already. Same structured, retryable refusal as the
+  // admission limit; the connection stays open.
   if (opts_.max_queue_delay_ms > 0 &&
       queue_delay_ms > opts_.max_queue_delay_ms) {
     inst_.overload_rejected->Add();
@@ -638,20 +678,12 @@ void RccServer::RunStatement(
                      std::to_string(queue_delay_ms) + "ms exceeds " +
                      std::to_string(opts_.max_queue_delay_ms) +
                      "ms; retry after backoff";
-    std::string out;
-    AppendFrame(&out, Opcode::kStatus, seq, EncodeStatusPayload(status));
-    if (EnqueueResponse(conn, std::move(out))) {
-      inst_.frames_tx->Add();
-    } else {
-      inst_.dropped_responses->Add();
-    }
-    FinishStatement(conn);
-    inst_.in_flight->Set(in_flight_.load(std::memory_order_relaxed));
+    SendStatus(conn, seq, status);
     return;
   }
 
   Session::StatementOptions sopts;
-  sopts.enqueued_at = enqueued_at;
+  sopts.enqueued_at = decoded_at;
   sopts.deadline_ms = deadline_ms;
   sopts.default_deadline_ms = opts_.default_deadline_ms;
   // C&C-aware shedding: under queue pressure, ask the executor to prefer
@@ -662,15 +694,12 @@ void RccServer::RunStatement(
                     queue_delay_ms > opts_.shed_queue_delay_ms;
 
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    if (conn->closed.load(std::memory_order_acquire)) {
-      return Status::Unavailable("connection closed");
-    }
     if (NeedsExclusiveEngine(FirstWord(sql))) {
       std::unique_lock<std::shared_mutex> engine(engine_mu_);
-      return conn->session->Execute(sql, sopts);
+      return conn.session->Execute(sql, sopts);
     }
     std::shared_lock<std::shared_mutex> engine(engine_mu_);
-    return conn->session->Execute(sql, sopts);
+    return conn.session->Execute(sql, sopts);
   }();
   inst_.statement_ms->Observe(
       std::chrono::duration<double, std::milli>(
@@ -682,222 +711,131 @@ void RccServer::RunStatement(
     inst_.deadline_timeouts->Add();
   }
 
-  // Serialize the whole response as one contiguous chunk: header, row
-  // frames, terminal status. Contiguity per request keeps pipelined
-  // responses of one connection from interleaving.
-  std::string out;
+  // The whole answer is appended contiguously: header, row frames, terminal
+  // status, so pipelined answers of one connection never interleave.
   size_t frames = 0;
   if (result.ok() && !result->layout.slots().empty()) {
-    AppendFrame(&out, Opcode::kRowsHeader, seq,
+    AppendFrame(&conn.out, Opcode::kRowsHeader, seq,
                 EncodeRowsHeaderPayload(result->layout));
     ++frames;
     const std::vector<Row>& rows = result->rows;
     for (size_t i = 0; i < rows.size(); i += kRowsPerFrame) {
       size_t end = std::min(rows.size(), i + kRowsPerFrame);
-      AppendFrame(&out, Opcode::kRows, seq, EncodeRowsPayload(rows, i, end));
+      AppendFrame(&conn.out, Opcode::kRows, seq,
+                  EncodeRowsPayload(rows, i, end));
       ++frames;
     }
   }
-  AppendFrame(&out, Opcode::kStatus, seq,
+  AppendFrame(&conn.out, Opcode::kStatus, seq,
               EncodeStatusPayload(StatusFromResult(result)));
-  ++frames;
-  if (EnqueueResponse(conn, std::move(out))) {
-    inst_.frames_tx->Add(static_cast<int64_t>(frames));
-  } else {
-    inst_.dropped_responses->Add();
-  }
-
-  FinishStatement(conn);
-  inst_.in_flight->Set(in_flight_.load(std::memory_order_relaxed));
+  inst_.frames_tx->Add(static_cast<int64_t>(frames + 1));
 }
 
-/// Decrements both in-flight counters and re-notifies the event loop when
-/// the connection is waiting to close-after-flush (the close condition
-/// includes in_flight == 0, and nothing else would re-trigger it).
-void RccServer::FinishStatement(const std::shared_ptr<Connection>& conn) {
-  conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_cv_.notify_all();
-  }
-  // Checked strictly after the decrement: a goodbye processed in between
-  // sees in_flight > 0 and skips closing, so the notify below is the only
-  // close trigger left and must not be missed.
-  bool flush_close = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    flush_close = conn->close_after_flush;
-  }
-  if (flush_close) NotifyWritable(conn);
-}
-
-void RccServer::RunPrepare(const std::shared_ptr<Connection>& conn,
-                           uint32_t seq, std::string sql) {
+void RccServer::RunPrepare(Connection& conn, uint32_t seq, std::string sql) {
   StatusFramePayload status;
-  uint32_t stmt_id = 0;
   {
     std::shared_lock<std::shared_mutex> engine(engine_mu_);
     // Prepared statements are SELECT-shaped (Session::Prepare contract);
     // validation here means kExecute can only fail at run time for
     // engine-side reasons, never parse errors.
-    Result<QueryPlan> plan = conn->session->Prepare(sql);
+    Result<QueryPlan> plan = conn.session->Prepare(sql);
     if (!plan.ok()) {
       status.code = static_cast<uint16_t>(plan.status().code());
       status.message = plan.status().message();
     }
   }
-  std::string out;
-  if (status.ok()) {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    stmt_id = conn->next_stmt_id++;
-    conn->prepared[stmt_id] = std::move(sql);
-    std::string payload;
-    PutU32(&payload, stmt_id);
-    AppendFrame(&out, Opcode::kPrepareOk, seq, payload);
-  } else {
-    AppendFrame(&out, Opcode::kStatus, seq, EncodeStatusPayload(status));
+  if (!status.ok()) {
+    SendStatus(conn, seq, status);
+    return;
   }
-  if (EnqueueResponse(conn, std::move(out))) {
-    inst_.frames_tx->Add();
-  } else {
-    inst_.dropped_responses->Add();
-  }
-  FinishStatement(conn);
+  uint32_t stmt_id = conn.next_stmt_id++;
+  conn.prepared[stmt_id] = std::move(sql);
+  std::string payload;
+  PutU32(&payload, stmt_id);
+  AppendFrame(&conn.out, Opcode::kPrepareOk, seq, payload);
+  inst_.frames_tx->Add();
 }
 
-bool RccServer::EnqueueResponse(const std::shared_ptr<Connection>& conn,
-                                std::string bytes) {
-  std::unique_lock<std::mutex> lock(conn->mu);
-  // Backpressure: a response that would overflow the queue waits for the
-  // client to drain. An empty queue always accepts (a single response may
-  // legitimately exceed the bound; it streams out in socket-sized pieces).
-  bool stalled = false;
-  while (!conn->closed.load(std::memory_order_acquire) &&
-         conn->outq_bytes > 0 &&
-         conn->outq_bytes + bytes.size() > opts_.max_write_queue_bytes) {
-    if (!stalled) {
-      stalled = true;
-      inst_.backpressure_stalls->Add();
-    }
-    conn->write_cv.wait_for(lock, std::chrono::milliseconds(50));
-  }
-  if (conn->closed.load(std::memory_order_acquire)) return false;
-  conn->outq_bytes += bytes.size();
-  conn->outq.push_back(std::move(bytes));
-  lock.unlock();
-  NotifyWritable(conn);
-  return true;
+void RccServer::SendStatus(Connection& conn, uint32_t seq,
+                           const StatusFramePayload& status) {
+  AppendFrame(&conn.out, Opcode::kStatus, seq, EncodeStatusPayload(status));
+  inst_.frames_tx->Add();
 }
 
-bool RccServer::EnqueueDirect(const std::shared_ptr<Connection>& conn,
-                              std::string bytes) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed.load(std::memory_order_acquire)) return false;
-    conn->outq_bytes += bytes.size();
-    conn->outq.push_back(std::move(bytes));
-    // A client pipelining control frames without ever reading responses
-    // would grow this queue without bound (the event loop cannot block on
-    // backpressure — it is the flusher). Past twice the configured bound the
-    // client is abusive: flush what fits and hang up.
-    if (conn->outq_bytes > opts_.max_write_queue_bytes * 2) {
-      conn->close_after_flush = true;
-    }
-  }
-  NotifyWritable(conn);
-  return true;
-}
-
-void RccServer::SendStatus(const std::shared_ptr<Connection>& conn,
-                           uint32_t seq, const StatusFramePayload& status) {
-  std::string out;
-  AppendFrame(&out, Opcode::kStatus, seq, EncodeStatusPayload(status));
-  if (EnqueueDirect(conn, std::move(out))) inst_.frames_tx->Add();
-}
-
-void RccServer::ProtocolError(const std::shared_ptr<Connection>& conn,
-                              uint32_t seq, const std::string& message) {
+void RccServer::ProtocolError(Connection& conn, uint32_t seq,
+                              const std::string& message) {
   inst_.protocol_errors->Add();
   StatusFramePayload status;
   status.code = static_cast<uint16_t>(StatusCode::kInvalidArgument);
   status.message = "protocol error: " + message;
-  std::string out;
-  AppendFrame(&out, Opcode::kStatus, seq, EncodeStatusPayload(status));
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed.load(std::memory_order_acquire)) return;
-    conn->outq_bytes += out.size();
-    conn->outq.push_back(std::move(out));
-    conn->close_after_flush = true;
-  }
-  inst_.frames_tx->Add();
-  NotifyWritable(conn);
+  SendStatus(conn, seq, status);
+  conn.closing = true;
+  conn.close_after_flush = true;
 }
 
-void RccServer::HandleWritable(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
-  bool want_more = false;
-  bool close_now = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    while (!conn->outq.empty()) {
-      const std::string& front = conn->outq.front();
-      size_t remaining = front.size() - conn->front_offset;
-      ssize_t n = send(conn->fd, front.data() + conn->front_offset, remaining,
-                       MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          want_more = true;
-        } else {
-          close_now = true;  // broken pipe etc.
-        }
-        break;
-      }
-      inst_.bytes_tx->Add(n);
-      conn->front_offset += static_cast<size_t>(n);
-      if (conn->front_offset < front.size()) {
-        want_more = true;  // short write: socket buffer full
-        break;
-      }
-      conn->outq_bytes -= front.size();
-      conn->front_offset = 0;
-      conn->outq.pop_front();
-    }
-    // A flush-then-close (goodbye / protocol error) must also wait out this
-    // connection's in-flight statements: their responses have not been
-    // enqueued yet. Workers re-notify after their final decrement.
-    if (conn->outq.empty() && conn->close_after_flush &&
-        conn->in_flight.load(std::memory_order_acquire) == 0) {
-      close_now = true;
-    }
+void RccServer::HandleWritable(Loop* loop, const ConnPtr& conn) {
+  Flush(loop, conn);
+  if (conn->closed) return;
+  if (conn->paused && conn->unsent() <= opts_.max_write_queue_bytes) {
+    // Drained back within the bound: its parked statements run next, before
+    // anything newly read from it.
+    conn->paused = false;
+    for (Task& task : conn->parked) loop->run_queue.push_back(std::move(task));
+    conn->parked.clear();
   }
-  conn->write_cv.notify_all();
-  if (close_now) {
-    CloseConnection(conn);
-    return;
-  }
-  if (want_more != conn->epollout_armed) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_more ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-    ev.data.fd = conn->fd;
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-      conn->epollout_armed = want_more;
+  Arm(loop, *conn);
+}
+
+void RccServer::Flush(Loop* loop, const ConnPtr& conn) {
+  Connection& c = *conn;
+  while (c.out_offset < c.out.size()) {
+    ssize_t n = send(c.fd, c.out.data() + c.out_offset, c.unsent(),
+                     MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      CloseConnection(loop, conn);  // broken pipe etc.
+      return;
     }
+    inst_.bytes_tx->Add(n);
+    c.out_offset += static_cast<size_t>(n);
+  }
+  // Drop the written prefix once it is at least half the buffer; a fully
+  // written buffer keeps its capacity unless it grew large.
+  if (c.out_offset * 2 >= c.out.size()) {
+    c.out.erase(0, c.out_offset);
+    c.out_offset = 0;
+    if (c.out.empty() && c.out.capacity() > (64u << 10)) c.out.shrink_to_fit();
+  }
+  if (c.unsent() == 0 && c.close_after_flush) CloseConnection(loop, conn);
+}
+
+void RccServer::Arm(Loop* loop, Connection& conn) {
+  const uint32_t want =
+      (conn.paused ? 0u : static_cast<uint32_t>(EPOLLIN)) |
+      (conn.paused || conn.unsent() > 0 ? static_cast<uint32_t>(EPOLLOUT)
+                                        : 0u);
+  if (want == conn.events) return;
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.fd = conn.fd;
+  if (epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
+    conn.events = want;
   }
 }
 
-void RccServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+void RccServer::CloseConnection(Loop* loop, const ConnPtr& conn) {
+  if (conn->closed) return;
+  conn->closed = true;
+  epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   close(conn->fd);
-  conns_.erase(conn->fd);
-  connections_open_.fetch_sub(1, std::memory_order_relaxed);
-  inst_.connections_open->Set(static_cast<double>(conns_.size()));
-  // Unblock any worker waiting out backpressure on this connection; it will
-  // observe closed and drop its response. The Session (and any prepared
-  // statements) die with the last shared_ptr, i.e. after in-flight
-  // statements complete — never under a running query.
-  conn->write_cv.notify_all();
+  loop->conns.erase(conn->fd);
+  inst_.connections_open->Set(static_cast<double>(
+      connections_open_.fetch_sub(1, std::memory_order_relaxed) - 1));
+  for (Task& task : conn->parked) Drop(task);
+  conn->parked.clear();
+  // Tasks still in the run queue are dropped when their turn comes. The
+  // Session dies with the last reference, never under a running statement.
 }
 
 }  // namespace server

@@ -5,16 +5,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/rcc.h"
 #include "server/wire.h"
 
@@ -31,14 +27,17 @@ struct ServerOptions {
   /// TCP port (ignored for UDS); 0 binds an ephemeral port — read the
   /// actual one back with RccServer::port().
   uint16_t port = 0;
-  /// Worker threads executing statements; 0 picks ThreadPool::DefaultWorkers.
+  /// Event-loop threads. Each owns the connections assigned to it at accept
+  /// and runs their statements itself; 0 picks ThreadPool::DefaultWorkers.
   int workers = 0;
   /// Accepted connections beyond this are closed immediately.
   int max_connections = 10000;
   /// Frames whose length prefix exceeds this kill the connection.
   size_t max_frame_bytes = 8u << 20;
-  /// Per-connection response backlog. A worker whose response would overflow
-  /// it blocks (backpressure) until the client drains or disconnects.
+  /// Per-connection bound on response bytes not yet written to the socket.
+  /// A connection past it stops being read and run (backpressure) until
+  /// EPOLLOUT drains it back within the bound; a single response larger
+  /// than the bound still streams out.
   size_t max_write_queue_bytes = 4u << 20;
   /// Real-time budget Stop() spends draining in-flight statements and
   /// flushing response queues before force-closing.
@@ -46,29 +45,34 @@ struct ServerOptions {
 
   /// -- overload survivability --------------------------------------------
 
-  /// Admission limit: statements executing or queued on the worker pool
-  /// beyond this are answered immediately with a retryable Overloaded
-  /// status (the connection stays open). 0 picks workers * 16.
+  /// Admission limit: statements decoded and waiting in an event loop's run
+  /// queue or running, server-wide, beyond this are refused with a
+  /// retryable Overloaded status, unexecuted (the connection stays open).
+  /// 0 picks workers * 16.
   int admission_limit = 0;
-  /// A statement whose admission-queue wait exceeds this by worker pickup
-  /// is answered Overloaded instead of executed — it would only add to the
-  /// backlog that delayed it. 0 disables the check.
+  /// A statement that waited longer than this between its decode and the
+  /// start of its run is answered Overloaded instead of executed — it would
+  /// only add to the backlog that delayed it. 0 disables the check.
   int64_t max_queue_delay_ms = 0;
-  /// Queue wait beyond which statements run with a shed hint: the executor
-  /// prefers the degraded-local plan branch when (and only when) the
-  /// statement's currency bound and timeline floor permit it. 0 disables.
+  /// Wait since decode beyond which statements run with a shed hint: the
+  /// executor prefers the degraded-local plan branch when (and only when)
+  /// the statement's currency bound and timeline floor permit it.
+  /// 0 disables.
   int64_t shed_queue_delay_ms = 0;
   /// Server-wide default statement deadline (real ms), overridable per
   /// session (SET DEADLINE) and per request (kQueryDeadline). 0 = none.
   int64_t default_deadline_ms = 0;
 };
 
-/// The network front end: accepts client connections on one async epoll
-/// event loop (accept + read + write, all non-blocking) and multiplexes
-/// decoded statements onto a worker ThreadPool running the ordinary
-/// `Session` engine. Each connection owns exactly one Session, so degrade
-/// mode, SET TRACE, and the timeline-consistency floor are per-client state,
-/// exactly as the paper's model assumes (DESIGN.md §14).
+/// The network front end: `workers` epoll event loops, each owning the
+/// connections assigned to it at accept. A loop reads every ready
+/// connection, decodes its frames into one run queue, then runs that queue
+/// in order on its own thread against the ordinary `Session` engine and
+/// writes each answer with a non-blocking send — a request wakes one server
+/// thread, and no other thread touches the connection. Each connection owns
+/// exactly one Session, so degrade mode, SET TRACE, and the
+/// timeline-consistency floor are per-client state, exactly as the paper's
+/// model assumes (DESIGN.md §14).
 ///
 /// Engine contract: Start() puts the cache into concurrent-batch mode
 /// (frozen virtual clock, epoch-pinned snapshot reads, serialized remote
@@ -86,14 +90,14 @@ class RccServer {
   RccServer(const RccServer&) = delete;
   RccServer& operator=(const RccServer&) = delete;
 
-  /// Binds, listens, spawns the event loop and the worker pool. Fails (and
-  /// leaves the server stopped) if the socket cannot be bound.
+  /// Binds, listens and spawns the event loops. Fails (and leaves the
+  /// server stopped) if the socket cannot be bound.
   Status Start();
 
-  /// Drain-on-shutdown: stops accepting, lets in-flight statements finish,
-  /// flushes every connection's response queue (bounded by
+  /// Drain-on-shutdown: stops accepting, lets queued and running statements
+  /// finish, flushes every connection's unsent answers (bounded by
   /// drain_timeout_ms), then closes all connections and joins the event
-  /// loop and workers. Idempotent.
+  /// loops. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -112,7 +116,7 @@ class RccServer {
   int connections_open() const {
     return connections_open_.load(std::memory_order_relaxed);
   }
-  /// Statements currently executing or queued on the worker pool.
+  /// Statements currently queued in an event loop or running.
   int in_flight() const { return in_flight_.load(std::memory_order_relaxed); }
 
   /// Test/driver hook: quiesces statement execution (exclusive engine
@@ -123,47 +127,52 @@ class RccServer {
 
  private:
   struct Connection;
+  struct Task;
+  struct Loop;
+  using ConnPtr = std::shared_ptr<Connection>;
 
-  void EventLoop();
-  void HandleAccept();
-  void HandleReadable(const std::shared_ptr<Connection>& conn);
-  void HandleWritable(const std::shared_ptr<Connection>& conn);
-  /// Decodes and dispatches every complete frame buffered on `conn`.
-  void DrainFrames(const std::shared_ptr<Connection>& conn);
-  void DispatchFrame(const std::shared_ptr<Connection>& conn, Frame frame);
-  /// Runs one statement on a worker and enqueues its response frames.
-  /// `deadline_ms` is the per-request wire override (0 = none);
-  /// `enqueued_at` anchors both the deadline budget and the admission
-  /// queue-delay check.
-  void RunStatement(const std::shared_ptr<Connection>& conn, uint32_t seq,
-                    std::string sql, int64_t deadline_ms,
-                    std::chrono::steady_clock::time_point enqueued_at);
-  void RunPrepare(const std::shared_ptr<Connection>& conn, uint32_t seq,
-                  std::string sql);
-  /// Statement-done bookkeeping shared by RunStatement/RunPrepare.
-  void FinishStatement(const std::shared_ptr<Connection>& conn);
+  void RunLoop(Loop* loop);
+  /// Loop thread only: whether the loop has nothing left to answer or flush.
+  bool Drained(Loop* loop);
+  void HandleAccept(Loop* loop);
+  void Adopt(Loop* loop, ConnPtr conn);
+  /// Reads the socket and decodes every complete frame into the run queue.
+  void HandleReadable(Loop* loop, const ConnPtr& conn);
+  void HandleWritable(Loop* loop, const ConnPtr& conn);
+  /// Runs the loop's queue in order; answers are written as each
+  /// connection's run of consecutive statements ends.
+  void RunQueue(Loop* loop);
+  void RunTask(Connection& conn, Task& task);
+  /// Runs one statement and appends its answer. `deadline_ms` is the
+  /// per-request wire override (0 = none); `decoded_at` anchors the
+  /// deadline budget, the queue-delay gate and the shed hint.
+  void RunStatement(Connection& conn, uint32_t seq, const std::string& sql,
+                    int64_t deadline_ms,
+                    std::chrono::steady_clock::time_point decoded_at);
+  void RunPrepare(Connection& conn, uint32_t seq, std::string sql);
+  /// Takes an in-flight slot for a statement frame; false = over the
+  /// admission limit (the frame is refused when its turn comes).
+  bool Admit(Opcode op);
+  /// Gives back the task's in-flight slot, if it holds one.
+  void Release(Task& task);
+  /// Drops a task whose connection will never see its answer.
+  void Drop(Task& task);
 
-  /// Appends one contiguous chunk of response bytes to the connection's
-  /// write queue, blocking for backpressure. False if the connection closed.
-  /// Worker threads only — the event loop must use EnqueueDirect.
-  bool EnqueueResponse(const std::shared_ptr<Connection>& conn,
-                       std::string bytes);
-  /// Non-blocking enqueue for responses built on the event loop itself
-  /// (HELLO_OK, SET status): never waits, disconnects clients whose queue
-  /// runs away. False if the connection closed.
-  bool EnqueueDirect(const std::shared_ptr<Connection>& conn,
-                     std::string bytes);
   /// Sends a kStatus error frame and closes the connection after flushing.
-  void ProtocolError(const std::shared_ptr<Connection>& conn, uint32_t seq,
+  void ProtocolError(Connection& conn, uint32_t seq,
                      const std::string& message);
-  void SendStatus(const std::shared_ptr<Connection>& conn, uint32_t seq,
+  void SendStatus(Connection& conn, uint32_t seq,
                   const StatusFramePayload& status);
-  /// I/O-thread-only: closes the socket and releases the connection. Safe
-  /// to call twice.
-  void CloseConnection(const std::shared_ptr<Connection>& conn);
-  /// Worker -> event loop: this connection has bytes to write.
-  void NotifyWritable(const std::shared_ptr<Connection>& conn);
-  void WakeLoop();
+  /// Writes as much of the connection's unsent answers as the socket takes;
+  /// closes it once flushed if it asked to close.
+  void Flush(Loop* loop, const ConnPtr& conn);
+  /// Registers the epoll interest the connection's state calls for.
+  void Arm(Loop* loop, Connection& conn);
+  /// Loop thread only: closes the socket, drops parked work, releases the
+  /// connection. Safe to call twice.
+  void CloseConnection(Loop* loop, const ConnPtr& conn);
+  static void Wake(Loop* loop);
+  void CloseLoops();
 
   RccSystem* system_;
   ServerOptions opts_;
@@ -171,12 +180,7 @@ class RccServer {
   StatementRouter* router_ = nullptr;
 
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
   uint16_t bound_port_ = 0;
-
-  std::thread io_thread_;
-  std::unique_ptr<ThreadPool> pool_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
@@ -185,22 +189,17 @@ class RccServer {
   /// for DML and AdvanceVirtualTime.
   std::shared_mutex engine_mu_;
 
-  /// I/O-thread-owned map of live connections.
-  std::map<int, std::shared_ptr<Connection>> conns_;
   std::atomic<int> connections_open_{0};
-  std::atomic<uint64_t> next_conn_id_{1};
-
-  /// Connections with freshly queued output, handed to the event loop.
-  std::mutex pending_mu_;
-  std::vector<std::shared_ptr<Connection>> pending_writable_;
 
   /// Admission limit resolved at Start (options value or workers * 16).
   int admission_limit_ = 0;
 
-  /// Drain accounting for Stop().
+  /// Statements queued in a loop (including parked ones) or running.
   std::atomic<int> in_flight_{0};
+  /// Drain accounting for Stop(): loops still running, under drain_mu_.
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
+  int loops_running_ = 0;
 
   /// rcc.server.* instruments, resolved once at Start.
   struct Instruments {
@@ -215,9 +214,11 @@ class RccServer {
     obs::Counter* sets = nullptr;
     obs::Counter* protocol_errors = nullptr;
     obs::Counter* accept_rejected = nullptr;
+    /// Connections paused because their unsent bytes passed the bound.
     obs::Counter* backpressure_stalls = nullptr;
+    /// Decoded requests never answered because their connection went away.
     obs::Counter* dropped_responses = nullptr;
-    /// Statements refused with Overloaded (at dispatch or at pickup).
+    /// Statements refused with Overloaded (admission limit or queue delay).
     obs::Counter* overload_rejected = nullptr;
     /// Statements answered DeadlineExceeded.
     obs::Counter* deadline_timeouts = nullptr;
@@ -226,9 +227,15 @@ class RccServer {
     obs::Gauge* connections_open = nullptr;
     obs::Gauge* in_flight = nullptr;
     obs::Histogram* statement_ms = nullptr;
-    /// Admission-queue wait (dispatch to worker pickup), real ms.
+    /// Wait from decode to the start of the statement's run, real ms.
     obs::Histogram* queue_delay_ms = nullptr;
   } inst_;
+
+  /// The event loops; loop 0 also accepts. Declared last: their threads
+  /// use every member above.
+  std::vector<std::unique_ptr<Loop>> loops_;
+  /// Round-robin cursor assigning accepted connections to loops.
+  size_t next_loop_ = 0;
 };
 
 }  // namespace server

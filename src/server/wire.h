@@ -38,10 +38,10 @@ enum class Opcode : uint8_t {
   kQuery = 0x02,    ///< str sql — one-shot statement (SELECT/DML/EXPLAIN/...).
   kPrepare = 0x03,  ///< str sql — register a statement, returns kPrepareOk.
   kExecute = 0x04,  ///< u32 stmt_id — run a prepared statement.
-  kSet = 0x05,      ///< str "SET ..." — control frame, applied out-of-band.
+  kSet = 0x05,      ///< str "SET ..." — control frame, run in arrival order.
   kGoodbye = 0x06,  ///< empty — flush pending responses, then close.
   /// u32 deadline_ms, str sql — kQuery with a per-request deadline carried
-  /// in-band. The budget starts at server-side admission (enqueue), so queue
+  /// in-band. The budget starts when the server decodes the frame, so queue
   /// wait counts against it; 0 means "no per-request override" and falls
   /// back to SET DEADLINE / the server default.
   kQueryDeadline = 0x07,

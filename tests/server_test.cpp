@@ -268,6 +268,32 @@ TEST(ServerTest, PipelinedQueriesCorrelateBySeq) {
   fx.ExpectNoEpochLeak();
 }
 
+TEST(ServerTest, PipelinedStatementsOfOneConnectionAnswerInOrder) {
+  ServerFixture fx("inorder");
+  RccClient c = fx.ConnectAndHello();
+
+  // One connection's statements run in arrival order, so their answers come
+  // back in seq order even with several server threads.
+  constexpr int kQueries = 24;
+  std::vector<uint32_t> sent;
+  std::string batch;
+  for (int i = 0; i < kQueries; ++i) {
+    sent.push_back(c.NextSeq());
+    server::AppendFrame(&batch, Opcode::kQuery, sent.back(),
+                        "SELECT price FROM Books B WHERE B.isbn = " +
+                            std::to_string(i + 1));
+  }
+  ASSERT_TRUE(c.SendRaw(batch).ok());
+  for (int i = 0; i < kQueries; ++i) {
+    uint32_t seq = 0;
+    auto resp = c.ReadResponse(&seq);
+    ASSERT_TRUE(resp.ok()) << i << ": " << resp.status().ToString();
+    EXPECT_TRUE(resp->ok()) << resp->status.message;
+    EXPECT_EQ(seq, sent[i]) << "answer " << i;
+  }
+  fx.ExpectNoEpochLeak();
+}
+
 TEST(ServerTest, GoodbyeFlushesPipelinedResponsesThenCloses) {
   ServerFixture fx("goodbye");
   RccClient c = fx.ConnectAndHello();
@@ -422,6 +448,43 @@ TEST(ServerTest, MidQueryDisconnectNeverLeaksAPinnedEpoch) {
   EXPECT_TRUE(direct.ok());
 }
 
+TEST(ServerTest, AbruptDisconnectsWhileStatementsRun) {
+  ServerFixture fx("abrupt");
+  // Clients pipeline scans and point reads, then hang up mid-pipeline —
+  // some before reading anything, some after one answer — while the server
+  // is still running their statements and writing their answers.
+  constexpr int kClients = 4;
+  constexpr int kRounds = 8;
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&fx, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        RccClient c = fx.ConnectAndHello();
+        std::string batch;
+        for (int i = 0; i < 6; ++i) {
+          server::AppendFrame(
+              &batch, Opcode::kQuery, c.NextSeq(),
+              i % 2 == 0 ? std::string("SELECT isbn, title, price FROM Books B "
+                                       "CURRENCY BOUND 10 MIN ON (B)")
+                         : "SELECT price FROM Books B WHERE B.isbn = " +
+                               std::to_string(t * kRounds + round + 1));
+        }
+        EXPECT_TRUE(c.SendRaw(batch).ok());
+        if ((t + round) % 2 == 1) (void)c.ReadResponse(nullptr);
+        c.Close();
+      }
+    });
+  }
+  for (std::thread& th : clients) th.join();
+
+  RccClient fresh = fx.ConnectAndHello();
+  auto resp = fresh.Query("SELECT price FROM Books B WHERE B.isbn = 1");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_TRUE(resp->ok()) << resp->status.message;
+  fx.ExpectNoEpochLeak();
+}
+
 // -- overload survivability ---------------------------------------------------
 
 TEST(ServerTest, SlowLorisClientDoesNotStallHealthyConnections) {
@@ -540,6 +603,90 @@ TEST(ServerTest, AdmissionLimitRejectsWithRetryableStatusNotDisconnect) {
   fx.ExpectNoEpochLeak();
 }
 
+/// Pipelines `n` copies of `sql` on `c` and reads every answer; each answer
+/// must be rows or a kOverloaded refusal.
+struct BacklogAnswers {
+  int ok = 0;
+  int degraded = 0;
+  int queue_delay_refusals = 0;
+};
+BacklogAnswers PipelineAndRead(RccClient& c, const std::string& sql, int n) {
+  BacklogAnswers out;
+  std::string batch;
+  for (int i = 0; i < n; ++i) {
+    server::AppendFrame(&batch, Opcode::kQuery, c.NextSeq(), sql);
+  }
+  EXPECT_TRUE(c.SendRaw(batch).ok());
+  for (int i = 0; i < n; ++i) {
+    auto resp = c.ReadResponse(nullptr);
+    EXPECT_TRUE(resp.ok()) << i << ": " << resp.status().ToString();
+    if (!resp.ok()) return out;
+    if (resp->ok()) {
+      ++out.ok;
+      if (resp->status.degraded) ++out.degraded;
+      continue;
+    }
+    EXPECT_EQ(resp->status.code,
+              static_cast<uint16_t>(StatusCode::kOverloaded))
+        << resp->status.message;
+    if (resp->status.message.find("admission queue delay") !=
+        std::string::npos) {
+      ++out.queue_delay_refusals;
+    }
+  }
+  return out;
+}
+
+TEST(ServerTest, QueueDelayGateRefusesPipelinedBacklog) {
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.admission_limit = 64;  // every statement below is admitted
+  opts.max_queue_delay_ms = 1;
+  ServerFixture fx("queuedelay", opts);
+  RccClient c = fx.ConnectAndHello();
+
+  // One thread runs the pipeline in order, so the later full scans wait
+  // well past 1 ms after decode and the gate refuses them unexecuted.
+  BacklogAnswers a = PipelineAndRead(
+      c,
+      "SELECT isbn, title, price, stock FROM Books B "
+      "CURRENCY BOUND 10 MIN ON (B)",
+      32);
+  EXPECT_GT(a.ok, 0);
+  EXPECT_GT(a.queue_delay_refusals, 0);
+  EXPECT_GT(fx.book.sys.metrics()
+                .counter("rcc.server.overload_rejected")
+                ->value(),
+            0);
+  fx.ExpectNoEpochLeak();
+}
+
+TEST(ServerTest, ShedHintServesDegradedUnderBacklog) {
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.admission_limit = 64;
+  opts.shed_queue_delay_ms = 1;
+  ServerFixture fx("shed", opts);
+  RccClient c = fx.ConnectAndHello();
+  auto set = c.Set("SET DEGRADE ALWAYS");
+  ASSERT_TRUE(set.ok() && set->ok());
+
+  // The replica is ~10 s stale against a 5 s bound, so every scan's guard
+  // sends it remote; the ones that waited past 1 ms carry the shed hint and
+  // DEGRADE ALWAYS lets them serve the local branch instead.
+  BacklogAnswers a = PipelineAndRead(
+      c,
+      "SELECT isbn, title, price, stock FROM Books B "
+      "CURRENCY BOUND 5 SECONDS ON (B)",
+      32);
+  EXPECT_EQ(a.ok, 32);
+  EXPECT_GT(a.degraded, 0);
+  EXPECT_GT(
+      fx.book.sys.metrics().counter("rcc.server.shed_statements")->value(),
+      0);
+  fx.ExpectNoEpochLeak();
+}
+
 TEST(ServerTest, SetDeadlineAndQueryDeadlineRoundTrip) {
   ServerFixture fx("deadline");
   RccClient c = fx.ConnectAndHello();
@@ -590,6 +737,10 @@ TEST(ServerTest, BackpressureStreamsLargeResultsThroughTinyQueue) {
     ASSERT_TRUE(resp->ok()) << resp->status.message;
     EXPECT_EQ(resp->rows.size(), 500u) << "query " << i;
   }
+  EXPECT_GT(fx.book.sys.metrics()
+                .counter("rcc.server.backpressure_stalls")
+                ->value(),
+            0);
   fx.ExpectNoEpochLeak();
 }
 
