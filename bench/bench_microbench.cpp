@@ -2,7 +2,8 @@
 // extended SQL (currency clause included), constraint normalization,
 // cache-mode optimization, guard evaluation, and end-to-end execution of the
 // paper's Q1. These are the building blocks behind Tables 4.4/4.5. The DML
-// pair times a one-key UPDATE against an INSERT through Session::Execute.
+// pair times a one-key UPDATE against an INSERT through Session::Execute;
+// BM_CorrelatedExists times a subplan re-opened per outer row.
 
 #include <benchmark/benchmark.h>
 
@@ -119,6 +120,37 @@ void BM_ExecuteRemotePointLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteRemotePointLookup);
+
+// A correlated EXISTS over 1,000 outer customers. Its subplan is built once
+// per execution and re-opened per customer; the inner side seeks the local
+// orders_prj view (arg 0) or, with no currency clause, fetches from the
+// back-end once per customer (arg 1).
+void BM_CorrelatedExists(benchmark::State& state) {
+  const bool remote = state.range(0) != 0;
+  RccSystem* sys = System();
+  auto stmt = ParseSelect(
+      std::string("SELECT C.c_custkey FROM Customer C "
+                  "WHERE C.c_custkey <= 1000 AND EXISTS ("
+                  " SELECT 1 FROM Orders O WHERE O.o_custkey = C.c_custkey") +
+      (remote ? ")" : " CURRENCY BOUND 10 MIN ON (O))") +
+      " CURRENCY BOUND 10 MIN ON (C)");
+  auto plan = sys->cache()->Prepare(**stmt);
+  if (!plan.ok()) {
+    state.SkipWithError("prepare failed");
+    return;
+  }
+  const int64_t fetches = remote ? 1000 : 0;
+  for (auto _ : state) {
+    auto outcome = sys->cache()->ExecutePrepared(*plan);
+    benchmark::DoNotOptimize(outcome);
+    if (!outcome.ok() || outcome->stats.remote_queries != fetches) {
+      state.SkipWithError("unexpected outcome");
+      break;
+    }
+  }
+  state.SetLabel(remote ? "remote inner" : "local inner");
+}
+BENCHMARK(BM_CorrelatedExists)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 constexpr int64_t kDmlCustomers = 7500;  // TPCD scale 0.05
 

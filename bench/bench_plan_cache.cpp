@@ -178,7 +178,6 @@ int Run() {
   ctx.reader = &reader;
   ctx.clock = sys->clock();
   ctx.events = &events;
-  ctx.subplans = &guarded.subplans;
   auto drain = [&](bool batch_protocol) {
     auto iter = BuildIterator(*guarded.root, &ctx, &guarded.aliases);
     if (!iter.ok() || !(*iter)->Open(nullptr).ok()) std::abort();

@@ -20,18 +20,37 @@ void SimulationScheduler::ScheduleAt(SimTimeMs at,
   queue_.push(std::move(ev));
 }
 
+namespace {
+
+/// One firing of a periodic series: runs the body, then schedules a copy of
+/// itself one period later. The series owns nothing but its queued event, so
+/// its closure is freed once the last event is popped (fired or cancelled)
+/// or the scheduler is destroyed.
+struct PeriodicFiring {
+  SimulationScheduler* scheduler;
+  SimTimeMs period;
+  std::shared_ptr<const std::function<void(SimTimeMs)>> body;
+  CancelToken cancel;
+
+  void operator()(SimTimeMs now) const {
+    (*body)(now);
+    scheduler->ScheduleAt(now + period, *this, cancel);
+  }
+};
+
+}  // namespace
+
 void SimulationScheduler::SchedulePeriodic(SimTimeMs first, SimTimeMs period,
                                            std::function<void(SimTimeMs)> fn,
                                            CancelToken cancel) {
-  // The wrapper reschedules itself after each firing; the cancel token rides
-  // along on every rescheduled event, so cancellation also ends the series.
-  auto wrapper = std::make_shared<std::function<void(SimTimeMs)>>();
-  auto body = fn;
-  *wrapper = [this, period, body, wrapper, cancel](SimTimeMs now) {
-    body(now);
-    ScheduleAt(now + period, *wrapper, cancel);
-  };
-  ScheduleAt(first, *wrapper, cancel);
+  // The cancel token rides along on every rescheduled event, so
+  // cancellation also ends the series.
+  ScheduleAt(first,
+             PeriodicFiring{this, period,
+                            std::make_shared<const std::function<void(
+                                SimTimeMs)>>(std::move(fn)),
+                            cancel},
+             cancel);
 }
 
 void SimulationScheduler::RunUntil(SimTimeMs t) {

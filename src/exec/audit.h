@@ -56,9 +56,11 @@ struct GuardObservation {
 };
 
 /// One serving decision: a set of input operands was answered from a local
-/// region replica or from a back-end fetch. Recorded at most once per
-/// iterator execution (correlated re-fetches of a remote subquery are
-/// attributed to the first fetch; see DESIGN.md §11).
+/// region replica or from a back-end fetch. Recorded once per serving
+/// operator per execution: a re-opened inner side (nested-loop join, or an
+/// EXISTS/IN subplan per outer row) keeps its decision, and its remote
+/// re-fetches are attributed to the first fetch (DESIGN.md §9). The oracle
+/// flags a second serve of one operand (operand-served-once).
 struct ServeObservation {
   uint64_t query_id = 0;
   /// Serving cache node (see GuardObservation::node).

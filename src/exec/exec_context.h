@@ -2,7 +2,6 @@
 #define RCC_EXEC_EXEC_CONTEXT_H_
 
 #include <chrono>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -151,8 +150,10 @@ struct ExecContext {
   /// branch is preferred under pressure.
   bool shed_hint = false;
 
-  /// Plans for nested EXISTS/IN subqueries, keyed by AST node.
-  const std::map<const SelectStmt*, SubPlan>* subplans = nullptr;
+  /// Evaluates the plan's nested EXISTS/IN subqueries. ExecutePlan installs
+  /// it for the duration of the execution; outside one it is null, and a
+  /// subquery fails as not supported.
+  const SubqueryEvaluator* subqueries = nullptr;
 
   /// Timeline-consistency floor (paper §2.3): when >= 0, currency guards
   /// additionally require the region's heartbeat to be at least this value,
@@ -175,8 +176,10 @@ struct RowBatch {
   size_t size() const { return rows.size(); }
 };
 
-/// Volcano-style iterator. Open may be called again after Close (inner sides
-/// of nested-loop joins re-open per outer row, with the outer row's scope).
+/// Volcano-style iterator. Open may be called again after Close: the inner
+/// side of a nested-loop join and an EXISTS/IN subplan are built once per
+/// execution and re-opened per outer row, with the outer row's scope. Open
+/// resets every piece of per-open state.
 class RowIterator {
  public:
   virtual ~RowIterator() = default;

@@ -32,12 +32,14 @@ std::string HashKeyOf(const std::vector<Value>& vals, bool* has_null) {
 class IterBase : public RowIterator {
  public:
   IterBase(const PhysicalOp& op, ExecContext* ctx, const AliasMap* aliases)
-      : op_(op), ctx_(ctx), aliases_(aliases),
-        subq_(MakeSubqueryEvaluator(ctx)) {}
+      : op_(op), ctx_(ctx), aliases_(aliases) {}
 
   const RowLayout& layout() const override { return op_.layout; }
 
  protected:
+  /// The execution's EXISTS/IN evaluator (see ExecContext::subqueries).
+  const SubqueryEvaluator* subq() const { return ctx_->subqueries; }
+
   /// Builds the scope for a row of `layout` (this operator's output by
   /// default) nested in `outer`.
   EvalScope ScopeFor(const Row& row, const EvalScope* outer) const {
@@ -61,7 +63,7 @@ class IterBase : public RowIterator {
     std::vector<Value> values;
     values.reserve(exprs.size());
     for (const auto& e : exprs) {
-      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, scope, &subq_));
+      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, scope, subq()));
       values.push_back(std::move(v));
     }
     return values;
@@ -70,13 +72,12 @@ class IterBase : public RowIterator {
   Result<bool> PassesResidual(const Row& row, const EvalScope* outer) const {
     if (op_.residual == nullptr) return true;
     EvalScope scope = ScopeFor(row, outer);
-    return EvalPredicate(*op_.residual, scope, &subq_);
+    return EvalPredicate(*op_.residual, scope, subq());
   }
 
   const PhysicalOp& op_;
   ExecContext* ctx_;
   const AliasMap* aliases_;
-  SubqueryEvaluator subq_;
 };
 
 // -- Scan ---------------------------------------------------------------------
@@ -104,12 +105,12 @@ class ScanIterator : public IterBase {
     seek_scope.params = ctx_->params;
     for (const auto& e : op_.seek_lo) {
       RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, outer ? *outer : seek_scope,
-                                             &subq_));
+                                             subq()));
       lo_.push_back(std::move(v));
     }
     for (const auto& e : op_.seek_hi) {
       RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, outer ? *outer : seek_scope,
-                                             &subq_));
+                                             subq()));
       hi_.push_back(std::move(v));
     }
 
@@ -495,7 +496,7 @@ class SortIterator : public IterBase {
       EvalScope scope = ScopeFor(row, outer);
       std::vector<Value> keys;
       for (const auto& sk : op_.sort_keys) {
-        RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*sk.expr, scope, &subq_));
+        RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*sk.expr, scope, subq()));
         keys.push_back(std::move(v));
       }
       keyed.emplace_back(std::move(keys), row);
@@ -615,7 +616,7 @@ class HashAggregateIterator : public IterBase {
         ++st.count;
         continue;
       }
-      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*item.arg, scope, &subq_));
+      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*item.arg, scope, subq()));
       if (v.is_null()) continue;  // aggregates ignore NULLs
       ++st.count;
       if (v.is_numeric()) {
@@ -717,48 +718,6 @@ Result<std::unique_ptr<RowIterator>> BuildIterator(const PhysicalOp& op,
     }
   }
   return Status::Internal("unknown physical operator");
-}
-
-SubqueryEvaluator MakeSubqueryEvaluator(ExecContext* ctx) {
-  return [ctx](const SelectStmt& subquery, const EvalScope& scope,
-               const Value* probe) -> Result<Value> {
-    if (ctx->subplans == nullptr) {
-      return Status::NotSupported("no subquery plans registered");
-    }
-    auto it = ctx->subplans->find(&subquery);
-    if (it == ctx->subplans->end()) {
-      return Status::Internal("subquery plan missing");
-    }
-    const SubPlan& sub = it->second;
-    RCC_ASSIGN_OR_RETURN(auto iter,
-                         BuildIterator(*sub.root, ctx, &sub.aliases));
-    RCC_RETURN_NOT_OK(iter->Open(&scope));
-    Row row;
-    Value result = Value::Int(0);
-    bool saw_null = false;
-    while (true) {
-      RCC_ASSIGN_OR_RETURN(bool more, iter->Next(&row));
-      if (!more) break;
-      if (probe == nullptr) {
-        result = Value::Int(1);  // EXISTS
-        break;
-      }
-      if (row.empty()) continue;
-      if (row[0].is_null()) {
-        saw_null = true;
-        continue;
-      }
-      if (probe->Compare(row[0]) == 0) {
-        result = Value::Int(1);
-        break;
-      }
-    }
-    RCC_RETURN_NOT_OK(iter->Close());
-    if (probe != nullptr && result.AsInt() == 0 && saw_null) {
-      return Value::Null();
-    }
-    return result;
-  };
 }
 
 }  // namespace rcc

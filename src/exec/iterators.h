@@ -8,14 +8,13 @@
 namespace rcc {
 
 /// Builds the iterator tree for a physical plan. `aliases` is the alias map
-/// of the block the plan belongs to (subquery plans pass their own).
+/// of the block the plan belongs to (subquery plans pass their own). A tree
+/// is built once per execution and may be re-opened (see RowIterator);
+/// stateful operators — a SwitchUnion's guard verdict, a RemoteQuery's
+/// serve record — keep what they decided across re-opens.
 Result<std::unique_ptr<RowIterator>> BuildIterator(const PhysicalOp& op,
                                                    ExecContext* ctx,
                                                    const AliasMap* aliases);
-
-/// Creates the evaluator for nested EXISTS/IN subqueries, backed by
-/// ctx->subplans. EXISTS returns 1/0; IN returns 1, 0, or NULL per SQL.
-SubqueryEvaluator MakeSubqueryEvaluator(ExecContext* ctx);
 
 }  // namespace rcc
 

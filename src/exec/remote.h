@@ -44,8 +44,9 @@ class RemoteQueryIterator : public RowIterator {
   ExecContext* ctx_;
   std::vector<Row> rows_;
   size_t pos_ = 0;
-  /// The serve is recorded once per iterator; correlated re-opens re-fetch
-  /// but are attributed to the first fetch (DESIGN.md §11).
+  /// The serve is recorded once per execution: re-opens with a new outer
+  /// row (a join's inner side, an EXISTS/IN subplan) re-fetch but are
+  /// attributed to the first fetch (DESIGN.md §9).
   bool served_ = false;
 };
 

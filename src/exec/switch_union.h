@@ -70,8 +70,9 @@ class SwitchUnionIterator : public RowIterator {
   std::unique_ptr<RowIterator> remote_;
   RowIterator* chosen_ = nullptr;
   /// Guard outcome, evaluated once per execution and cached across re-opens
-  /// (inner side of nested-loop joins): all probes must read the same branch
-  /// or one operand's rows could mix snapshots. -1 = not yet evaluated.
+  /// (inner side of nested-loop joins, EXISTS/IN subplans per outer row):
+  /// all probes must read the same branch or one operand's rows could mix
+  /// snapshots. -1 = not yet evaluated.
   int cached_decision_ = -1;
   /// True once the remote branch opened successfully; blocks a later
   /// degraded switch to the local branch (snapshot mixing).

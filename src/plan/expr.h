@@ -67,9 +67,10 @@ struct EvalScope {
   const std::vector<Value>* params = nullptr;
 };
 
-/// Callback used to evaluate nested EXISTS / IN subqueries; installed by the
-/// executor (the plan for the subquery lives in the enclosing physical op).
-/// `probe` is the left-hand value for IN, nullptr for EXISTS.
+/// Callback used to evaluate nested EXISTS / IN subqueries; installed once
+/// per execution by the executor, which re-opens the subquery's prebuilt
+/// plan (QueryPlan::subplans) in `scope`. `probe` is the left-hand value for
+/// IN, nullptr for EXISTS.
 using SubqueryEvaluator =
     std::function<Result<Value>(const SelectStmt& subquery,
                                 const EvalScope& scope, const Value* probe)>;

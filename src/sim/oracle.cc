@@ -41,6 +41,9 @@ struct ServeRec {
 
 struct PendingQuery {
   std::vector<ServeRec> serves;
+  /// Index into `serves` of the one serve of each operand
+  /// (operand-served-once).
+  std::map<InputOperandId, size_t> operand_serve;
   /// Guard probes observed for this query (R6): a refusal is only
   /// unjustifiable when at least one guard probed a certified local branch
   /// and none of them saw a withdrawn heartbeat.
@@ -350,6 +353,23 @@ OracleReport CheckHistory(const History& history) {
           // A remote fetch reads the back-end's current snapshot.
           rec.as_of_at_serve = latest;
         }
+        // operand-served-once: every serving operator records its serve once
+        // per execution — re-opens (a join's inner side, an EXISTS/IN
+        // subplan per outer row) re-fetch but re-decide nothing — and a
+        // failed remote open records none, so a degraded serve is the only
+        // one. A second serve of an operand means it was re-decided
+        // mid-query, possibly from a different snapshot.
+        for (InputOperandId oid : ev.operands) {
+          auto [it, first] = sq.operand_serve.emplace(oid, sq.serves.size());
+          if (!first) {
+            violate("operand-served-once", ev.query, ev.seq,
+                    StrPrintf("operand %u served again; first served by "
+                              "seq %llu",
+                              static_cast<unsigned>(oid),
+                              static_cast<unsigned long long>(
+                                  sq.serves[it->second].ev.seq)));
+          }
+        }
         rec.candidates.push_back(rec.as_of_at_serve);
         if (ev.local) {
           // A pinned serve may carry rows from a snapshot the region
@@ -449,25 +469,19 @@ OracleReport CheckHistory(const History& history) {
                   StrPrintf("answer from node %d, query was routed to node %d",
                             ev.node, pq.route_node));
         }
-        // The final serving branch per operand (a degraded serve supersedes
-        // the failed remote attempt it replaced).
-        std::map<InputOperandId, const ServeRec*> source;
-        for (const ServeRec& s : pq.serves) {
-          for (InputOperandId oid : s.ev.operands) source[oid] = &s;
-        }
         if (ev.ok) {
           for (const auto& [bound, tuple_ops] : ev.tuples) {
             std::vector<std::pair<const ServeRec*, std::vector<std::string>>>
                 groups;
             size_t covered = 0;
             for (InputOperandId oid : tuple_ops) {
-              auto sit = source.find(oid);
-              if (sit == source.end() || oid >= ev.tables.size()) {
+              auto sit = pq.operand_serve.find(oid);
+              if (sit == pq.operand_serve.end() || oid >= ev.tables.size()) {
                 ++report.operands_uncovered;
                 continue;
               }
               ++covered;
-              const ServeRec& s = *sit->second;
+              const ServeRec& s = pq.serves[sit->second];
               // R3: staleness of the serving snapshot, measured by the
               // formal model at serve time, within the tuple's bound —
               // unless the engine explicitly served stale under ALWAYS.

@@ -14,8 +14,9 @@ namespace sim {
 /// (src/semantics/) does not permit.
 struct Violation {
   /// Which rule fired: "guard-verdict", "heartbeat-divergence",
-  /// "currency-bound", "consistency-class", "timeline-floor",
-  /// "timeline-tracking", "node-region-binding", "route-heartbeat",
+  /// "currency-bound", "consistency-class", "snapshot-epoch",
+  /// "timeline-floor", "timeline-tracking", "degrade-refusal", "shed-shape",
+  /// "operand-served-once", "node-region-binding", "route-heartbeat",
   /// "route-verdict", "route-choice", "route-serve-node".
   std::string rule;
   uint64_t query_id = 0;
@@ -66,6 +67,12 @@ struct OracleReport {
 ///     and answer (mid-query deliveries landing during policy waits).
 ///  R5 timeline: per time-ordered session, query floors track the session's
 ///     high-water snapshot exactly and no local serve reads below the floor.
+///  operand-served-once: within one query id, each input operand is served
+///     once. Every serving operator decides once per execution and keeps
+///     its decision across re-opens (a join's inner side, an EXISTS/IN
+///     subplan per outer row), so a second serve means a mid-query
+///     re-decision. A polynomial per-query check in the sense of *On the
+///     Complexity of Checking Transactional Consistency*.
 ///
 /// Multi-node (fleet) histories get four more rules. R1–R7 already hold
 /// per-node for free: region ids are fleet-unique, so per-region state never

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "common/clock.h"
@@ -137,6 +138,23 @@ TEST(SchedulerTest, PeriodicReschedulesItself) {
   sched.SchedulePeriodic(10, 10, [&](SimTimeMs) { ++count; });
   sched.RunUntil(55);
   EXPECT_EQ(count, 5);  // t = 10,20,30,40,50
+}
+
+TEST(SchedulerTest, CancelledPeriodicSeriesFreesItsClosure) {
+  VirtualClock clock;
+  SimulationScheduler sched(&clock);
+  auto fired = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = fired;
+  CancelToken cancel = MakeCancelToken();
+  sched.SchedulePeriodic(10, 10, [fired](SimTimeMs) { ++*fired; }, cancel);
+  fired.reset();  // the series' closure now holds the only reference
+  sched.RunUntil(35);
+  ASSERT_FALSE(watch.expired());
+  EXPECT_EQ(*watch.lock(), 3);  // t = 10,20,30
+  cancel->store(true);
+  sched.RunUntil(100);  // pops the cancelled firing at t = 40
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(SchedulerTest, EventsCanScheduleEvents) {

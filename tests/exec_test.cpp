@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
+#include <set>
 
 #include "test_util.h"
 
@@ -10,6 +13,7 @@ namespace {
 using testing_util::BookstoreFixture;
 using testing_util::IntColumn;
 using testing_util::MustExecute;
+using testing_util::MustPrepare;
 
 // All queries here use a relaxed bound so they run against the cached views
 // (fresh at t=0, so local results equal the master data), unless stated.
@@ -20,6 +24,30 @@ class ExecTest : public ::testing::Test {
 
   QueryResult Run(const std::string& sql) {
     return MustExecute(fx_.session.get(), sql);
+  }
+
+  /// The sorted distinct values of column 0.
+  static std::vector<int64_t> IsbnSet(const QueryResult& r) {
+    std::vector<int64_t> isbns = IntColumn(r);
+    std::sort(isbns.begin(), isbns.end());
+    isbns.erase(std::unique(isbns.begin(), isbns.end()), isbns.end());
+    return isbns;
+  }
+
+  /// True when a subplan of `sql`'s plan contains an operator of `kind`.
+  bool SubplanHas(const std::string& sql, PhysOpKind kind) {
+    QueryPlan plan = MustPrepare(fx_.session.get(), sql);
+    std::function<bool(const PhysicalOp&)> has = [&](const PhysicalOp& op) {
+      if (op.kind == kind) return true;
+      for (const auto& child : op.children) {
+        if (has(*child)) return true;
+      }
+      return false;
+    };
+    for (const auto& [stmt, sub] : plan.subplans) {
+      if (has(*sub.root)) return true;
+    }
+    return false;
   }
 
   BookstoreFixture fx_;
@@ -137,7 +165,96 @@ TEST_F(ExecTest, ExistsCorrelatedSubquery) {
       "SELECT B.isbn, count(*) FROM Books B, Sales S "
       "WHERE S.isbn = B.isbn AND S.year = 2003 AND B.isbn <= 20 "
       "GROUP BY B.isbn");
-  EXPECT_EQ(with_sales.rows.size(), ground.rows.size());
+  EXPECT_FALSE(ground.rows.empty());
+  EXPECT_EQ(IsbnSet(with_sales), IsbnSet(ground));
+}
+
+// -- Subplan re-open ----------------------------------------------------------
+// An EXISTS/IN subplan is built once per execution and re-opened per outer
+// row, so every stateful operator in it must reset on Open. Each subquery
+// below is correlated and reads rows shared across outer rows (years,
+// ratings), so state left over from an earlier outer row would change the
+// answer; each result is checked against a subquery-free ground truth.
+
+TEST_F(ExecTest, ReopenedSubplanResetsHashAggregate) {
+  // Books with at least two 5-star reviews.
+  const std::string sql =
+      "SELECT B.isbn FROM Books B WHERE B.isbn <= 40 AND 5 IN ("
+      " SELECT R.rating FROM Reviews R WHERE R.isbn = B.isbn"
+      " GROUP BY R.rating HAVING count(*) > 1"
+      " CURRENCY BOUND 1 HOUR ON (R)) "
+      "CURRENCY BOUND 1 HOUR ON (B)";
+  EXPECT_TRUE(SubplanHas(sql, PhysOpKind::kHashAggregate));
+  QueryResult ground = Run(
+      "SELECT R.isbn, count(*) FROM Reviews R "
+      "WHERE R.isbn <= 40 AND R.rating = 5 GROUP BY R.isbn");
+  std::vector<int64_t> expected;
+  for (const Row& row : ground.rows) {
+    if (row[1].AsInt() > 1) expected.push_back(row[0].AsInt());
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(IsbnSet(Run(sql)), expected);
+}
+
+TEST_F(ExecTest, ReopenedSubplanResetsSort) {
+  // Books with a sale in 2003, the subquery's sales ordered by amount.
+  const std::string sql =
+      "SELECT B.isbn FROM Books B WHERE B.isbn <= 40 AND 2003 IN ("
+      " SELECT S.year, S.amount FROM Sales S WHERE S.isbn = B.isbn"
+      " ORDER BY S.amount DESC"
+      " CURRENCY BOUND 1 HOUR ON (S)) "
+      "CURRENCY BOUND 1 HOUR ON (B)";
+  EXPECT_TRUE(SubplanHas(sql, PhysOpKind::kSort));
+  std::vector<int64_t> expected = IsbnSet(Run(
+      "SELECT S.isbn FROM Sales S WHERE S.isbn <= 40 AND S.year = 2003"));
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(IsbnSet(Run(sql)), expected);
+}
+
+TEST_F(ExecTest, ReopenedSubplanResetsHashJoin) {
+  // Books with two sales in the same year: a self-join on the unindexed
+  // year column.
+  const std::string sql =
+      "SELECT B.isbn FROM Books B WHERE B.isbn <= 40 AND EXISTS ("
+      " SELECT 1 FROM Sales S1, Sales S2"
+      " WHERE S1.isbn = B.isbn AND S2.isbn = B.isbn AND S1.year = S2.year"
+      " AND S1.sale_id > S2.sale_id"
+      " CURRENCY BOUND 1 HOUR ON (S1, S2)) "
+      "CURRENCY BOUND 1 HOUR ON (B)";
+  EXPECT_TRUE(SubplanHas(sql, PhysOpKind::kHashJoin));
+  QueryResult ground = Run(
+      "SELECT S.isbn, S.year, count(*) FROM Sales S WHERE S.isbn <= 40 "
+      "GROUP BY S.isbn, S.year");
+  std::set<int64_t> repeated;
+  for (const Row& row : ground.rows) {
+    if (row[2].AsInt() > 1) repeated.insert(row[0].AsInt());
+  }
+  ASSERT_FALSE(repeated.empty());
+  EXPECT_EQ(IsbnSet(Run(sql)),
+            std::vector<int64_t>(repeated.begin(), repeated.end()));
+}
+
+TEST_F(ExecTest, ReopenedNestedExists) {
+  // Books with a 2003 sale and a 5-star review: the inner EXISTS re-opens
+  // per sale row, the outer one per book.
+  const std::string sql =
+      "SELECT B.isbn FROM Books B WHERE B.isbn <= 40 AND EXISTS ("
+      " SELECT 1 FROM Sales S WHERE S.isbn = B.isbn AND S.year = 2003"
+      " AND EXISTS (SELECT 1 FROM Reviews R"
+      "  WHERE R.isbn = S.isbn AND R.rating = 5"
+      "  CURRENCY BOUND 1 HOUR ON (R))"
+      " CURRENCY BOUND 1 HOUR ON (S)) "
+      "CURRENCY BOUND 1 HOUR ON (B)";
+  std::vector<int64_t> sold = IsbnSet(Run(
+      "SELECT S.isbn FROM Sales S WHERE S.isbn <= 40 AND S.year = 2003"));
+  std::vector<int64_t> starred = IsbnSet(Run(
+      "SELECT R.isbn FROM Reviews R WHERE R.isbn <= 40 AND R.rating = 5"));
+  std::vector<int64_t> expected;
+  std::set_intersection(sold.begin(), sold.end(), starred.begin(),
+                        starred.end(), std::back_inserter(expected));
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(IsbnSet(Run(sql)), expected);
 }
 
 TEST_F(ExecTest, InSubquery) {
@@ -156,6 +273,37 @@ TEST_F(ExecTest, InSubquery) {
         std::to_string(isbn) + " AND S.year = 2002");
     EXPECT_GT(n.rows[0][0].AsInt(), 0);
   }
+}
+
+TEST_F(ExecTest, InSubqueryFollowsThreeValuedLogic) {
+  // The subquery yields NULL for a 2001 sale (0 / 0) and the book's isbn for
+  // any other. IN is true on a match even after a NULL, unknown when only
+  // NULLs come back, and false on no rows; NOT IN keeps only the last.
+  const std::string sub =
+      " (SELECT S.isbn * (S.year - 2001) / (S.year - 2001) FROM Sales S"
+      " WHERE S.isbn = B.isbn CURRENCY BOUND 1 HOUR ON (S)) "
+      "CURRENCY BOUND 1 HOUR ON (B)";
+  QueryResult in =
+      Run("SELECT B.isbn FROM Books B WHERE B.isbn <= 60 AND B.isbn IN" + sub);
+  QueryResult not_in = Run(
+      "SELECT B.isbn FROM Books B WHERE B.isbn <= 60 AND NOT B.isbn IN" + sub);
+  QueryResult sales =
+      Run("SELECT S.isbn, S.year FROM Sales S WHERE S.isbn <= 60");
+  std::set<int64_t> sold;
+  std::set<int64_t> sold_after_2001;
+  for (const Row& row : sales.rows) {
+    sold.insert(row[0].AsInt());
+    if (row[1].AsInt() != 2001) sold_after_2001.insert(row[0].AsInt());
+  }
+  std::vector<int64_t> unsold;
+  for (int64_t isbn = 1; isbn <= 60; ++isbn) {
+    if (sold.count(isbn) == 0) unsold.push_back(isbn);
+  }
+  ASSERT_FALSE(unsold.empty());
+  ASSERT_LT(sold_after_2001.size(), sold.size());  // some books: NULLs only
+  EXPECT_EQ(IsbnSet(in), std::vector<int64_t>(sold_after_2001.begin(),
+                                              sold_after_2001.end()));
+  EXPECT_EQ(IsbnSet(not_in), unsold);
 }
 
 TEST_F(ExecTest, DerivedTable) {

@@ -8,6 +8,8 @@
 #include "backend/fault_injector.h"
 #include "common/strings.h"
 #include "exec/remote_policy.h"
+#include "sim/history.h"
+#include "sim/oracle.h"
 #include "test_util.h"
 
 namespace rcc {
@@ -715,6 +717,13 @@ std::string Counters(const ExecStats& s) {
       static_cast<long long>(s.deadline_timeouts));
 }
 
+/// Five Books rows, each probing Sales under a 6s bound.
+constexpr const char* kCorrelatedExistsQuery =
+    "SELECT B.isbn FROM Books B WHERE B.isbn <= 5 AND EXISTS ("
+    " SELECT 1 FROM Sales S WHERE S.isbn = B.isbn"
+    " CURRENCY BOUND 6 SECONDS ON (S)) "
+    "CURRENCY BOUND 1 HOUR ON (B)";
+
 class DecisionFoldTest : public DegradeTest {
  protected:
   DecisionFoldTest() {
@@ -792,29 +801,52 @@ TEST(DecisionFoldJoinTest, CorrelatedRemoteInnerFetchesPerOuterRowServesOnce) {
                                "serve:remote", "answer"}));
 }
 
-TEST_F(DecisionFoldTest, CorrelatedExistsRebuildsItsSubplanPerOuterRow) {
-  // An EXISTS subquery's plan is built afresh for every outer row, so unlike
-  // a join's inner side it probes, switches and serves once per row.
+TEST_F(DecisionFoldTest, CorrelatedExistsDecidesOncePerExecution) {
+  // An EXISTS subplan is built once per execution and re-opened per outer
+  // row, like a join's inner side: its guard decides once, its remote
+  // branch re-fetches once per outer row (five books), and the serve is
+  // recorded once.
   AdvanceToStaleness(8000);
-  QueryResult r = Run(
-      "SELECT B.isbn FROM Books B WHERE B.isbn <= 5 AND EXISTS ("
-      " SELECT 1 FROM Sales S WHERE S.isbn = B.isbn"
-      " CURRENCY BOUND 6 SECONDS ON (S)) "
-      "CURRENCY BOUND 1 HOUR ON (B)");
+  QueryResult r = Run(kCorrelatedExistsQuery);
   EXPECT_EQ(Counters(r.stats),
-            "guards=6 unknown=0 quarantined=0 local=1 remote=5 attempted=5 "
+            "guards=2 unknown=0 quarantined=0 local=1 remote=1 attempted=1 "
             "fetches=5 retries=0 timeouts=0 breaker=0 degraded=0 shed=0 "
             "deadline=0");
-  Kinds trace{"guard_probe", "switch_decision"};
-  Kinds history{"guard:local", "serve:local"};
-  for (int row = 0; row < 5; ++row) {
-    trace.insert(trace.end(),
-                 {"guard_probe", "switch_decision", "remote_fetch"});
-    history.insert(history.end(), {"guard:stale", "serve:remote"});
+  EXPECT_EQ(TraceKinds(*r.trace),
+            (Kinds{"guard_probe", "switch_decision", "guard_probe",
+                   "switch_decision", "remote_fetch", "remote_fetch",
+                   "remote_fetch", "remote_fetch", "remote_fetch"}));
+  EXPECT_EQ(sink_.kinds, (Kinds{"guard:local", "serve:local", "guard:stale",
+                                "serve:remote", "answer"}));
+}
+
+TEST(DecisionFoldHistoryTest, CorrelatedExistsServesEachOperandOnce) {
+  // The scenario above, recorded from the first install on and replayed
+  // through the conformance oracle: every operand is served once per query
+  // id (operand-served-once), however many outer rows re-open the subplan.
+  sim::HistoryRecorder recorder(/*seed=*/0);
+  RccSystem sys;
+  sys.SetHistorySink(&recorder);
+  ASSERT_TRUE(LoadBookstore(&sys, BookstoreConfig()).ok());
+  ASSERT_TRUE(SetupBookstoreCache(&sys, 10000, 2000).ok());
+  auto session = sys.CreateSession();
+  sys.AdvanceTo(35000);
+  // Books and Sales share region 1: 8s past its heartbeat, Sales is beyond
+  // its 6s bound and Books well within its hour.
+  sys.AdvanceTo(sys.cache()->region(1)->local_heartbeat() + 8000);
+  QueryResult r = MustExecute(session.get(), kCorrelatedExistsQuery);
+  sys.SetHistorySink(nullptr);
+  EXPECT_EQ(r.stats.remote_queries, 5);
+
+  const sim::History history = recorder.Snapshot();
+  int serves = 0;
+  for (const sim::HistoryEvent& ev : history.events) {
+    if (ev.kind == sim::HistoryEvent::Kind::kServe) ++serves;
   }
-  history.push_back("answer");
-  EXPECT_EQ(TraceKinds(*r.trace), trace);
-  EXPECT_EQ(sink_.kinds, history);
+  EXPECT_EQ(serves, 2);  // Books locally, Sales remotely
+  const sim::OracleReport report = sim::CheckHistory(history);
+  EXPECT_EQ(report.answers_checked, 1);
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 TEST_F(DecisionFoldTest, BoundedDegradeReprobeIsCountedNotReported) {

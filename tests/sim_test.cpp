@@ -373,6 +373,27 @@ TEST(OracleRuleTest, MidQueryInstallMakesClassConsistent) {
       << report.Summary();
 }
 
+TEST(OracleRuleTest, CatchesOperandServedTwiceInOneQuery) {
+  // A correlated subplan that re-decides per outer row: the Sales operand
+  // is fetched remotely for the first row, then served locally for the
+  // second. Each serve alone is fresh enough; serving one operand twice is
+  // the violation.
+  History h;
+  h.events.push_back(Install(1, 1000, 1, 0, 1000));
+  h.events.push_back(RemoteServe(2, 2000, 1, {1}));
+  h.events.push_back(LocalServe(3, 2000, 1, 1, 1000, {0}));
+  h.events.push_back(LocalServe(4, 2000, 1, 1, 1000, {1}));
+  h.events.push_back(
+      Answer(5, 2000, 1, {"Books", "Sales"}, {{3600000, {0}}, {3600000, {1}}}));
+
+  OracleReport report = CheckHistory(h);
+  const Violation* v = FindRule(report, "operand-served-once");
+  ASSERT_NE(v, nullptr) << report.Summary();
+  EXPECT_EQ(v->query_id, 1u);
+  EXPECT_EQ(v->seq, 4u);
+  EXPECT_EQ(report.violations.size(), 1u) << report.Summary();
+}
+
 TEST(OracleRuleTest, CatchesLocalServeBelowTimelineFloor) {
   History h;
   h.events.push_back(Install(1, 3000, 1, 0, 3000));
