@@ -16,6 +16,7 @@ Status BackendServer::CreateTable(const TableDef& def) {
     RCC_RETURN_NOT_OK(table->CreateSecondaryIndex(idx.name, std::move(cols)));
   }
   tables_[ToLower(def.name)] = std::move(table);
+  plans_.Invalidate();
   return Status::OK();
 }
 
@@ -37,6 +38,7 @@ Status BackendServer::RefreshStats(const std::string& table_name) {
     return Status::NotFound("table " + table_name + " not found");
   }
   catalog_.SetStats(table_name, ComputeTableStats(*table));
+  plans_.Invalidate();
   return Status::OK();
 }
 
@@ -88,20 +90,78 @@ Result<TxnTimestamp> BackendServer::ExecuteTransaction(
   return id;
 }
 
-Result<ExecutedQuery> BackendServer::ExecuteQuery(const SelectStmt& stmt) {
-  RCC_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(stmt, catalog_));
-  OptimizerOptions opts;
-  opts.mode = PlanMode::kBackend;
-  opts.costs = costs_;
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan,
-                       Optimize(std::move(resolved), catalog_, opts));
-
+Result<ExecutedQuery> BackendServer::Execute(const BackendCall& call) {
+  PlanCache::LookupResult found =
+      plans_.LookupTemplate(call.tmpl.key, call.params);
+  std::shared_ptr<const PlanCacheEntry> entry;
+  if (found.hit) {
+    entry = std::move(found.hit->entry);
+  } else {
+    RCC_ASSIGN_OR_RETURN(entry, Plan(call, found.version_at_lookup));
+  }
   EventStream events;
   ExecContext ctx;
   ctx.reader = this;
   ctx.clock = clock_;
   ctx.events = &events;
-  return ExecutePlan(plan, &ctx);
+  ctx.params = &call.params;
+  return ExecutePlan(*entry->plan, &ctx);
+}
+
+Result<std::shared_ptr<const PlanCacheEntry>> BackendServer::Plan(
+    const BackendCall& call, uint64_t version) {
+  // Bind each slot as a literal stamped with its slot number as offset, so
+  // ParameterizePlan finds every site a value reached. (A slot without a
+  // value stays a parameter and fails at execution as unbound.)
+  std::unique_ptr<SelectStmt> stmt = CloneSelectStmt(*call.tmpl.stmt);
+  VisitStmtNodes(stmt.get(), [&](Expr* e) {
+    if (e->kind != ExprKind::kParam || e->param_index >= call.params.size()) {
+      return;
+    }
+    e->kind = ExprKind::kLiteral;
+    e->literal = call.params[e->param_index];
+    e->literal_offset = e->param_index;
+  });
+  RCC_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(*stmt, catalog_));
+  OptimizerOptions opts;
+  opts.mode = PlanMode::kBackend;
+  opts.costs = costs_;
+  RCC_ASSIGN_OR_RETURN(QueryPlan plan,
+                       Optimize(std::move(resolved), catalog_, opts));
+  std::vector<ParamSlot> slots(call.params.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = ParamSlot{i, call.params[i]};
+  }
+  auto entry = std::make_shared<PlanCacheEntry>();
+  entry->parameterized =
+      ParameterizePlan(&plan, slots, catalog_, /*bind_ranges=*/true);
+  entry->creation_values = call.params;
+  entry->plan = std::make_shared<const QueryPlan>(std::move(plan));
+  // A value-bound plan runs but is not kept: the next call of its template
+  // with other values re-plans either way, and replacing the entry on every
+  // such call cost more than the rare exact repeat saved.
+  if (entry->parameterized) {
+    plans_.InsertTemplate(call.tmpl.key, call.params, entry, version);
+  }
+  return std::shared_ptr<const PlanCacheEntry>(std::move(entry));
+}
+
+Result<ExecutedQuery> BackendServer::ExecuteQuery(const SelectStmt& stmt) {
+  return ExecuteQuery(CloneSelectStmt(stmt));
+}
+
+Result<ExecutedQuery> BackendServer::ExecuteQuery(
+    std::unique_ptr<SelectStmt> stmt) {
+  std::vector<std::unique_ptr<Expr>> args;
+  QueryTemplate tmpl =
+      MakeTemplate(std::move(stmt), /*outer_refs=*/false, &args);
+  std::vector<Value> params;
+  params.reserve(args.size());
+  for (const auto& arg : args) {
+    RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*arg, EvalScope{}, nullptr));
+    params.push_back(std::move(v));
+  }
+  return Execute(BackendCall{tmpl, params});
 }
 
 void BackendServer::RegisterRegionHeartbeat(const RegionDef& region,

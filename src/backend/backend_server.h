@@ -12,6 +12,7 @@
 #include "exec/executor.h"
 #include "exec/read_handle.h"
 #include "optimizer/optimizer.h"
+#include "plan/plan_cache.h"
 #include "replication/heartbeat.h"
 #include "txn/oracle.h"
 #include "txn/update_log.h"
@@ -34,6 +35,8 @@ class BackendServer : private ReadHandle {
   /// -- schema & loading ------------------------------------------------------
 
   /// Creates a base table with its clustered key and secondary indexes.
+  /// This, BulkLoad and RefreshStats are the only catalog writers, and each
+  /// invalidates the plan cache.
   Status CreateTable(const TableDef& def);
 
   /// Loads initial rows (the H0 snapshot; not logged) and computes exact
@@ -60,8 +63,17 @@ class BackendServer : private ReadHandle {
 
   /// -- queries -----------------------------------------------------------------
 
-  /// Plans (back-end mode: base tables + indexes only) and executes a query.
+  /// Executes `call.tmpl` with `call.params` bound to its slots. The plan
+  /// comes from the plan cache, keyed by the template and its slot types; a
+  /// miss binds the values as literals and plans them (back-end mode: base
+  /// tables + indexes only). A plan whose access path depends on those
+  /// values (value-bound) is not kept, so such a template re-plans per call.
+  Result<ExecutedQuery> Execute(const BackendCall& call);
+
+  /// The literal entry: each literal of `stmt` becomes a slot, then Execute.
+  /// A caller that hands the statement over saves its copy.
   Result<ExecutedQuery> ExecuteQuery(const SelectStmt& stmt);
+  Result<ExecutedQuery> ExecuteQuery(std::unique_ptr<SelectStmt> stmt);
 
   /// -- heartbeats ---------------------------------------------------------------
 
@@ -71,18 +83,21 @@ class BackendServer : private ReadHandle {
 
   /// -- accessors ------------------------------------------------------------------
   const Catalog& catalog() const { return catalog_; }
-  Catalog& mutable_catalog() { return catalog_; }
   const UpdateLog& log() const { return log_; }
   const HeartbeatStore& heartbeat() const { return heartbeat_; }
-  HeartbeatStore& mutable_heartbeat() { return heartbeat_; }
   const TimestampOracle& oracle() const { return oracle_; }
   VirtualClock* clock() const { return clock_; }
+  const PlanCache& plan_cache() const { return plans_; }
 
   /// Master storage for a table; nullptr when unknown.
   const Table* table(std::string_view name) const;
-  Table* mutable_table(std::string_view name);
 
  private:
+  Table* mutable_table(std::string_view name);
+  /// Plans `call` on a cache miss and publishes the entry.
+  Result<std::shared_ptr<const PlanCacheEntry>> Plan(const BackendCall& call,
+                                                     uint64_t version);
+
   VirtualClock* clock_;
   CostParams costs_;
   Catalog catalog_;
@@ -91,6 +106,7 @@ class BackendServer : private ReadHandle {
   UpdateLog log_;
   HeartbeatStore heartbeat_;
   CommitObserver commit_observer_;
+  PlanCache plans_;
 
   const Table* ScanTable(const ScanTarget& target) override {
     return target.is_view ? nullptr : table(target.name);

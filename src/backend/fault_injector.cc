@@ -9,8 +9,8 @@ bool FaultInjector::InOutage(SimTimeMs now) const {
 }
 
 RemoteAttempt FaultInjector::Execute(
-    const SelectStmt& stmt,
-    const std::function<Result<ExecutedQuery>(const SelectStmt&)>& inner) {
+    const BackendCall& call,
+    const std::function<Result<ExecutedQuery>(const BackendCall&)>& inner) {
   ++attempts_;
   RemoteAttempt out;
   out.latency_ms = config_.base_latency_ms;
@@ -37,7 +37,7 @@ RemoteAttempt FaultInjector::Execute(
                             FormatSimTime(now));
     return out;
   }
-  Result<ExecutedQuery> result = inner(stmt);
+  Result<ExecutedQuery> result = inner(call);
   if (!result.ok()) {
     out.status = result.status();
     return out;
@@ -47,9 +47,9 @@ RemoteAttempt FaultInjector::Execute(
 }
 
 RemoteAttemptFn FaultInjector::Wrap(
-    std::function<Result<ExecutedQuery>(const SelectStmt&)> inner) {
-  return [this, inner = std::move(inner)](const SelectStmt& stmt) {
-    return Execute(stmt, inner);
+    std::function<Result<ExecutedQuery>(const BackendCall&)> inner) {
+  return [this, inner = std::move(inner)](const BackendCall& call) {
+    return Execute(call, inner);
   };
 }
 

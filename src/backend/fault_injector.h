@@ -40,16 +40,16 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Runs one attempt of `stmt` against `inner` with faults applied.
+  /// Runs one attempt of `call` against `inner` with faults applied.
   RemoteAttempt Execute(
-      const SelectStmt& stmt,
-      const std::function<Result<ExecutedQuery>(const SelectStmt&)>& inner);
+      const BackendCall& call,
+      const std::function<Result<ExecutedQuery>(const BackendCall&)>& inner);
 
   /// Adapts this injector + a plain remote executor into an attempt function
   /// for ResilientRemoteExecutor. The injector must outlive the returned
   /// callable.
   RemoteAttemptFn Wrap(
-      std::function<Result<ExecutedQuery>(const SelectStmt&)> inner);
+      std::function<Result<ExecutedQuery>(const BackendCall&)> inner);
 
   /// True when `now` falls into an outage (explicit window or periodic).
   bool InOutage(SimTimeMs now) const;

@@ -133,14 +133,14 @@ Status CacheDbms::UpdateStatistics(const std::string& table,
 }
 
 RemoteAttemptFn CacheDbms::MakeAttemptFn() const {
-  auto inner = [this](const SelectStmt& stmt) {
-    return backend_->ExecuteQuery(stmt);
+  auto inner = [this](const BackendCall& call) {
+    return backend_->Execute(call);
   };
   if (fault_injector_ != nullptr) return fault_injector_->Wrap(inner);
   // Healthy link: an attempt is just the back-end call, zero latency.
-  return [inner](const SelectStmt& stmt) {
+  return [inner](const BackendCall& call) {
     RemoteAttempt attempt;
-    Result<ExecutedQuery> r = inner(stmt);
+    Result<ExecutedQuery> r = inner(call);
     attempt.status = r.ok() ? Status::OK() : r.status();
     if (r.ok()) attempt.data = std::move(r).value();
     return attempt;
@@ -230,8 +230,7 @@ Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::PlanText(
   RCC_ASSIGN_OR_RETURN(QueryPlan plan, Prepare(*select));
   auto entry = std::make_shared<PlanCacheEntry>();
   if (norm.ok) {
-    entry->parameterized =
-        ParameterizePlan(&plan, norm.slots, catalog_).parameterized;
+    entry->parameterized = ParameterizePlan(&plan, norm.slots, catalog_);
     for (const ParamSlot& slot : norm.slots) {
       entry->creation_values.push_back(slot.value);
     }
@@ -297,7 +296,7 @@ void CacheDbms::Reader::RefreshUnlessServed(RegionId region) {
 }
 
 Result<ExecutedQuery> CacheDbms::Reader::ExecuteRemote(
-    const SelectStmt& stmt, const ExecContext& ctx) {
+    const BackendCall& call, const ExecContext& ctx) {
   // The whole remote stack (breaker state, injector RNG, back-end executor
   // counters) is single-threaded; workers of a concurrent batch take turns.
   // Serial mode skips the lock: it is single-threaded by contract, and the
@@ -310,19 +309,13 @@ Result<ExecutedQuery> CacheDbms::Reader::ExecuteRemote(
                                              std::defer_lock);
   if (cache_->in_concurrent_batch()) channel_guard.lock();
   if (cache_->remote_policy_ != nullptr) {
-    return cache_->remote_policy_->Execute(stmt, ctx.events, ctx.deadline);
+    return cache_->remote_policy_->Execute(call, ctx.events, ctx.deadline);
   }
-  BackendServer* backend = cache_->backend_;
-  if (cache_->fault_injector_ != nullptr) {
-    // Vanilla channel under faults: one bare attempt, failures surface
-    // immediately.
-    RemoteAttempt attempt = cache_->fault_injector_->Execute(
-        stmt,
-        [backend](const SelectStmt& s) { return backend->ExecuteQuery(s); });
-    if (!attempt.status.ok()) return attempt.status;
-    return std::move(attempt.data);
-  }
-  return backend->ExecuteQuery(stmt);
+  // No policy: one bare attempt over the injector, if any. Its latency is
+  // not waited on, and a failure surfaces immediately.
+  RemoteAttempt attempt = cache_->MakeAttemptFn()(call);
+  if (!attempt.status.ok()) return attempt.status;
+  return std::move(attempt.data);
 }
 
 Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(

@@ -273,8 +273,8 @@ class CacheDbms {
     void RefreshUnlessServed(RegionId region) override;
     void MarkServed(RegionId region) override { pin_.MarkServed(region); }
     /// One remote execution through the configured stack: policy (if any)
-    /// over injector (if any) over BackendServer::ExecuteQuery.
-    Result<ExecutedQuery> ExecuteRemote(const SelectStmt& stmt,
+    /// over injector (if any) over BackendServer::Execute.
+    Result<ExecutedQuery> ExecuteRemote(const BackendCall& call,
                                         const ExecContext& ctx) override;
 
    private:

@@ -251,20 +251,21 @@ Result<QueryResult> ForwardDml(RccSystem* system, RowOp::Kind kind,
   BackendServer* backend = system->backend();
   const TableDef* def = backend->catalog().FindTable(table);
   if (def == nullptr) return Status::NotFound("table " + table + " not found");
-  SelectStmt select;
+  auto select = std::make_unique<SelectStmt>();
   for (const Column& c : def->schema.columns()) {
-    select.items.push_back({Expr::MakeColumn(def->name, c.name), ""});
+    select->items.push_back({Expr::MakeColumn(def->name, c.name), ""});
   }
   std::vector<size_t> positions;
   for (const auto& [col, expr] : assignments) {
     auto idx = def->schema.FindColumn(col);
     if (!idx) return Status::NotFound("column " + col + " not in " + table);
     positions.push_back(*idx);
-    select.items.push_back({expr->Clone(), ""});
+    select->items.push_back({expr->Clone(), ""});
   }
-  select.from.push_back(TableRef{def->name, def->name, nullptr});
-  if (where != nullptr) select.where = where->Clone();
-  RCC_ASSIGN_OR_RETURN(ExecutedQuery found, backend->ExecuteQuery(select));
+  select->from.push_back(TableRef{def->name, def->name, nullptr});
+  if (where != nullptr) select->where = where->Clone();
+  RCC_ASSIGN_OR_RETURN(ExecutedQuery found,
+                       backend->ExecuteQuery(std::move(select)));
 
   const Table* master = backend->table(def->name);
   const size_t width = def->schema.num_columns();

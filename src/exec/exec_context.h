@@ -23,6 +23,12 @@ struct ExecutedQuery {
   std::vector<Row> rows;
 };
 
+/// One call to the back end: a statement template and its slot values.
+struct BackendCall {
+  const QueryTemplate& tmpl;
+  const std::vector<Value>& params;
+};
+
 /// How a query may degrade when its remote branch fails and the local view
 /// misses (or meets) the currency bound (paper §1: "return the data but with
 /// an error code" instead of failing outright).

@@ -41,9 +41,9 @@ class ReadHandle {
   /// RefreshUnlessServed for it.
   virtual void MarkServed(RegionId /*region*/) {}
 
-  /// Ships `stmt` to the back-end under `ctx.deadline`, recording link
+  /// Ships `call` to the back-end under `ctx.deadline`, recording link
   /// events into `ctx.events`.
-  virtual Result<ExecutedQuery> ExecuteRemote(const SelectStmt& /*stmt*/,
+  virtual Result<ExecutedQuery> ExecuteRemote(const BackendCall& /*call*/,
                                               const ExecContext& /*ctx*/) {
     return Status::Internal("no remote executor configured");
   }

@@ -8,7 +8,7 @@
 
 namespace rcc {
 
-Result<ExecutedQuery> ResilientRemoteExecutor::Execute(const SelectStmt& stmt,
+Result<ExecutedQuery> ResilientRemoteExecutor::Execute(const BackendCall& call,
                                                        EventStream* events,
                                                        Deadline deadline) {
   using obs::TraceEventKind;
@@ -49,7 +49,7 @@ Result<ExecutedQuery> ResilientRemoteExecutor::Execute(const SelectStmt& stmt,
 
     events->Record(LinkRecord{.kind = TraceEventKind::kRemoteAttempt,
                               .at = clock_->Now(), .attempt = attempt + 1});
-    RemoteAttempt result = attempt_(stmt);
+    RemoteAttempt result = attempt_(call);
     // The caller never waits longer than the timeout for one attempt.
     Wait(std::min(result.latency_ms, policy_.timeout_ms));
     if (result.status.ok() && result.latency_ms > policy_.timeout_ms) {

@@ -18,7 +18,7 @@ struct RemoteAttempt {
 };
 
 /// Produces one attempt; fault injectors and transports implement this.
-using RemoteAttemptFn = std::function<RemoteAttempt(const SelectStmt&)>;
+using RemoteAttemptFn = std::function<RemoteAttempt(const BackendCall&)>;
 
 /// Advances simulated time by `delta` ms while the policy waits (on an
 /// attempt, or between retries). Wiring this to the simulation scheduler lets
@@ -67,13 +67,13 @@ class ResilientRemoteExecutor {
   ResilientRemoteExecutor(const ResilientRemoteExecutor&) = delete;
   ResilientRemoteExecutor& operator=(const ResilientRemoteExecutor&) = delete;
 
-  /// Executes `stmt` under the policy. Every attempt, backoff, timeout and
+  /// Executes `call` under the policy. Every attempt, backoff, timeout and
   /// breaker event is recorded, with its virtual timestamp, into the
   /// statement's `events` (required). `deadline` is the statement's
   /// real-time cancellation deadline: each retry-loop iteration is a
   /// cancellation point, so an expired statement stops retrying (and
   /// backing off) immediately instead of riding out the whole retry budget.
-  Result<ExecutedQuery> Execute(const SelectStmt& stmt, EventStream* events,
+  Result<ExecutedQuery> Execute(const BackendCall& call, EventStream* events,
                                 Deadline deadline = Deadline::None());
 
   /// Replaces the attempt function (e.g. when a fault injector is added to

@@ -20,27 +20,13 @@ bool IsAggregateFunc(const std::string& f) {
 }
 
 bool ContainsAggregate(const Expr* e) {
-  if (e == nullptr) return false;
-  if (e->kind == ExprKind::kFuncCall && IsAggregateFunc(e->func)) return true;
-  if (ContainsAggregate(e->left.get()) || ContainsAggregate(e->right.get())) {
-    return true;
-  }
-  for (const auto& a : e->args) {
-    if (ContainsAggregate(a.get())) return true;
-  }
-  return false;
+  return AnyNode(e, [](const Expr& n) {
+    return n.kind == ExprKind::kFuncCall && IsAggregateFunc(n.func);
+  });
 }
 
 bool ContainsSubquery(const Expr* e) {
-  if (e == nullptr) return false;
-  if (e->subquery != nullptr) return true;
-  if (ContainsSubquery(e->left.get()) || ContainsSubquery(e->right.get())) {
-    return true;
-  }
-  for (const auto& a : e->args) {
-    if (ContainsSubquery(a.get())) return true;
-  }
-  return false;
+  return AnyNode(e, [](const Expr& n) { return n.subquery != nullptr; });
 }
 
 /// Operand ids (of `aliases`) referenced by qualified column refs in `e`.
@@ -48,19 +34,15 @@ bool ContainsSubquery(const Expr* e) {
 /// qualifier is not in `aliases` (correlated to an outer block) are ignored.
 void ReferencedOps(const Expr* e, const AliasMap& aliases,
                    std::set<InputOperandId>* ops, bool* has_bare) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kColumnRef) {
-    if (e->table.empty()) {
+  VisitNodes(e, [&](const Expr* n) {
+    if (n->kind != ExprKind::kColumnRef) return;
+    if (n->table.empty()) {
       *has_bare = true;
-    } else {
-      auto it = aliases.find(ToLower(e->table));
-      if (it != aliases.end()) ops->insert(it->second);
+      return;
     }
-    return;
-  }
-  ReferencedOps(e->left.get(), aliases, ops, has_bare);
-  ReferencedOps(e->right.get(), aliases, ops, has_bare);
-  for (const auto& a : e->args) ReferencedOps(a.get(), aliases, ops, has_bare);
+    auto it = aliases.find(ToLower(n->table));
+    if (it != aliases.end()) ops->insert(it->second);
+  });
 }
 
 /// One access decision per input operand: remote, or through a local view.
@@ -1400,9 +1382,40 @@ Result<std::unique_ptr<PhysicalOp>> Planner::FinishBlock(
   if (stmt.having != nullptr && !has_agg) {
     return Status::NotSupported("HAVING requires a grouped query");
   }
-  // Aggregate slots by their textual rendering; HAVING aggregates that do
-  // not appear in the select list get hidden slots.
+  // Aggregate slots by their textual rendering; HAVING and ORDER BY
+  // aggregates that do not appear in the select list get hidden slots.
   std::map<std::string, std::string> agg_slot_names;
+  // Rewrites aggregate subtrees to references to their slots.
+  auto rewrite = [&](const Expr& e) {
+    std::unique_ptr<Expr> out = e.Clone();
+    VisitNodes(out.get(), [&](Expr* n) {
+      if (n->kind == ExprKind::kFuncCall && IsAggregateFunc(n->func)) {
+        const std::string& slot = agg_slot_names.at(n->ToString());
+        *n = std::move(*Expr::MakeColumn("", slot));
+      }
+    });
+    return out;
+  };
+  // ORDER BY keys over the block's input, since the sort runs below the
+  // final projection (so it may order by a column the select list drops):
+  // a bare name that labels a select item — its alias, or the column an
+  // unaliased item projects — stands for that item's expression.
+  std::vector<const Expr*> order_keys;
+  for (const auto& o : stmt.order_by) {
+    const Expr* key = o.expr.get();
+    for (const auto& item : stmt.items) {
+      if (key->kind != ExprKind::kColumnRef || !key->table.empty()) break;
+      const Expr* e = item.expr.get();
+      const std::string& label =
+          !item.alias.empty() || e->kind != ExprKind::kColumnRef ? item.alias
+                                                                 : e->column;
+      if (EqualsIgnoreCase(label, key->column)) {
+        key = e;
+        break;
+      }
+    }
+    order_keys.push_back(key);
+  }
   if (has_agg) {
     auto agg = std::make_unique<PhysicalOp>();
     agg->kind = PhysOpKind::kHashAggregate;
@@ -1465,26 +1478,26 @@ Result<std::unique_ptr<PhysicalOp>> Planner::FinishBlock(
             "expressions over aggregates are not supported");
       }
     }
-    // Hidden slots for HAVING aggregates not already in the select list.
-    if (stmt.having != nullptr) {
-      std::function<Status(const Expr*)> collect_aggs =
-          [&](const Expr* e) -> Status {
-        if (e == nullptr) return Status::OK();
-        if (e->kind == ExprKind::kFuncCall && IsAggregateFunc(e->func)) {
-          if (agg_slot_names.count(e->ToString()) == 0) {
-            RCC_RETURN_NOT_OK(add_agg(e, "having_" + std::to_string(agg_i)));
-          }
-          return Status::OK();
-        }
-        RCC_RETURN_NOT_OK(collect_aggs(e->left.get()));
-        RCC_RETURN_NOT_OK(collect_aggs(e->right.get()));
-        for (const auto& a : e->args) {
-          RCC_RETURN_NOT_OK(collect_aggs(a.get()));
+    // Hidden slots for HAVING and ORDER BY aggregates not already in the
+    // select list.
+    std::function<Status(const Expr*)> collect_aggs =
+        [&](const Expr* e) -> Status {
+      if (e == nullptr) return Status::OK();
+      if (e->kind == ExprKind::kFuncCall && IsAggregateFunc(e->func)) {
+        if (agg_slot_names.count(e->ToString()) == 0) {
+          RCC_RETURN_NOT_OK(add_agg(e, "hidden_" + std::to_string(agg_i)));
         }
         return Status::OK();
-      };
-      RCC_RETURN_NOT_OK(collect_aggs(stmt.having.get()));
-    }
+      }
+      RCC_RETURN_NOT_OK(collect_aggs(e->left.get()));
+      RCC_RETURN_NOT_OK(collect_aggs(e->right.get()));
+      for (const auto& a : e->args) {
+        RCC_RETURN_NOT_OK(collect_aggs(a.get()));
+      }
+      return Status::OK();
+    };
+    RCC_RETURN_NOT_OK(collect_aggs(stmt.having.get()));
+    for (const Expr* key : order_keys) RCC_RETURN_NOT_OK(collect_aggs(key));
     agg->est_rows = stmt.group_by.empty()
                         ? 1.0
                         : std::min(current->est_rows, key_card);
@@ -1495,28 +1508,6 @@ Result<std::unique_ptr<PhysicalOp>> Planner::FinishBlock(
     current = std::move(agg);
 
     if (stmt.having != nullptr) {
-      // Rewrite aggregate subtrees in HAVING to references to their slots.
-      std::function<std::unique_ptr<Expr>(const Expr&)> rewrite =
-          [&](const Expr& e) -> std::unique_ptr<Expr> {
-        if (e.kind == ExprKind::kFuncCall && IsAggregateFunc(e.func)) {
-          return Expr::MakeColumn("", agg_slot_names.at(e.ToString()));
-        }
-        auto clone = std::make_unique<Expr>();
-        clone->kind = e.kind;
-        clone->literal = e.literal;
-        clone->literal_offset = e.literal_offset;
-        clone->param_index = e.param_index;
-        clone->table = e.table;
-        clone->column = e.column;
-        clone->op = e.op;
-        clone->func = e.func;
-        clone->star = e.star;
-        if (e.left) clone->left = rewrite(*e.left);
-        if (e.right) clone->right = rewrite(*e.right);
-        for (const auto& a : e.args) clone->args.push_back(rewrite(*a));
-        if (e.subquery) clone->subquery = CloneSelectStmt(*e.subquery);
-        return clone;
-      };
       auto filter = std::make_unique<PhysicalOp>();
       filter->kind = PhysOpKind::kFilter;
       filter->layout = current->layout;
@@ -1528,6 +1519,25 @@ Result<std::unique_ptr<PhysicalOp>> Planner::FinishBlock(
       filter->children.push_back(std::move(current));
       current = std::move(filter);
     }
+  }
+
+  if (!order_keys.empty()) {
+    auto sort = std::make_unique<PhysicalOp>();
+    sort->kind = PhysOpKind::kSort;
+    sort->layout = current->layout;
+    for (size_t i = 0; i < order_keys.size(); ++i) {
+      SortKey k;
+      k.expr = has_agg ? rewrite(*order_keys[i]) : order_keys[i]->Clone();
+      k.descending = stmt.order_by[i].descending;
+      sort->sort_keys.push_back(std::move(k));
+    }
+    double n = std::max(current->est_rows, 2.0);
+    sort->est_rows = current->est_rows;
+    sort->est_cost =
+        current->est_cost + n * std::log2(n) * opts_.costs.cpu_per_row;
+    sort->delivered = current->delivered;
+    sort->children.push_back(std::move(current));
+    current = std::move(sort);
   }
 
   // Final projection in select-list (or FROM) order.
@@ -1599,31 +1609,22 @@ Result<std::unique_ptr<PhysicalOp>> Planner::FinishBlock(
   project->children.push_back(std::move(current));
   current = std::move(project);
 
-  // ORDER BY on the projected output.
-  if (!stmt.order_by.empty()) {
-    auto sort = std::make_unique<PhysicalOp>();
-    sort->kind = PhysOpKind::kSort;
-    sort->layout = current->layout;
-    for (const auto& o : stmt.order_by) {
-      SortKey k;
-      k.expr = o.expr->Clone();
-      k.descending = o.descending;
-      sort->sort_keys.push_back(std::move(k));
-    }
-    double n = std::max(current->est_rows, 2.0);
-    sort->est_rows = current->est_rows;
-    sort->est_cost =
-        current->est_cost + n * std::log2(n) * opts_.costs.cpu_per_row;
-    sort->delivered = current->delivered;
-    sort->children.push_back(std::move(current));
-    current = std::move(sort);
-  }
   return current;
 }
 
 // ---------------------------------------------------------------------------
 // Top-level driver
 // ---------------------------------------------------------------------------
+
+/// Builds each remote op's back-end template, once the plan is chosen.
+void BuildRemoteTemplates(PhysicalOp* op) {
+  if (op->kind == PhysOpKind::kRemoteQuery) {
+    op->remote_template =
+        MakeTemplate(CloneSelectStmt(*op->remote_stmt), /*outer_refs=*/true,
+                     &op->remote_args);
+  }
+  for (auto& c : op->children) BuildRemoteTemplates(c.get());
+}
 
 Result<QueryPlan> Planner::Run(ResolvedQuery resolved) {
   resolved_ = std::move(resolved);
@@ -1681,6 +1682,8 @@ Result<QueryPlan> Planner::Run(ResolvedQuery resolved) {
   QueryPlan plan;
   plan.root = std::move(best->root);
   plan.subplans = std::move(best->subplans);
+  BuildRemoteTemplates(plan.root.get());
+  for (auto& [stmt, sub] : plan.subplans) BuildRemoteTemplates(sub.root.get());
   plan.aliases = blocks_.at(resolved_.stmt.get()).aliases;
   plan.est_cost = best->cost;
   plan.resolved = std::move(resolved_);

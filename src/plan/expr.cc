@@ -282,27 +282,13 @@ void CollectColumnsOf(const Expr* expr, InputOperandId operand,
 bool ExprCoveredByOperands(const Expr* expr,
                            const std::set<InputOperandId>& operands,
                            const AliasMap& aliases, bool allow_bare) {
-  if (expr == nullptr) return true;
-  if (expr->kind == ExprKind::kColumnRef) {
-    if (expr->table.empty()) return allow_bare;
-    auto it = aliases.find(ToLower(expr->table));
-    return it != aliases.end() && operands.count(it->second) > 0;
-  }
-  if (expr->subquery != nullptr) return false;  // keep subqueries at the top
-  if (expr->left && !ExprCoveredByOperands(expr->left.get(), operands, aliases,
-                                           allow_bare)) {
-    return false;
-  }
-  if (expr->right && !ExprCoveredByOperands(expr->right.get(), operands,
-                                            aliases, allow_bare)) {
-    return false;
-  }
-  for (const auto& a : expr->args) {
-    if (!ExprCoveredByOperands(a.get(), operands, aliases, allow_bare)) {
-      return false;
-    }
-  }
-  return true;
+  return !AnyNode(expr, [&](const Expr& n) {
+    if (n.subquery != nullptr) return true;  // keep subqueries at the top
+    if (n.kind != ExprKind::kColumnRef) return false;
+    if (n.table.empty()) return !allow_bare;
+    auto it = aliases.find(ToLower(n.table));
+    return it == aliases.end() || operands.count(it->second) == 0;
+  });
 }
 
 }  // namespace rcc

@@ -84,9 +84,14 @@ struct PhysicalOp {
   std::unique_ptr<Expr> residual;
 
   // -- kRemoteQuery ----------------------------------------------------------
-  /// Statement shipped to the back-end. May contain references to outer
-  /// columns, substituted with literals per execution (correlated remote).
+  /// Statement shipped to the back-end (EXPLAIN renders it). May contain
+  /// references to outer columns (correlated remote).
   std::unique_ptr<SelectStmt> remote_stmt;
+  /// What Open ships instead: remote_stmt's template, built once per plan,
+  /// and per slot the expression Open evaluates to fill it — its literals
+  /// and plan-cache parameters first, then its outer references.
+  QueryTemplate remote_template;
+  std::vector<std::unique_ptr<Expr>> remote_args;
   std::set<InputOperandId> remote_operands;
 
   // -- kProject --------------------------------------------------------------

@@ -86,38 +86,21 @@ struct RewriteState {
   // offset -> slot index
   std::unordered_map<size_t, size_t> by_offset;
   std::vector<size_t> matched;
-  size_t rewritten = 0;
 };
 
-void RewriteStmt(SelectStmt* s, RewriteState* st);
-
-void RewriteExpr(Expr* e, RewriteState* st) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kLiteral && e->literal_offset != Expr::kNoOffset) {
-    auto it = st->by_offset.find(e->literal_offset);
-    if (it != st->by_offset.end()) {
-      e->kind = ExprKind::kParam;
-      e->param_index = it->second;
-      ++st->matched[it->second];
-      ++st->rewritten;
-    }
+void RewriteNode(Expr* e, RewriteState* st) {
+  if (e->kind != ExprKind::kLiteral || e->literal_offset == Expr::kNoOffset) {
+    return;
   }
-  RewriteExpr(e->left.get(), st);
-  RewriteExpr(e->right.get(), st);
-  for (auto& a : e->args) RewriteExpr(a.get(), st);
-  if (e->subquery) RewriteStmt(e->subquery.get(), st);
+  auto it = st->by_offset.find(e->literal_offset);
+  if (it == st->by_offset.end()) return;
+  e->kind = ExprKind::kParam;
+  e->param_index = it->second;
+  ++st->matched[it->second];
 }
 
-void RewriteStmt(SelectStmt* s, RewriteState* st) {
-  if (s == nullptr) return;
-  for (auto& item : s->items) RewriteExpr(item.expr.get(), st);
-  for (auto& ref : s->from) {
-    if (ref.subquery) RewriteStmt(ref.subquery.get(), st);
-  }
-  RewriteExpr(s->where.get(), st);
-  for (auto& g : s->group_by) RewriteExpr(g.get(), st);
-  RewriteExpr(s->having.get(), st);
-  for (auto& o : s->order_by) RewriteExpr(o.expr.get(), st);
+void RewriteExpr(Expr* e, RewriteState* st) {
+  VisitNodes(e, [st](Expr* n) { RewriteNode(n, st); });
 }
 
 void RewriteOp(PhysicalOp* op, RewriteState* st) {
@@ -125,7 +108,11 @@ void RewriteOp(PhysicalOp* op, RewriteState* st) {
   for (auto& e : op->seek_lo) RewriteExpr(e.get(), st);
   for (auto& e : op->seek_hi) RewriteExpr(e.get(), st);
   RewriteExpr(op->residual.get(), st);
-  if (op->remote_stmt) RewriteStmt(op->remote_stmt.get(), st);
+  if (op->remote_stmt) {
+    VisitStmtNodes(op->remote_stmt.get(),
+                   [st](Expr* n) { RewriteNode(n, st); });
+  }
+  for (auto& a : op->remote_args) RewriteExpr(a.get(), st);
   for (auto& e : op->exprs) RewriteExpr(e.get(), st);
   for (auto& e : op->exprs2) RewriteExpr(e.get(), st);
   for (auto& a : op->aggs) RewriteExpr(a.arg.get(), st);
@@ -138,24 +125,34 @@ void RewriteOp(PhysicalOp* op, RewriteState* st) {
 /// from something we can't tie to a slot — reuse with other values would keep
 /// a stale seek, so the entry must stay value-bound.
 bool HasProvenancelessLiteral(const Expr* e) {
-  if (e == nullptr) return false;
-  if (e->kind == ExprKind::kLiteral && e->literal_offset == Expr::kNoOffset) {
-    return true;
-  }
-  if (HasProvenancelessLiteral(e->left.get())) return true;
-  if (HasProvenancelessLiteral(e->right.get())) return true;
-  for (const auto& a : e->args) {
-    if (HasProvenancelessLiteral(a.get())) return true;
-  }
-  return false;
+  return AnyNode(e, [](const Expr& n) {
+    return n.kind == ExprKind::kLiteral && n.literal_offset == Expr::kNoOffset;
+  });
+}
+
+/// True when `e` compares a parameter by <, <=, > or >=.
+bool RangeOnParam(const Expr* e) {
+  return AnyNode(e, [](const Expr& n) {
+    return n.kind == ExprKind::kBinary && n.op >= BinaryOp::kLt &&
+           n.op <= BinaryOp::kGe &&
+           (n.left->kind == ExprKind::kParam ||
+            n.right->kind == ExprKind::kParam);
+  });
 }
 
 /// Value-dependent planning survives in two places: seek bounds whose
 /// literals lack provenance, and scans of *partial* materialized views
 /// (matched because this query's literal range fit the view's column range —
-/// a different value could select outside the view).
-bool ValueGenericOp(const PhysicalOp* op, const Catalog& catalog) {
+/// a different value could select outside the view). With `bind_ranges`,
+/// also in a scan whose residual holds a range on a parameter: its access
+/// path (seek or full scan) was priced at that literal's selectivity.
+bool ValueGenericOp(const PhysicalOp* op, const Catalog& catalog,
+                    bool bind_ranges) {
   if (op == nullptr) return true;
+  if (bind_ranges && op->kind == PhysOpKind::kLocalScan &&
+      RangeOnParam(op->residual.get())) {
+    return false;
+  }
   for (const auto& e : op->seek_lo) {
     if (HasProvenancelessLiteral(e.get())) return false;
   }
@@ -167,17 +164,15 @@ bool ValueGenericOp(const PhysicalOp* op, const Catalog& catalog) {
     if (def == nullptr || !def->predicate.empty()) return false;
   }
   for (const auto& c : op->children) {
-    if (!ValueGenericOp(c.get(), catalog)) return false;
+    if (!ValueGenericOp(c.get(), catalog, bind_ranges)) return false;
   }
   return true;
 }
 
 }  // namespace
 
-ParameterizeOutcome ParameterizePlan(QueryPlan* plan,
-                                     const std::vector<ParamSlot>& slots,
-                                     const Catalog& catalog) {
-  ParameterizeOutcome out;
+bool ParameterizePlan(QueryPlan* plan, const std::vector<ParamSlot>& slots,
+                      const Catalog& catalog, bool bind_ranges) {
   RewriteState st;
   st.matched.assign(slots.size(), 0);
   for (size_t i = 0; i < slots.size(); ++i) st.by_offset[slots[i].offset] = i;
@@ -186,7 +181,6 @@ ParameterizeOutcome ParameterizePlan(QueryPlan* plan,
     (void)stmt;
     RewriteOp(sub.root.get(), &st);
   }
-  out.rewritten = st.rewritten;
 
   // Eligibility for value-generic reuse: every slot surfaced in the plan
   // (an unmatched slot means its value was absorbed into a planning
@@ -195,13 +189,12 @@ ParameterizeOutcome ParameterizePlan(QueryPlan* plan,
   for (size_t m : st.matched) {
     if (m == 0) all_matched = false;
   }
-  bool generic = ValueGenericOp(plan->root.get(), catalog);
+  bool generic = ValueGenericOp(plan->root.get(), catalog, bind_ranges);
   for (const auto& [stmt, sub] : plan->subplans) {
     (void)stmt;
-    if (!ValueGenericOp(sub.root.get(), catalog)) generic = false;
+    if (!ValueGenericOp(sub.root.get(), catalog, bind_ranges)) generic = false;
   }
-  out.parameterized = all_matched && generic;
-  return out;
+  return all_matched && generic;
 }
 
 // ---------------------------------------------------------------------------
@@ -249,6 +242,76 @@ size_t PlanCache::ShardOf(std::string_view key) const {
   return std::hash<std::string_view>{}(key) % cfg_.shards;
 }
 
+void PlanCache::Count(bool hit, double start_ms) {
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  obs::Counter* counter = hit ? hits_counter_ : misses_counter_;
+  if (counter != nullptr) counter->Add(1);
+  if (lookup_ms_ != nullptr) lookup_ms_->Observe(NowMs() - start_ms);
+}
+
+bool PlanCache::Reusable(const PlanCacheEntry& e,
+                         const std::vector<Value>& params,
+                         const std::vector<Value>* priced_at) {
+  if (e.parameterized) {
+    return priced_at == nullptr || e.creation_values == *priced_at;
+  }
+  // Value-bound: only an exact value match may reuse the plan. Types
+  // already agree (the template's typed slots force it); compare values.
+  if (params.size() != e.creation_values.size()) return false;
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (params[i].type() != e.creation_values[i].type() ||
+        params[i].Compare(e.creation_values[i]) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename Node>
+std::optional<Node> PlanCache::Find(Level<Node>& level, const std::string& key,
+                                    uint64_t version) {
+  Shard<Node>& shard = *level[ShardOf(key)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(key);
+  if (it == shard.map.end()) return std::nullopt;
+  if (it->second.entry->version != version) {
+    shard.lru.erase(it->second.lru);
+    shard.map.erase(it);
+    return std::nullopt;
+  }
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
+  return it->second;
+}
+
+template <typename Node>
+void PlanCache::Put(Level<Node>& level, const std::string& key, Node node) {
+  Shard<Node>& shard = *level[ShardOf(key)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto [it, inserted] = shard.map.try_emplace(key);
+  if (inserted) {
+    shard.lru.push_front(key);
+    node.lru = shard.lru.begin();
+  } else {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
+    node.lru = it->second.lru;
+  }
+  it->second = std::move(node);
+  if (shard.map.size() > cfg_.capacity_per_shard) {
+    shard.map.erase(shard.lru.back());
+    shard.lru.pop_back();
+  }
+}
+
+std::string PlanCache::TypedKey(std::string_view key,
+                                const std::vector<Value>& params) {
+  std::string out(key);
+  out.push_back('\x1f');
+  for (const Value& v : params) {
+    out.push_back("nifs"[static_cast<int>(v.type())]);
+  }
+  return out;
+}
+
 PlanCache::LookupResult PlanCache::Lookup(
     std::string_view sql, DegradeMode degrade, bool timeordered,
     const std::vector<Value>* priced_at) {
@@ -256,106 +319,48 @@ PlanCache::LookupResult PlanCache::Lookup(
   LookupResult out;
   out.version_at_lookup = version();
 
-  auto record_hit = [&](std::shared_ptr<const PlanCacheEntry> entry,
-                        std::vector<Value> params) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hits_counter_ != nullptr) hits_counter_->Add(1);
-    if (lookup_ms_ != nullptr) lookup_ms_->Observe(NowMs() - start_ms);
-    out.hit = PlanCacheHit{std::move(entry), std::move(params)};
-  };
-  auto priced = [&](const PlanCacheEntry& e) {
-    return priced_at == nullptr || !e.parameterized ||
-           e.creation_values == *priced_at;
-  };
-  auto record_miss = [&]() {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (misses_counter_ != nullptr) misses_counter_->Add(1);
-    if (lookup_ms_ != nullptr) lookup_ms_->Observe(NowMs() - start_ms);
-  };
-
   // L1: exact raw text. The common case for fixed query pools; skips the
   // lexer entirely.
   const std::string l1_key = MakeKey(sql, degrade, timeordered);
-  {
-    Shard<L1Node>& shard = *l1_[ShardOf(l1_key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(l1_key);
-    if (it != shard.map.end() &&
-        it->second.entry->version != out.version_at_lookup) {
-      shard.lru.erase(it->second.lru);
-      shard.map.erase(it);
-    } else if (it != shard.map.end() && priced(*it->second.entry)) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
-      record_hit(it->second.entry, it->second.params);
-      return out;
-    }
+  std::optional<L1Node> exact = Find(l1_, l1_key, out.version_at_lookup);
+  if (exact && (priced_at == nullptr || !exact->entry->parameterized ||
+                exact->entry->creation_values == *priced_at)) {
+    Count(true, start_ms);
+    out.hit = PlanCacheHit{std::move(exact->entry), std::move(exact->params)};
+    return out;
   }
 
   // L2: normalized template.
   out.norm = NormalizeSql(sql);
-  if (!out.norm.ok) {
-    record_miss();
-    return out;
-  }
-  const std::string l2_key = MakeKey(out.norm.text, degrade, timeordered);
-  std::shared_ptr<const PlanCacheEntry> entry;
-  {
-    Shard<L2Node>& shard = *l2_[ShardOf(l2_key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(l2_key);
-    if (it != shard.map.end()) {
-      if (it->second.entry->version == out.version_at_lookup) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
-        entry = it->second.entry;
-      } else {
-        shard.lru.erase(it->second.lru);
-        shard.map.erase(it);
-      }
-    }
-  }
-  if (entry == nullptr || !priced(*entry)) {
-    record_miss();
-    return out;
+  std::optional<L2Node> found;
+  if (out.norm.ok) {
+    found = Find(l2_, MakeKey(out.norm.text, degrade, timeordered),
+                 out.version_at_lookup);
   }
   std::vector<Value> params;
   params.reserve(out.norm.slots.size());
   for (const ParamSlot& s : out.norm.slots) params.push_back(s.value);
-  if (!entry->parameterized) {
-    // Value-bound: only an exact value match may reuse the plan. Types
-    // already agree (the template's typed slots force it); compare values.
-    if (params.size() != entry->creation_values.size()) {
-      record_miss();
-      return out;
-    }
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (params[i].type() != entry->creation_values[i].type() ||
-          params[i].Compare(entry->creation_values[i]) != 0) {
-        record_miss();
-        return out;
-      }
-    }
+  if (!found || !Reusable(*found->entry, params, priced_at)) {
+    Count(false, start_ms);
+    return out;
   }
   // Promote to L1 so the next identical text skips the lexer.
-  {
-    Shard<L1Node>& shard = *l1_[ShardOf(l1_key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.try_emplace(l1_key);
-    if (inserted) {
-      shard.lru.push_front(l1_key);
-      it->second.lru = shard.lru.begin();
-      it->second.entry = entry;
-      it->second.params = params;
-      if (shard.map.size() > cfg_.capacity_per_shard) {
-        shard.map.erase(shard.lru.back());
-        shard.lru.pop_back();
-      }
-    } else {
-      it->second.entry = entry;
-      it->second.params = params;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
-    }
-  }
-  record_hit(std::move(entry), std::move(params));
+  Put(l1_, l1_key, L1Node{found->entry, params, {}});
+  Count(true, start_ms);
+  out.hit = PlanCacheHit{std::move(found->entry), std::move(params)};
+  return out;
+}
+
+PlanCache::LookupResult PlanCache::LookupTemplate(
+    std::string_view key, const std::vector<Value>& params) {
+  const double start_ms = lookup_ms_ != nullptr ? NowMs() : 0;
+  LookupResult out;
+  out.version_at_lookup = version();
+  std::optional<L2Node> found =
+      Find(l2_, TypedKey(key, params), out.version_at_lookup);
+  const bool hit = found && Reusable(*found->entry, params, nullptr);
+  Count(hit, start_ms);
+  if (hit) out.hit = PlanCacheHit{std::move(found->entry), {}};
   return out;
 }
 
@@ -369,46 +374,21 @@ void PlanCache::Insert(const NormalizedSql& norm, std::string_view raw_sql,
   if (version() != version_at_lookup) return;
   entry->version = version_at_lookup;
   std::shared_ptr<const PlanCacheEntry> frozen = std::move(entry);
-
-  const std::string l2_key = MakeKey(norm.text, degrade, timeordered);
-  {
-    Shard<L2Node>& shard = *l2_[ShardOf(l2_key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.try_emplace(l2_key);
-    if (inserted) {
-      shard.lru.push_front(l2_key);
-      it->second.lru = shard.lru.begin();
-    } else {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
-    }
-    it->second.entry = frozen;
-    if (shard.map.size() > cfg_.capacity_per_shard) {
-      shard.map.erase(shard.lru.back());
-      shard.lru.pop_back();
-    }
-  }
-
   std::vector<Value> params;
   params.reserve(norm.slots.size());
   for (const ParamSlot& s : norm.slots) params.push_back(s.value);
-  const std::string l1_key = MakeKey(raw_sql, degrade, timeordered);
-  {
-    Shard<L1Node>& shard = *l1_[ShardOf(l1_key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.try_emplace(l1_key);
-    if (inserted) {
-      shard.lru.push_front(l1_key);
-      it->second.lru = shard.lru.begin();
-    } else {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
-    }
-    it->second.entry = frozen;
-    it->second.params = std::move(params);
-    if (shard.map.size() > cfg_.capacity_per_shard) {
-      shard.map.erase(shard.lru.back());
-      shard.lru.pop_back();
-    }
-  }
+  Put(l2_, MakeKey(norm.text, degrade, timeordered), L2Node{frozen, {}});
+  Put(l1_, MakeKey(raw_sql, degrade, timeordered),
+      L1Node{frozen, std::move(params), {}});
+}
+
+void PlanCache::InsertTemplate(std::string_view key,
+                               const std::vector<Value>& params,
+                               std::shared_ptr<PlanCacheEntry> entry,
+                               uint64_t version_at_lookup) {
+  if (version() != version_at_lookup) return;
+  entry->version = version_at_lookup;
+  Put(l2_, TypedKey(key, params), L2Node{std::move(entry), {}});
 }
 
 void PlanCache::Invalidate() {

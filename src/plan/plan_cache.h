@@ -88,17 +88,13 @@ struct PlanCacheHit {
 };
 
 /// Rewrites plan literals that came from parameter slots into kParam nodes
-/// (matched by source byte offset) and decides reuse eligibility.
-struct ParameterizeOutcome {
-  /// Safe for value-generic reuse (see PlanCacheEntry::parameterized).
-  bool parameterized = false;
-  /// Literal sites rewritten to kParam (a slot can match several clones:
-  /// seek bound + residual + remote branch).
-  size_t rewritten = 0;
-};
-ParameterizeOutcome ParameterizePlan(QueryPlan* plan,
-                                     const std::vector<ParamSlot>& slots,
-                                     const Catalog& catalog);
+/// (matched by source byte offset; a slot can match several clones: seek
+/// bound, residual, remote branch). True when the plan is safe for
+/// value-generic reuse (see PlanCacheEntry::parameterized). `bind_ranges`
+/// (the back end's rule) also keeps value-bound a scan whose access path was
+/// priced at a range literal, so a literal that flips the path re-plans.
+bool ParameterizePlan(QueryPlan* plan, const std::vector<ParamSlot>& slots,
+                      const Catalog& catalog, bool bind_ranges = false);
 
 /// Sharded LRU plan cache with two levels and versioned invalidation.
 ///
@@ -151,6 +147,16 @@ class PlanCache {
               std::shared_ptr<PlanCacheEntry> entry,
               uint64_t version_at_lookup);
 
+  /// The template level alone, for a caller that already holds a template
+  /// key and its slot values (the back end): no raw text and no lexing. The
+  /// key is typed by the values, so a slot's type is what it carries. A hit
+  /// leaves `hit->params` empty: the caller binds its own.
+  LookupResult LookupTemplate(std::string_view key,
+                              const std::vector<Value>& params);
+  void InsertTemplate(std::string_view key, const std::vector<Value>& params,
+                      std::shared_ptr<PlanCacheEntry> entry,
+                      uint64_t version_at_lookup);
+
   /// Drops every cached plan (lazily): catalog, statistics, view-set or
   /// region-health changes call this.
   void Invalidate();
@@ -188,14 +194,31 @@ class PlanCache {
     std::unordered_map<std::string, Node> map;
     std::list<std::string> lru;  // front = most recent
   };
+  template <typename Node>
+  using Level = std::vector<std::unique_ptr<Shard<Node>>>;
 
   static std::string MakeKey(std::string_view text, DegradeMode degrade,
                              bool timeordered);
+  static std::string TypedKey(std::string_view key,
+                              const std::vector<Value>& params);
+  /// Whether `e` may run with `params` (and was priced at `priced_at`).
+  static bool Reusable(const PlanCacheEntry& e,
+                       const std::vector<Value>& params,
+                       const std::vector<Value>* priced_at);
   size_t ShardOf(std::string_view key) const;
+  void Count(bool hit, double start_ms);
+  /// The live node under `key`, made most recent; a stale one is dropped.
+  template <typename Node>
+  std::optional<Node> Find(Level<Node>& level, const std::string& key,
+                           uint64_t version);
+  /// Inserts or replaces `key`'s node, most recent first, evicting the least
+  /// recent node past capacity.
+  template <typename Node>
+  void Put(Level<Node>& level, const std::string& key, Node node);
 
   Config cfg_;
-  std::vector<std::unique_ptr<Shard<L1Node>>> l1_;
-  std::vector<std::unique_ptr<Shard<L2Node>>> l2_;
+  Level<L1Node> l1_;
+  Level<L2Node> l2_;
   std::atomic<uint64_t> version_{1};
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};

@@ -14,11 +14,9 @@ constexpr int kMaxViewDepth = 16;
 /// Invokes `fn` on every subquery nested in an expression.
 void ForEachExprSubquery(Expr* expr,
                          const std::function<void(SelectStmt*)>& fn) {
-  if (expr == nullptr) return;
-  if (expr->subquery) fn(expr->subquery.get());
-  ForEachExprSubquery(expr->left.get(), fn);
-  ForEachExprSubquery(expr->right.get(), fn);
-  for (auto& arg : expr->args) ForEachExprSubquery(arg.get(), fn);
+  VisitNodes(expr, [&](Expr* e) {
+    if (e->subquery) fn(e->subquery.get());
+  });
 }
 
 /// Invokes `fn` on every subquery directly nested in a block (FROM-clause
@@ -240,11 +238,9 @@ void CollectFromRef(const TableRef& ref, std::vector<InputOperandId>* out) {
 }
 
 void CollectExprOperands(const Expr* e, std::vector<InputOperandId>* out) {
-  if (e == nullptr) return;
-  if (e->subquery) CollectOperands(*e->subquery, out);
-  CollectExprOperands(e->left.get(), out);
-  CollectExprOperands(e->right.get(), out);
-  for (const auto& arg : e->args) CollectExprOperands(arg.get(), out);
+  VisitNodes(e, [&](const Expr* n) {
+    if (n->subquery) CollectOperands(*n->subquery, out);
+  });
 }
 
 void CollectOperands(const SelectStmt& stmt,

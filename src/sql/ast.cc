@@ -1,5 +1,7 @@
 #include "sql/ast.h"
 
+#include <set>
+
 #include "common/strings.h"
 
 namespace rcc {
@@ -213,6 +215,70 @@ std::unique_ptr<SelectStmt> CloneSelectStmt(const SelectStmt& s) {
     out->order_by.push_back(std::move(oi));
   }
   out->currency = s.currency;
+  return out;
+}
+
+void VisitStmtNodes(SelectStmt* s, const std::function<void(Expr*)>& fn) {
+  auto visit = [&](Expr* e) {
+    VisitNodes(e, [&](Expr* n) {
+      fn(n);
+      if (n->subquery) VisitStmtNodes(n->subquery.get(), fn);
+    });
+  };
+  for (auto& item : s->items) visit(item.expr.get());
+  for (auto& ref : s->from) {
+    if (ref.subquery) VisitStmtNodes(ref.subquery.get(), fn);
+  }
+  visit(s->where.get());
+  for (auto& g : s->group_by) visit(g.get());
+  visit(s->having.get());
+  for (auto& o : s->order_by) visit(o.expr.get());
+}
+
+namespace {
+
+/// The FROM aliases of `s` and of its derived tables.
+void AddFromAliases(const SelectStmt& s, std::set<std::string>* out) {
+  for (const TableRef& ref : s.from) {
+    out->insert(ToLower(ref.alias));
+    if (ref.subquery) AddFromAliases(*ref.subquery, out);
+  }
+}
+
+}  // namespace
+
+QueryTemplate MakeTemplate(std::unique_ptr<SelectStmt> tmpl, bool outer_refs,
+                           std::vector<std::unique_ptr<Expr>>* args) {
+  // The aliases of every block — derived tables and nested subqueries
+  // included — are the statement's own; their columns stay references.
+  std::set<std::string> own;
+  if (outer_refs) {
+    AddFromAliases(*tmpl, &own);
+    VisitStmtNodes(tmpl.get(), [&](Expr* e) {
+      if (e->subquery != nullptr) AddFromAliases(*e->subquery, &own);
+    });
+  }
+  std::vector<Expr*> values;
+  std::vector<Expr*> outer;
+  VisitStmtNodes(tmpl.get(), [&](Expr* e) {
+    if (e->kind == ExprKind::kLiteral || e->kind == ExprKind::kParam) {
+      values.push_back(e);
+    } else if (outer_refs && e->kind == ExprKind::kColumnRef &&
+               !e->table.empty() && own.count(ToLower(e->table)) == 0) {
+      outer.push_back(e);
+    }
+  });
+  values.insert(values.end(), outer.begin(), outer.end());
+  args->clear();
+  for (Expr* e : values) {
+    args->push_back(std::make_unique<Expr>(std::move(*e)));
+    *e = Expr();
+    e->kind = ExprKind::kParam;
+    e->param_index = args->size() - 1;
+  }
+  QueryTemplate out;
+  out.key = tmpl->ToString();
+  out.stmt = std::move(tmpl);
   return out;
 }
 

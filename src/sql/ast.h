@@ -1,6 +1,7 @@
 #ifndef RCC_SQL_AST_H_
 #define RCC_SQL_AST_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -158,6 +159,48 @@ struct SelectStmt {
 /// Deep copy of a SELECT statement (used when a plan needs an independent
 /// remote-branch query).
 std::unique_ptr<SelectStmt> CloneSelectStmt(const SelectStmt& s);
+
+/// Calls `fn` on `e` (an Expr* or const Expr*) and every node below it,
+/// parents first, without entering subqueries. `fn` may rewrite a node in
+/// place.
+template <typename E, typename Fn>
+void VisitNodes(E* e, const Fn& fn) {
+  if (e == nullptr) return;
+  fn(e);
+  VisitNodes<E>(e->left.get(), fn);
+  VisitNodes<E>(e->right.get(), fn);
+  for (auto& a : e->args) VisitNodes<E>(a.get(), fn);
+}
+
+/// True when `pred` holds for `e` or a node below it (subqueries are not
+/// entered).
+template <typename Pred>
+bool AnyNode(const Expr* e, const Pred& pred) {
+  bool found = false;
+  VisitNodes(e, [&](const Expr* n) { found = found || pred(*n); });
+  return found;
+}
+
+/// VisitNodes over every expression of every block of `s`: select list,
+/// derived tables, WHERE, GROUP BY, HAVING, ORDER BY and the EXISTS/IN
+/// subqueries inside them.
+void VisitStmtNodes(SelectStmt* s, const std::function<void(Expr*)>& fn);
+
+/// A SELECT the back end plans once and re-runs with fresh values: every
+/// value site of the source statement is a kParam slot, so `key`, the
+/// template's rendering, never carries a value.
+struct QueryTemplate {
+  std::unique_ptr<const SelectStmt> stmt;
+  std::string key;
+};
+
+/// Turns `stmt` into its template. Every literal and every plan-cache
+/// parameter becomes a slot, numbered in statement order; with `outer_refs`,
+/// so does every correlated outer reference (a column qualified by an alias
+/// that no block of `stmt` defines), numbered after them. `args` receives,
+/// per slot, the node it replaced: evaluating it yields the slot's value.
+QueryTemplate MakeTemplate(std::unique_ptr<SelectStmt> stmt, bool outer_refs,
+                           std::vector<std::unique_ptr<Expr>>* args);
 
 /// INSERT INTO t [(cols)] VALUES (exprs), ... — expressions must be
 /// constant (literals/arithmetic); unlisted columns become NULL.

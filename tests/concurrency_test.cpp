@@ -252,10 +252,10 @@ class UnknownHeartbeatReader : public ReadHandle {
   const Table* ScanTable(const ScanTarget& target) override {
     return cache_.ScanTable(target);
   }
-  Result<ExecutedQuery> ExecuteRemote(const SelectStmt& stmt,
+  Result<ExecutedQuery> ExecuteRemote(const BackendCall& call,
                                       const ExecContext& ctx) override {
     if (link_down) return Status::Unavailable("link down");
-    return cache_.ExecuteRemote(stmt, ctx);
+    return cache_.ExecuteRemote(call, ctx);
   }
 
   bool link_down = false;

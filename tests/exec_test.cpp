@@ -519,5 +519,89 @@ TEST_F(ExecTest, PhaseTimingsPopulated) {
   EXPECT_GT(r.stats.setup_ms + r.stats.run_ms + r.stats.shutdown_ms, 0.0);
 }
 
+// -- ORDER BY ----------------------------------------------------------------
+
+/// Column 0 of `rows` as integers.
+std::vector<int64_t> Keys(const std::vector<Row>& rows) {
+  std::vector<int64_t> out;
+  for (const Row& row : rows) out.push_back(row[0].AsInt());
+  return out;
+}
+
+TEST(OrderByTest, SortsOnAColumnOutsideTheSelectList) {
+  testing_util::TpcdFixture fx;
+  Session* s = fx.session.get();
+  // Ground truth: customer 5's orders by price, highest first.
+  std::vector<Row> orders =
+      MustExecute(s,
+                  "SELECT O.o_orderkey, O.o_totalprice FROM Orders O "
+                  "WHERE O.o_custkey = 5")
+          .rows;
+  ASSERT_GE(orders.size(), 2u);
+  std::stable_sort(orders.begin(), orders.end(),
+                   [](const Row& a, const Row& b) {
+                     return a[1].Compare(b[1]) > 0;
+                   });
+  const std::vector<int64_t> expected = Keys(orders);
+
+  const std::string q =
+      "SELECT O.o_orderkey FROM Orders O WHERE O.o_custkey = 5 "
+      "ORDER BY O.o_totalprice DESC";
+  QueryResult local = MustExecute(s, q + " CURRENCY BOUND 10 MIN ON (O)");
+  EXPECT_EQ(local.stats.remote_queries, 0);
+  EXPECT_EQ(Keys(local.rows), expected);
+  QueryResult remote = MustExecute(s, q);
+  EXPECT_EQ(remote.stats.remote_queries, 1);
+  EXPECT_EQ(Keys(remote.rows), expected);
+  auto stmt = ParseSelect(q);
+  ASSERT_TRUE(stmt.ok());
+  auto direct = fx.sys.backend()->ExecuteQuery(**stmt);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(Keys(direct->rows), expected);
+
+  // The same ORDER BY inside a subquery.
+  QueryResult sub = MustExecute(
+      s,
+      "SELECT C.c_custkey FROM Customer C WHERE C.c_custkey <= 10 AND EXISTS ("
+      " SELECT O.o_orderkey FROM Orders O WHERE O.o_custkey = C.c_custkey"
+      " ORDER BY O.o_totalprice DESC CURRENCY BOUND 10 MIN ON (O)) "
+      "CURRENCY BOUND 10 MIN ON (C)");
+  std::vector<int64_t> with_orders = Keys(
+      MustExecute(s,
+                  "SELECT DISTINCT O.o_custkey FROM Orders O "
+                  "WHERE O.o_custkey <= 10")
+          .rows);
+  std::vector<int64_t> got = Keys(sub.rows);
+  std::sort(with_orders.begin(), with_orders.end());
+  std::sort(got.begin(), got.end());
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got, with_orders);
+}
+
+TEST(OrderByTest, SortsOnSelectAliasesAndAggregates) {
+  testing_util::TpcdFixture fx;
+  Session* s = fx.session.get();
+  // Ground truth: order counts per customer, most orders first, then key.
+  std::vector<Row> counts =
+      MustExecute(s,
+                  "SELECT O.o_custkey, count(*) FROM Orders O "
+                  "WHERE O.o_custkey <= 20 GROUP BY O.o_custkey")
+          .rows;
+  ASSERT_GE(counts.size(), 2u);
+  std::sort(counts.begin(), counts.end(), [](const Row& a, const Row& b) {
+    if (a[1].Compare(b[1]) != 0) return a[1].Compare(b[1]) > 0;
+    return a[0].Compare(b[0]) < 0;
+  });
+  const std::vector<int64_t> expected = Keys(counts);
+  for (const char* order : {"ORDER BY n DESC, k", "ORDER BY count(*) DESC, k",
+                            "ORDER BY count(*) DESC, O.o_custkey"}) {
+    QueryResult r = MustExecute(
+        s, std::string("SELECT O.o_custkey AS k, count(*) AS n FROM Orders O "
+                       "WHERE O.o_custkey <= 20 GROUP BY O.o_custkey ") +
+               order);
+    EXPECT_EQ(Keys(r.rows), expected) << order;
+  }
+}
+
 }  // namespace
 }  // namespace rcc

@@ -1,6 +1,6 @@
 // Direct unit tests for the execution layer: hand-built physical plans over
 // a raw table, independent of the optimizer; plus the remote-statement
-// parameterization and the currency guard in isolation.
+// templates and the currency guard in isolation.
 
 #include <gtest/gtest.h>
 
@@ -366,97 +366,145 @@ TEST(CurrencyVerdictTest, PastBoundServesOnlyUnderAlways) {
   EXPECT_TRUE(v.Permits(DegradeMode::kAlways));
 }
 
-// -- ParameterizeStmt -------------------------------------------------------------
+// -- Remote statement templates ----------------------------------------------
 
-TEST(ParameterizeTest, SubstitutesOuterRefsOnly) {
-  auto stmt = ParseSelect(
-      "SELECT S.a FROM SalesT S WHERE S.k = OuterT.x AND S.a > 3");
-  ASSERT_TRUE(stmt.ok());
+/// An outer scope binding `alias`.`column` to `value` (operand 7).
+struct OuterRow {
+  OuterRow(const std::string& alias, const std::string& column, Value value)
+      : row{std::move(value)} {
+    layout.Add(7, column, ValueType::kInt64);
+    aliases[alias] = 7;
+    scope.layout = &layout;
+    scope.row = &row;
+    scope.aliases = &aliases;
+  }
   RowLayout layout;
-  layout.Add(7, "x", ValueType::kInt64);
-  Row row{Value::Int(42)};
+  Row row;
   AliasMap aliases;
-  aliases["outert"] = 7;
   EvalScope scope;
-  scope.layout = &layout;
-  scope.row = &row;
-  scope.aliases = &aliases;
+};
 
-  auto parameterized = ParameterizeStmt(**stmt, scope);
-  ASSERT_TRUE(parameterized.ok());
-  std::string text = (*parameterized)->ToString();
-  EXPECT_EQ(text.find("OuterT"), std::string::npos);
-  EXPECT_NE(text.find("42"), std::string::npos);
-  EXPECT_NE(text.find("S.k"), std::string::npos);  // own refs untouched
-  EXPECT_NE(text.find("S.a"), std::string::npos);
+QueryTemplate TemplateOf(const std::string& sql,
+                         std::vector<std::unique_ptr<Expr>>* args) {
+  auto stmt = ParseSelect(sql);
+  EXPECT_TRUE(stmt.ok());
+  return MakeTemplate(std::move(*stmt), /*outer_refs=*/true, args);
 }
 
-TEST(ParameterizeTest, UnresolvableOuterRefFails) {
-  auto stmt = ParseSelect("SELECT S.a FROM SalesT S WHERE S.k = Ghost.x");
-  ASSERT_TRUE(stmt.ok());
-  EvalScope empty;
-  EXPECT_FALSE(ParameterizeStmt(**stmt, empty).ok());
+TEST(TemplateTest, SlotsLiteralsThenOuterRefs) {
+  std::vector<std::unique_ptr<Expr>> args;
+  QueryTemplate tmpl = TemplateOf(
+      "SELECT S.a FROM SalesT S WHERE S.k = OuterT.x AND S.a > 3", &args);
+  // The literal takes slot 0; the outer reference is numbered after it.
+  EXPECT_EQ(tmpl.key,
+            "SELECT S.a FROM SalesT S WHERE ((S.k = ?1) AND (S.a > ?0))");
+  ASSERT_EQ(args.size(), 2u);
+  EXPECT_EQ(args[0]->kind, ExprKind::kLiteral);
+  EXPECT_EQ(args[0]->literal.AsInt(), 3);
+  OuterRow outer("outert", "x", Value::Int(42));
+  auto v = EvalExpr(*args[1], outer.scope, nullptr);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->AsInt(), 42);
 }
 
-TEST(ParameterizeTest, SubstitutesInAllClauses) {
-  // Outer refs must be substituted everywhere an expression can appear —
-  // GROUP BY, HAVING and ORDER BY included, not just WHERE and the select
-  // items (a remote statement shipping an unresolved outer name fails at the
-  // back-end resolver).
-  auto stmt = ParseSelect(
+TEST(TemplateTest, SlotsOuterRefsInAllClauses) {
+  // Outer refs become slots everywhere an expression can appear — GROUP BY,
+  // HAVING and ORDER BY included, not just WHERE and the select items (a
+  // template naming an outer alias fails at the back-end resolver).
+  std::vector<std::unique_ptr<Expr>> args;
+  QueryTemplate tmpl = TemplateOf(
       "SELECT S.a, SUM(S.b) FROM SalesT S WHERE S.k > 0 "
       "GROUP BY S.a, OuterT.x HAVING SUM(S.b) > OuterT.x "
-      "ORDER BY OuterT.x DESC");
-  ASSERT_TRUE(stmt.ok());
-  RowLayout layout;
-  layout.Add(7, "x", ValueType::kInt64);
-  Row row{Value::Int(42)};
-  AliasMap aliases;
-  aliases["outert"] = 7;
-  EvalScope scope;
-  scope.layout = &layout;
-  scope.row = &row;
-  scope.aliases = &aliases;
-
-  auto parameterized = ParameterizeStmt(**stmt, scope);
-  ASSERT_TRUE(parameterized.ok());
-  std::string text = (*parameterized)->ToString();
-  EXPECT_EQ(text.find("OuterT"), std::string::npos) << text;
-  EXPECT_NE(text.find("GROUP BY"), std::string::npos) << text;
-  EXPECT_NE(text.find("HAVING"), std::string::npos) << text;
-  EXPECT_NE(text.find("ORDER BY"), std::string::npos) << text;
+      "ORDER BY OuterT.x DESC",
+      &args);
+  EXPECT_EQ(tmpl.key.find("OuterT"), std::string::npos) << tmpl.key;
+  EXPECT_NE(tmpl.key.find("GROUP BY"), std::string::npos) << tmpl.key;
+  EXPECT_NE(tmpl.key.find("HAVING"), std::string::npos) << tmpl.key;
+  EXPECT_NE(tmpl.key.find("ORDER BY ?3 DESC"), std::string::npos) << tmpl.key;
+  ASSERT_EQ(args.size(), 4u);
+  for (size_t i = 1; i < args.size(); ++i) {
+    EXPECT_EQ(args[i]->ToString(), "OuterT.x");
+  }
 }
 
-TEST(ParameterizeTest, OwnAliasInGroupByNotTreatedAsOuter) {
+TEST(TemplateTest, OwnAliasInGroupByStaysReference) {
   // A table's own alias referenced only in GROUP BY / ORDER BY must be
   // recognized as local (alias collection walks every clause too).
-  auto stmt = ParseSelect(
-      "SELECT COUNT(1) FROM SalesT S GROUP BY S.a ORDER BY S.a");
-  ASSERT_TRUE(stmt.ok());
-  EvalScope empty;
-  auto parameterized = ParameterizeStmt(**stmt, empty);
-  ASSERT_TRUE(parameterized.ok())
-      << parameterized.status().ToString();
-  EXPECT_NE((*parameterized)->ToString().find("S.a"), std::string::npos);
+  std::vector<std::unique_ptr<Expr>> args;
+  QueryTemplate tmpl = TemplateOf(
+      "SELECT COUNT(1) FROM SalesT S GROUP BY S.a ORDER BY S.a", &args);
+  EXPECT_EQ(tmpl.key,
+            "SELECT count(?0) FROM SalesT S GROUP BY S.a ORDER BY S.a");
+  ASSERT_EQ(args.size(), 1u);
+  EXPECT_EQ(args[0]->kind, ExprKind::kLiteral);
 }
 
-TEST(ParameterizeTest, NestedSubqueryHandled) {
-  auto stmt = ParseSelect(
+TEST(TemplateTest, NestedSubqueryOuterRefIsSlot) {
+  std::vector<std::unique_ptr<Expr>> args;
+  QueryTemplate tmpl = TemplateOf(
       "SELECT S.a FROM SalesT S WHERE EXISTS ("
-      "SELECT 1 FROM T2 WHERE T2.y = Outer2.z)");
-  ASSERT_TRUE(stmt.ok());
-  RowLayout layout;
-  layout.Add(3, "z", ValueType::kInt64);
-  Row row{Value::Int(9)};
-  AliasMap aliases;
-  aliases["outer2"] = 3;
-  EvalScope scope;
-  scope.layout = &layout;
-  scope.row = &row;
-  scope.aliases = &aliases;
-  auto parameterized = ParameterizeStmt(**stmt, scope);
-  ASSERT_TRUE(parameterized.ok());
-  EXPECT_EQ((*parameterized)->ToString().find("Outer2"), std::string::npos);
+      "SELECT 1 FROM T2 WHERE T2.y = Outer2.z AND T2.w = S.a)",
+      &args);
+  EXPECT_EQ(tmpl.key,
+            "SELECT S.a FROM SalesT S WHERE EXISTS (SELECT ?0 FROM T2 WHERE "
+            "((T2.y = ?1) AND (T2.w = S.a)))");
+  ASSERT_EQ(args.size(), 2u);
+  EXPECT_EQ(args[1]->ToString(), "Outer2.z");
+}
+
+/// Records every back-end call and answers it with no rows.
+class RecordingReader : public ReadHandle {
+ public:
+  const Table* ScanTable(const ScanTarget&) override { return nullptr; }
+  Result<ExecutedQuery> ExecuteRemote(const BackendCall& call,
+                                      const ExecContext&) override {
+    keys.push_back(call.tmpl.key);
+    params.push_back(call.params);
+    return ExecutedQuery{};
+  }
+  std::vector<std::string> keys;
+  std::vector<std::vector<Value>> params;
+};
+
+struct RemoteOpHarness {
+  explicit RemoteOpHarness(const std::string& sql) {
+    op.kind = PhysOpKind::kRemoteQuery;
+    op.remote_stmt = ParseSelect(sql).value();
+    op.remote_template = MakeTemplate(CloneSelectStmt(*op.remote_stmt), true,
+                                      &op.remote_args);
+    ctx.reader = &reader;
+    ctx.clock = &clock;
+    ctx.events = &events;
+  }
+  PhysicalOp op;
+  RecordingReader reader;
+  VirtualClock clock;
+  EventStream events;
+  ExecContext ctx;
+};
+
+TEST(TemplateTest, OpenShipsTemplateWithGatheredValues) {
+  RemoteOpHarness h("SELECT S.a FROM SalesT S WHERE S.k = OuterT.x AND S.a > 3");
+  RemoteQueryIterator iter(h.op, &h.ctx);
+  for (int64_t x : {42, 43}) {
+    OuterRow outer("outert", "x", Value::Int(x));
+    ASSERT_TRUE(iter.Open(&outer.scope).ok());
+    ASSERT_TRUE(iter.Close().ok());
+  }
+  ASSERT_EQ(h.reader.keys.size(), 2u);
+  EXPECT_EQ(h.reader.keys[0], h.reader.keys[1]);
+  EXPECT_EQ(h.reader.params[0], (std::vector<Value>{Value::Int(3),
+                                                    Value::Int(42)}));
+  EXPECT_EQ(h.reader.params[1], (std::vector<Value>{Value::Int(3),
+                                                    Value::Int(43)}));
+}
+
+TEST(TemplateTest, UnresolvableOuterRefFails) {
+  RemoteOpHarness h("SELECT S.a FROM SalesT S WHERE S.k = Ghost.x");
+  RemoteQueryIterator iter(h.op, &h.ctx);
+  EvalScope empty;
+  EXPECT_FALSE(iter.Open(&empty).ok());
+  EXPECT_TRUE(h.reader.keys.empty());  // nothing shipped
 }
 
 }  // namespace

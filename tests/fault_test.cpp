@@ -19,6 +19,11 @@ using testing_util::BookstoreFixture;
 using testing_util::MustExecute;
 using testing_util::MustPrepare;
 
+// The link-level tests never look inside the call they ship.
+const QueryTemplate kTemplate;
+const std::vector<Value> kNoParams;
+const BackendCall kCall{kTemplate, kNoParams};
+
 // -- FaultInjector ------------------------------------------------------------
 
 TEST(FaultInjectorTest, ExplicitOutageWindows) {
@@ -55,8 +60,8 @@ TEST(FaultInjectorTest, OutagePreemptsInnerCall) {
   VirtualClock clock;
   FaultInjector injector(config, &clock);
   int inner_calls = 0;
-  SelectStmt stmt;
-  RemoteAttempt attempt = injector.Execute(stmt, [&](const SelectStmt&) {
+  const BackendCall& stmt = kCall;
+  RemoteAttempt attempt = injector.Execute(stmt, [&](const BackendCall&) {
     ++inner_calls;
     return Result<ExecutedQuery>(ExecutedQuery{});
   });
@@ -72,8 +77,8 @@ TEST(FaultInjectorTest, TransientErrorsAndSpikes) {
   config.transient_error_probability = 1.0;
   VirtualClock clock;
   FaultInjector injector(config, &clock);
-  SelectStmt stmt;
-  auto inner = [](const SelectStmt&) {
+  const BackendCall& stmt = kCall;
+  auto inner = [](const BackendCall&) {
     return Result<ExecutedQuery>(ExecutedQuery{});
   };
   EXPECT_TRUE(injector.Execute(stmt, inner).status.IsUnavailable());
@@ -100,8 +105,8 @@ TEST(FaultInjectorTest, SameSeedSameFaultSchedule) {
   VirtualClock clock;
   FaultInjector a(config, &clock);
   FaultInjector b(config, &clock);
-  SelectStmt stmt;
-  auto inner = [](const SelectStmt&) {
+  const BackendCall& stmt = kCall;
+  auto inner = [](const BackendCall&) {
     return Result<ExecutedQuery>(ExecutedQuery{});
   };
   for (int i = 0; i < 50; ++i) {
@@ -128,12 +133,12 @@ class PolicyTest : public ::testing::Test {
   VirtualClock clock_;
   EventStream events_;
   const ExecStats& stats_ = events_.stats();
-  SelectStmt stmt_;
+  const BackendCall& stmt_ = kCall;
 };
 
 TEST_F(PolicyTest, FirstAttemptSuccessHasNoRetries) {
   RemotePolicy policy;
-  auto exec = MakeExecutor(policy, [](const SelectStmt&) {
+  auto exec = MakeExecutor(policy, [](const BackendCall&) {
     RemoteAttempt a;
     a.latency_ms = 2;
     return a;
@@ -149,7 +154,7 @@ TEST_F(PolicyTest, RetriesThenSucceeds) {
   policy.backoff_multiplier = 2.0;
   policy.backoff_jitter_ms = 0;
   int calls = 0;
-  auto exec = MakeExecutor(policy, [&](const SelectStmt&) {
+  auto exec = MakeExecutor(policy, [&](const BackendCall&) {
     RemoteAttempt a;
     a.latency_ms = 2;
     if (++calls <= 2) a.status = Status::Unavailable("flaky");
@@ -177,7 +182,7 @@ TEST_F(PolicyTest, BackoffFollowsDocumentedSchedule) {
   std::vector<SimTimeMs> waits;
   ResilientRemoteExecutor exec(
       policy,
-      [](const SelectStmt&) {
+      [](const BackendCall&) {
         RemoteAttempt a;
         a.status = Status::Unavailable("down");
         return a;
@@ -200,7 +205,7 @@ TEST_F(PolicyTest, BackoffJitterIsSeedDeterministic) {
   policy.backoff_jitter_ms = 50;
   policy.breaker_threshold = 0;
   policy.seed = 1234;
-  auto failing = [](const SelectStmt&) {
+  auto failing = [](const BackendCall&) {
     RemoteAttempt a;
     a.status = Status::Unavailable("down");
     return a;
@@ -235,7 +240,7 @@ TEST_F(PolicyTest, BackoffGrowsExponentiallyWithBoundedJitter) {
   std::vector<SimTimeMs> waits;
   ResilientRemoteExecutor exec(
       policy,
-      [](const SelectStmt&) {
+      [](const BackendCall&) {
         RemoteAttempt a;
         a.status = Status::Unavailable("down");
         return a;
@@ -259,7 +264,7 @@ TEST_F(PolicyTest, SlowAttemptsCountAsTimeouts) {
   policy.backoff_base_ms = 50;
   policy.backoff_jitter_ms = 0;
   policy.breaker_threshold = 0;
-  auto exec = MakeExecutor(policy, [](const SelectStmt&) {
+  auto exec = MakeExecutor(policy, [](const BackendCall&) {
     RemoteAttempt a;
     a.latency_ms = 5000;  // back-end answers, but far too late
     return a;
@@ -280,7 +285,7 @@ TEST_F(PolicyTest, BreakerOpensFailsFastAndRecovers) {
   policy.breaker_cooldown_ms = 5000;
   int calls = 0;
   bool healthy = false;
-  auto exec = MakeExecutor(policy, [&](const SelectStmt&) {
+  auto exec = MakeExecutor(policy, [&](const BackendCall&) {
     ++calls;
     RemoteAttempt a;
     a.latency_ms = 1;
@@ -315,7 +320,7 @@ TEST_F(PolicyTest, BreakerCooldownBoundaryIsClosed) {
   policy.breaker_threshold = 1;
   policy.breaker_cooldown_ms = 5000;
   int calls = 0;
-  auto exec = MakeExecutor(policy, [&](const SelectStmt&) {
+  auto exec = MakeExecutor(policy, [&](const BackendCall&) {
     ++calls;
     RemoteAttempt a;
     a.status = Status::Unavailable("down");
@@ -347,7 +352,7 @@ TEST_F(PolicyTest, FailureStreakRebuildsFromZeroAfterCooldown) {
   policy.breaker_threshold = 3;
   policy.breaker_cooldown_ms = 5000;
   int calls = 0;
-  auto exec = MakeExecutor(policy, [&](const SelectStmt&) {
+  auto exec = MakeExecutor(policy, [&](const BackendCall&) {
     ++calls;
     RemoteAttempt a;
     a.status = Status::Unavailable("down");

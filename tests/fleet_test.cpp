@@ -764,6 +764,60 @@ TEST(FleetSessionTest, RoutedBatchOnFourWorkersLeaksNoPins) {
   ExpectNoLeakedPins(&f);
 }
 
+TEST(FleetSessionTest, RoutedBatchSharesOneBackendPlanCache) {
+  FleetSystem f(ThreeNodeConfig());
+  ASSERT_TRUE(SetupFleet(&f).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+  // Under DEGRADE ALWAYS every stale node stays eligible, so each item routes
+  // to its cheapest node, whose 2-second guard then fails: Books items run
+  // their remote branch on node 2, Reviews items on node 1, all into the
+  // one back end (shard 0) and its one plan cache.
+  ASSERT_TRUE(session->Execute("SET DEGRADE ALWAYS").ok());
+  std::vector<std::string> sqls;
+  for (int i = 0; i < 48; ++i) {
+    sqls.push_back(StrPrintf(
+        i % 2 == 0 ? "SELECT isbn, price FROM Books B WHERE B.isbn = %d "
+                     "CURRENCY BOUND 2 SECONDS ON (B)"
+                   : "SELECT isbn, rating FROM Reviews R WHERE R.isbn = %d "
+                     "CURRENCY BOUND 2 SECONDS ON (R)",
+        1 + i));
+  }
+  const PlanCache& backend_plans = f.shard(0)->plan_cache();
+  const int64_t misses_before = backend_plans.misses();
+  std::vector<Result<QueryResult>> serial = session->ExecuteBatch(sqls, 1);
+  std::vector<Result<QueryResult>> pooled = session->ExecuteBatch(sqls, 4);
+  ASSERT_EQ(pooled.size(), sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    ASSERT_TRUE(serial[i].ok()) << serial[i].status().ToString();
+    ASSERT_TRUE(pooled[i].ok()) << pooled[i].status().ToString();
+    EXPECT_EQ(pooled[i]->rows, serial[i]->rows) << sqls[i];
+    EXPECT_EQ(pooled[i]->stats.remote_queries, 1) << sqls[i];
+  }
+  const std::string routed = "rcc.fleet.node.%d.routed";
+  for (int node : {1, 2}) {
+    EXPECT_EQ(f.anchor()->metrics().counter(StrPrintf(routed.c_str(), node))
+                  ->value(),
+              48)
+        << "node " << node;
+  }
+  // Two templates, planned once each; the pooled batch only hit.
+  EXPECT_EQ(backend_plans.misses() - misses_before, 2);
+  EXPECT_EQ(backend_plans.size(), 2u);
+
+  // A statistics refresh re-plans both templates while four workers race to
+  // them; answers do not change and the cache keeps one entry per template.
+  ASSERT_TRUE(f.shard(0)->RefreshStats("Books").ok());
+  pooled = session->ExecuteBatch(sqls, 4);
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    ASSERT_TRUE(pooled[i].ok()) << pooled[i].status().ToString();
+    EXPECT_EQ(pooled[i]->rows, serial[i]->rows) << sqls[i];
+  }
+  EXPECT_GE(backend_plans.misses() - misses_before, 4);
+  EXPECT_EQ(backend_plans.size(), 2u);
+  ExpectNoLeakedPins(&f);
+}
+
 TEST(FleetShardingTest, MirroredShardsServeIdenticalData) {
   FleetConfig fc = ThreeNodeConfig();
   fc.backend_shards = 2;

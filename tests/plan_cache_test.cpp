@@ -3,7 +3,8 @@
 // literal slots), two-level L1/L2 lookup, versioned invalidation, LRU
 // eviction, value-bound entries, and the session fast path (hit skips the
 // front end, EXPLAIN shows "plan: cached", parameterized reuse binds fresh
-// literals).
+// literals); and the back end's own plan cache, entered at its template
+// level by remote fetches and DML target-row SELECTs.
 //
 // The stale-plan-across-degrade regression lives here. Under the
 // RCC_PLANCACHE_MUTATE build the cache key drops the degrade mode, so a plan
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include "backend/fault_injector.h"
+#include "common/strings.h"
+#include "optimizer/optimizer.h"
 #include "plan/plan_cache.h"
 #include "replication/fault_injector.h"
 #include "replication/health.h"
@@ -482,6 +485,155 @@ TEST(PlanCacheSessionTest, QuarantinedRegionRefusesUnderCachedText) {
   QueryResult remote = MustExecute(s, q);
   EXPECT_EQ(remote.stats.switch_local, 0);
   EXPECT_EQ(IntColumn(remote), std::vector<int64_t>{1});
+}
+
+// ---------------------------------------------------------------------------
+// The back end's plan cache: one entry per statement template, planned on a
+// miss and re-run with fresh slot values on every hit.
+// ---------------------------------------------------------------------------
+
+/// Runs `sql` through the back end's literal entry.
+ExecutedQuery BackendRun(BackendServer* backend, const std::string& sql) {
+  auto stmt = ParseSelect(sql);
+  EXPECT_TRUE(stmt.ok()) << sql;
+  if (!stmt.ok()) return {};
+  auto result = backend->ExecuteQuery(**stmt);
+  EXPECT_TRUE(result.ok()) << sql << "\n  -> " << result.status().ToString();
+  return result.ok() ? std::move(*result) : ExecutedQuery{};
+}
+
+/// The index the back end's optimizer seeks for `sql`'s scan; "" for a
+/// full scan of the clustered table.
+std::string BackendAccessPath(const BackendServer& backend,
+                              const std::string& sql) {
+  auto stmt = ParseSelect(sql);
+  EXPECT_TRUE(stmt.ok());
+  auto resolved = ResolveQuery(**stmt, backend.catalog());
+  EXPECT_TRUE(resolved.ok());
+  OptimizerOptions opts;
+  opts.mode = PlanMode::kBackend;
+  auto plan = Optimize(std::move(*resolved), backend.catalog(), opts);
+  EXPECT_TRUE(plan.ok());
+  const PhysicalOp* op = plan->root.get();
+  while (op->kind != PhysOpKind::kLocalScan) op = op->children[0].get();
+  return op->index_name;
+}
+
+TEST(BackendPlanCacheTest, CorrelatedRemoteInnerMissesOnceThenHits) {
+  BookstoreFixture fx;
+  const PlanCache& pc = fx.sys.backend()->plan_cache();
+  const int64_t misses = pc.misses();
+  const int64_t hits = pc.hits();
+  // The inner side has no currency clause: every outer row re-opens its
+  // remote branch with the row's isbn in the template's one outer slot.
+  QueryResult r = MustExecute(
+      fx.session.get(),
+      "SELECT B.isbn FROM Books B WHERE B.isbn <= 5 AND EXISTS ("
+      " SELECT 1 FROM Sales S WHERE S.isbn = B.isbn) "
+      "CURRENCY BOUND 1 HOUR ON (B)");
+  ASSERT_EQ(r.stats.remote_queries, 5);
+  EXPECT_EQ(pc.misses() - misses, 1);
+  EXPECT_EQ(pc.hits() - hits, 4);
+}
+
+TEST(BackendPlanCacheTest, RefreshStatsReplansOnce) {
+  BookstoreFixture fx;
+  BackendServer* backend = fx.sys.backend();
+  const PlanCache& pc = backend->plan_cache();
+  const int64_t misses = pc.misses();
+  BackendRun(backend, "SELECT isbn, price FROM Books WHERE isbn = 7");
+  BackendRun(backend, "SELECT isbn, price FROM Books WHERE isbn = 8");
+  EXPECT_EQ(pc.misses() - misses, 1);
+  ASSERT_TRUE(backend->RefreshStats("Books").ok());
+  for (int isbn = 9; isbn <= 11; ++isbn) {
+    ExecutedQuery r = BackendRun(
+        backend, StrPrintf("SELECT isbn, price FROM Books WHERE isbn = %d",
+                           isbn));
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].AsInt(), isbn);
+  }
+  EXPECT_EQ(pc.misses() - misses, 2);
+}
+
+TEST(BackendPlanCacheTest, CreateTableInvalidates) {
+  BookstoreFixture fx;
+  BackendServer* backend = fx.sys.backend();
+  const PlanCache& pc = backend->plan_cache();
+  const int64_t misses = pc.misses();
+  const std::string q = "SELECT isbn FROM Books WHERE isbn = 3";
+  BackendRun(backend, q);
+  BackendRun(backend, q);
+  EXPECT_EQ(pc.misses() - misses, 1);
+  TableDef def;
+  def.name = "Authors";
+  def.schema = Schema({{"id", ValueType::kInt64}});
+  def.clustered_key = {"id"};
+  ASSERT_TRUE(backend->CreateTable(def).ok());
+  BackendRun(backend, q);
+  EXPECT_EQ(pc.misses() - misses, 2);
+}
+
+TEST(BackendPlanCacheTest, RangeTemplateReplansWhenItsLiteralFlipsThePath) {
+  BookstoreFixture fx;
+  BackendServer* backend = fx.sys.backend();
+  const PlanCache& pc = backend->plan_cache();
+  // One template, two literals: the narrow range seeks the price index, the
+  // wide one scans the table.
+  const std::string narrow = "SELECT isbn FROM Books WHERE price > 149.5";
+  const std::string wide = "SELECT isbn FROM Books WHERE price > 6.5";
+  ASSERT_EQ(BackendAccessPath(*backend, narrow), "idx_books_price");
+  ASSERT_EQ(BackendAccessPath(*backend, wide), "");
+  // The plan is value-bound, so it is not kept: every call re-plans and
+  // the wide literal gets the scan.
+  const int64_t misses = pc.misses();
+  BackendRun(backend, narrow);
+  ExecutedQuery r = BackendRun(backend, wide);
+  EXPECT_EQ(pc.misses() - misses, 2);
+  EXPECT_EQ(pc.size(), 0u);
+  size_t expected = 0;
+  backend->table("Books")->Scan([&](const Row& row) {
+    if (row[2].AsDouble() > 6.5) ++expected;
+    return true;
+  });
+  EXPECT_EQ(r.rows.size(), expected);
+}
+
+TEST(BackendPlanCacheTest, OneKeyUpdatePlansItsTargetRowsOnce) {
+  BookstoreFixture fx;
+  const PlanCache& pc = fx.sys.backend()->plan_cache();
+  const int64_t misses = pc.misses();
+  const int64_t hits = pc.hits();
+  for (int isbn = 1; isbn <= 10; ++isbn) {
+    QueryResult r = MustExecute(
+        fx.session.get(),
+        StrPrintf("UPDATE Books SET stock = stock + 1 WHERE isbn = %d", isbn));
+    EXPECT_EQ(r.rows_affected, 1);
+  }
+  EXPECT_EQ(pc.misses() - misses, 1);
+  EXPECT_EQ(pc.hits() - hits, 9);
+}
+
+TEST(BackendPlanCacheTest, DoubleAndQuotedStringSlotsShipExactly) {
+  BookstoreFixture fx;
+  Session* s = fx.session.get();
+  // %g prints both prices as 19.1235, and the title carries a quote.
+  MustExecute(s,
+              "INSERT INTO Books (isbn, title, price, stock) "
+              "VALUES (9001, 'It''s', 19.1234561, 1)");
+  MustExecute(s,
+              "INSERT INTO Books (isbn, title, price, stock) "
+              "VALUES (9002, 'It''s', 19.1234564, 1)");
+  for (const auto& [price, isbn] :
+       std::vector<std::pair<std::string, int64_t>>{{"19.1234561", 9001},
+                                                    {"19.1234564", 9002}}) {
+    // No currency clause: the cache's remote branch ships the statement.
+    const std::string q = "SELECT isbn FROM Books B WHERE B.price = " +
+                          price + " AND B.title = 'It''s'";
+    QueryResult remote = MustExecute(s, q);
+    EXPECT_EQ(remote.stats.remote_queries, 1);
+    EXPECT_EQ(IntColumn(remote), std::vector<int64_t>{isbn});
+    EXPECT_EQ(remote.rows, BackendRun(fx.sys.backend(), q).rows);
+  }
 }
 
 }  // namespace
