@@ -3,7 +3,8 @@
 // cache-mode optimization, guard evaluation, and end-to-end execution of the
 // paper's Q1. These are the building blocks behind Tables 4.4/4.5. The DML
 // pair times a one-key UPDATE against an INSERT through Session::Execute;
-// BM_CorrelatedExists times a subplan re-opened per outer row.
+// BM_CorrelatedExists times a subplan re-opened per outer row;
+// BM_ExecuteRemoteRangeRead one range template shipped with fresh literals.
 
 #include <benchmark/benchmark.h>
 
@@ -120,6 +121,38 @@ void BM_ExecuteRemotePointLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteRemotePointLookup);
+
+// The remote branch of a 4-customer Orders range read, the shape of
+// perfbench currency_rw's remote reads: one cached plan, a new literal on
+// every iteration, so the back end's plan cache sees one range template
+// over a stream of values.
+void BM_ExecuteRemoteRangeRead(benchmark::State& state) {
+  RccSystem* sys = System();
+  auto cached = sys->cache()->LookupOrPlan(
+      "SELECT o_custkey, o_orderkey, o_totalprice FROM Orders O "
+      "WHERE O.o_custkey >= 1 AND O.o_custkey <= 4",
+      DegradeMode::kNone, /*timeordered=*/false);
+  if (!cached.ok() || cached->params.size() != 2) {
+    state.SkipWithError("plan failed");
+    return;
+  }
+  std::vector<Value> params = cached->params;
+  PreparedExecOptions opts;
+  opts.params = &params;
+  int64_t lo = 0;
+  for (auto _ : state) {
+    lo = lo % 1000 + 1;
+    params[0] = Value::Int(lo);
+    params[1] = Value::Int(lo + 3);
+    auto outcome = sys->cache()->ExecutePrepared(*cached->entry->plan, opts);
+    benchmark::DoNotOptimize(outcome);
+    if (!outcome.ok() || outcome->stats.remote_queries != 1) {
+      state.SkipWithError("unexpected outcome");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_ExecuteRemoteRangeRead);
 
 // A correlated EXISTS over 1,000 outer customers. Its subplan is built once
 // per execution and re-opened per customer; the inner side seeks the local

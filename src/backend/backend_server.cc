@@ -91,8 +91,13 @@ Result<TxnTimestamp> BackendServer::ExecuteTransaction(
 }
 
 Result<ExecutedQuery> BackendServer::Execute(const BackendCall& call) {
-  PlanCache::LookupResult found =
-      plans_.LookupTemplate(call.tmpl.key, call.params);
+  // A hit re-chooses each range-priced access path at these values; a
+  // choice that flips makes it a miss, and the new plan replaces the entry.
+  PlanCache::LookupResult found = plans_.LookupTemplate(
+      call.tmpl.key, call.params, [&](const PlanCacheEntry& e) {
+        return !e.range_priced ||
+               AccessPathsHold(*e.plan, call.params, catalog_, costs_);
+      });
   std::shared_ptr<const PlanCacheEntry> entry;
   if (found.hit) {
     entry = std::move(found.hit->entry);
@@ -133,8 +138,8 @@ Result<std::shared_ptr<const PlanCacheEntry>> BackendServer::Plan(
     slots[i] = ParamSlot{i, call.params[i]};
   }
   auto entry = std::make_shared<PlanCacheEntry>();
-  entry->parameterized =
-      ParameterizePlan(&plan, slots, catalog_, /*bind_ranges=*/true);
+  entry->parameterized = ParameterizePlan(&plan, slots, catalog_);
+  entry->range_priced = HasRangePricedScan(plan);
   entry->creation_values = call.params;
   entry->plan = std::make_shared<const QueryPlan>(std::move(plan));
   // A value-bound plan runs but is not kept: the next call of its template

@@ -64,10 +64,13 @@ class BackendServer : private ReadHandle {
   /// -- queries -----------------------------------------------------------------
 
   /// Executes `call.tmpl` with `call.params` bound to its slots. The plan
-  /// comes from the plan cache, keyed by the template and its slot types; a
+  /// comes from the plan cache, one entry per template and slot types; a
   /// miss binds the values as literals and plans them (back-end mode: base
-  /// tables + indexes only). A plan whose access path depends on those
-  /// values (value-bound) is not kept, so such a template re-plans per call.
+  /// tables + indexes only). A scan whose access path was priced at a range
+  /// keeps its path only while the chooser, run again at these values, picks
+  /// the same one; when it picks another the call re-plans and replaces the
+  /// entry. Rows never depend on the path: each scan's residual re-checks
+  /// every conjunct.
   Result<ExecutedQuery> Execute(const BackendCall& call);
 
   /// The literal entry: each literal of `stmt` becomes a slot, then Execute.

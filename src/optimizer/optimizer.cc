@@ -15,6 +15,23 @@ namespace {
 
 constexpr double kDefaultSel = 0.3;
 
+/// Distinct values of `column` in `stats` (at least 1); `fallback` when the
+/// column has no statistics.
+double DistinctIn(const TableStats& stats, const std::string& column,
+                  double fallback) {
+  auto it = stats.columns.find(ToLower(column));
+  if (it == stats.columns.end()) {
+    // Column names are stored with original case in stats.
+    for (const auto& [name, cs] : stats.columns) {
+      if (EqualsIgnoreCase(name, column)) {
+        return std::max<double>(1.0, static_cast<double>(cs.distinct_count));
+      }
+    }
+    return fallback;
+  }
+  return std::max<double>(1.0, static_cast<double>(it->second.distinct_count));
+}
+
 bool IsAggregateFunc(const std::string& f) {
   return f == "count" || f == "sum" || f == "avg" || f == "min" || f == "max";
 }
@@ -389,18 +406,7 @@ bool Planner::PlacementValid(const PlacementVec& placement) const {
 double Planner::DistinctOf(InputOperandId op, const std::string& column,
                            double fallback) const {
   if (op >= resolved_.operands.size()) return fallback;
-  const TableStats& stats = StatsOf(op);
-  auto it = stats.columns.find(ToLower(column));
-  if (it == stats.columns.end()) {
-    // Column names are stored with original case in stats.
-    for (const auto& [name, cs] : stats.columns) {
-      if (EqualsIgnoreCase(name, column)) {
-        return std::max<double>(1.0, static_cast<double>(cs.distinct_count));
-      }
-    }
-    return fallback;
-  }
-  return std::max<double>(1.0, static_cast<double>(it->second.distinct_count));
+  return DistinctIn(StatsOf(op), column, fallback);
 }
 
 double Planner::UnitRowsEstimate(const BlockCtx& ctx,
@@ -520,66 +526,20 @@ Result<std::unique_ptr<PhysicalOp>> Planner::BuildScan(
   }
 
   const auto& bounds = ctx.bounds.at(op);
-  double total_rows = static_cast<double>(stats.row_count) * stats_scale;
-  double matches = UnitRowsEstimate(ctx, op) * stats_scale;
-
-  // Candidate access paths, costed against the (scaled) storage.
-  TableStats scaled = stats;
-  scaled.row_count = static_cast<int64_t>(total_rows);
-  double best_cost = FullScanCost(scaled, opts_.costs);
-  std::string best_index;      // "" = clustered
-  const std::string* seek_col = nullptr;  // bounds column driving the seek
-  bool best_is_seek = false;
-
-  auto try_path = [&](const std::string& index_name,
-                      const std::string& first_col, bool clustered) {
-    // Parameterized equality on the leading column?
-    if (!param_column.empty() && EqualsIgnoreCase(first_col, param_column)) {
-      double probe_matches =
-          std::max(1.0, total_rows / DistinctOf(op, first_col, total_rows));
-      double cost = clustered
-                        ? ClusteredRangeCost(scaled, probe_matches, opts_.costs)
-                        : SecondaryIndexCost(probe_matches, opts_.costs);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_index = index_name;
-        seek_col = &param_column;
-        best_is_seek = true;
-      }
-      return;
-    }
-    auto bit = bounds.find(ToLower(first_col));
-    if (bit == bounds.end()) return;
-    const RangeBound& b = bit->second;
-    if (!b.lo && !b.hi) return;
-    double frac = stats.RangeSelectivity(first_col, b.lo ? &*b.lo : nullptr,
-                                         b.hi ? &*b.hi : nullptr);
-    if (b.has_eq) frac = stats.EqSelectivity(first_col);
-    double range_matches = total_rows * frac;
-    double cost = clustered
-                      ? ClusteredRangeCost(scaled, range_matches, opts_.costs)
-                      : SecondaryIndexCost(range_matches, opts_.costs);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_index = index_name;
-      seek_col = &bit->first;
-      best_is_seek = false;
-    }
-  };
-
-  if (!clustered_key.empty()) try_path("", clustered_key[0], true);
-  for (const IndexDef& idx : indexes) {
-    if (!idx.columns.empty()) try_path(idx.name, idx.columns[0], false);
-  }
-
-  if (seek_col != nullptr) {
-    scan->index_name = best_index;
-    if (best_is_seek) {
+  const AccessPath path =
+      ChooseAccessPath(bounds, stats, stats_scale, clustered_key, indexes,
+                       opts_.costs, param_column);
+  // An index nested-loop inner side is priced per probe, inside a join whose
+  // order and method a cached plan keeps as planned: no re-check for it.
+  scan->range_priced = path.range_priced && param_column.empty();
+  if (path.seek()) {
+    scan->index_name = path.index != nullptr ? path.index->name : "";
+    if (path.param_seek) {
       // Parameterized point seek on the leading column.
       scan->seek_lo.push_back(param_outer->Clone());
       scan->seek_hi.push_back(param_outer->Clone());
     } else {
-      const RangeBound& b = bounds.at(ToLower(*seek_col));
+      const RangeBound& b = *path.range;
       // Stamp the source literal's offset so the plan cache can parameterize
       // the seek; the residual keeps every conjunct, so a reused seek bound
       // can only be wider than optimal, never wrong.
@@ -614,12 +574,13 @@ Result<std::unique_ptr<PhysicalOp>> Planner::BuildScan(
   }
   scan->residual = std::move(residual);
 
+  const double total_rows = static_cast<double>(stats.row_count) * stats_scale;
   scan->est_rows = !param_column.empty()
                        ? std::max(1.0, total_rows /
                                            DistinctOf(op, param_column,
                                                       total_rows))
-                       : matches;
-  scan->est_cost = best_cost;
+                       : UnitRowsEstimate(ctx, op) * stats_scale;
+  scan->est_cost = path.cost;
   return scan;
 }
 
@@ -1691,6 +1652,111 @@ Result<QueryPlan> Planner::Run(ResolvedQuery resolved) {
 }
 
 }  // namespace
+
+AccessPath ChooseAccessPath(const std::map<std::string, RangeBound>& bounds,
+                            const TableStats& stats, double stats_scale,
+                            const std::vector<std::string>& clustered_key,
+                            const std::vector<IndexDef>& indexes,
+                            const CostParams& costs,
+                            const std::string& param_column) {
+  // Candidate paths, costed against the (scaled) storage.
+  const double total_rows = static_cast<double>(stats.row_count) * stats_scale;
+  TableStats scaled = stats;
+  scaled.row_count = static_cast<int64_t>(total_rows);
+  AccessPath best;
+  best.cost = FullScanCost(scaled, costs);
+
+  auto try_path = [&](const IndexDef* index, const std::string& first_col) {
+    auto offer = [&](double matches, const RangeBound* range) {
+      double cost = index == nullptr
+                        ? ClusteredRangeCost(scaled, matches, costs)
+                        : SecondaryIndexCost(matches, costs);
+      if (cost < best.cost) {
+        best.cost = cost;
+        best.index = index;
+        best.range = range;
+        best.param_seek = range == nullptr;
+      }
+    };
+    // Parameterized equality on the leading column?
+    if (!param_column.empty() && EqualsIgnoreCase(first_col, param_column)) {
+      offer(std::max(1.0, total_rows /
+                              DistinctIn(stats, first_col, total_rows)),
+            nullptr);
+      return;
+    }
+    auto bit = bounds.find(ToLower(first_col));
+    if (bit == bounds.end()) return;
+    const RangeBound& b = bit->second;
+    if (!b.lo && !b.hi) return;
+    double frac = 0;
+    if (b.has_eq) {
+      frac = stats.EqSelectivity(first_col);
+    } else {
+      frac = stats.RangeSelectivity(first_col, b.lo ? &*b.lo : nullptr,
+                                    b.hi ? &*b.hi : nullptr);
+      best.range_priced = true;
+    }
+    offer(total_rows * frac, &b);
+  };
+
+  if (!clustered_key.empty()) try_path(nullptr, clustered_key[0]);
+  for (const IndexDef& idx : indexes) {
+    if (!idx.columns.empty()) try_path(&idx, idx.columns[0]);
+  }
+  return best;
+}
+
+namespace {
+
+template <typename Fn>
+bool AllScans(const PhysicalOp* op, const Fn& fn) {
+  if (op == nullptr) return true;
+  if (op->kind == PhysOpKind::kLocalScan && !fn(*op)) return false;
+  for (const auto& c : op->children) {
+    if (!AllScans(c.get(), fn)) return false;
+  }
+  return true;
+}
+
+/// `fn` holds for every scan of `plan`, subquery plans included.
+template <typename Fn>
+bool AllScans(const QueryPlan& plan, const Fn& fn) {
+  if (!AllScans(plan.root.get(), fn)) return false;
+  for (const auto& [stmt, sub] : plan.subplans) {
+    (void)stmt;
+    if (!AllScans(sub.root.get(), fn)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool HasRangePricedScan(const QueryPlan& plan) {
+  return !AllScans(plan, [](const PhysicalOp& scan) {
+    return !scan.range_priced;
+  });
+}
+
+bool AccessPathsHold(const QueryPlan& plan, const std::vector<Value>& params,
+                     const Catalog& catalog, const CostParams& costs) {
+  return AllScans(plan, [&](const PhysicalOp& scan) {
+    if (!scan.range_priced) return true;
+    const ResolvedOperand& operand = plan.resolved.operands[scan.operand];
+    const TableDef& table = *operand.table;
+    const AliasMap aliases{{ToLower(operand.alias), scan.operand}};
+    const auto bounds =
+        ExtractBounds(SplitConjuncts(scan.residual.get()), scan.operand,
+                      aliases, table.schema, &params);
+    const AccessPath path = ChooseAccessPath(
+        bounds, catalog.GetStats(table.name), 1.0, table.clustered_key,
+        table.secondary_indexes, costs);
+    const bool scan_seeks = !scan.seek_lo.empty() || !scan.seek_hi.empty();
+    return path.seek() == scan_seeks &&
+           (path.index != nullptr ? path.index->name : std::string()) ==
+               scan.index_name;
+  });
+}
 
 Result<QueryPlan> Optimize(ResolvedQuery resolved, const Catalog& catalog,
                            const OptimizerOptions& options) {

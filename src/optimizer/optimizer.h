@@ -5,6 +5,7 @@
 
 #include "catalog/catalog.h"
 #include "optimizer/cost_model.h"
+#include "optimizer/view_matching.h"
 #include "plan/physical.h"
 #include "replication/health.h"
 #include "semantics/resolver.h"
@@ -64,6 +65,47 @@ struct RemoteEstimate {
 Result<RemoteEstimate> EstimateBackendQuery(const SelectStmt& stmt,
                                             const Catalog& catalog,
                                             const CostParams& costs);
+
+/// How a scan reads its storage: a seek on the leading column of the
+/// clustered key or of a secondary index, or a full scan.
+struct AccessPath {
+  /// Secondary index sought; nullptr = the clustered key (or a full scan).
+  const IndexDef* index = nullptr;
+  /// Bound driving a range seek; nullptr for a parameterized seek or a full
+  /// scan.
+  const RangeBound* range = nullptr;
+  /// Point seek on an index nested-loop join's parameterized equality.
+  bool param_seek = false;
+  double cost = 0;
+  /// Some candidate was priced at a range's values (not an equality's), so
+  /// other values may pick another path.
+  bool range_priced = false;
+
+  bool seek() const { return range != nullptr || param_seek; }
+};
+
+/// The cheapest access path for a scan whose single-table conjuncts imply
+/// `bounds`, over storage holding `stats_scale` of the rows `stats`
+/// describes. With `param_column`, an equality on that column to an outer
+/// value (the inner side of an index nested-loop join) is one more
+/// candidate. The optimizer picks every scan's path here.
+AccessPath ChooseAccessPath(const std::map<std::string, RangeBound>& bounds,
+                            const TableStats& stats, double stats_scale,
+                            const std::vector<std::string>& clustered_key,
+                            const std::vector<IndexDef>& indexes,
+                            const CostParams& costs,
+                            const std::string& param_column = "");
+
+/// True when some scan of back-end `plan` picked its path at a range
+/// (PhysicalOp::range_priced).
+bool HasRangePricedScan(const QueryPlan& plan);
+
+/// Re-chooses, at `params`, the access path of each range-priced scan of
+/// back-end `plan` (its parameters bound to `params`): the bounds come from
+/// the scan's residual, the rest from `catalog`. True when every choice is
+/// the plan's own index and seek kind.
+bool AccessPathsHold(const QueryPlan& plan, const std::vector<Value>& params,
+                     const Catalog& catalog, const CostParams& costs);
 
 }  // namespace rcc
 

@@ -81,7 +81,18 @@ BinaryOp Mirror(BinaryOp op) {
 
 std::map<std::string, RangeBound> ExtractBounds(
     const std::vector<const Expr*>& conjuncts, InputOperandId op,
-    const AliasMap& aliases, const Schema& schema) {
+    const AliasMap& aliases, const Schema& schema,
+    const std::vector<Value>* params) {
+  // The value a comparison operand pins, when it is a literal or a bound
+  // parameter.
+  auto value_of = [params](const Expr* e) -> const Value* {
+    if (e->kind == ExprKind::kLiteral) return &e->literal;
+    if (e->kind == ExprKind::kParam && params != nullptr &&
+        e->param_index < params->size()) {
+      return &(*params)[e->param_index];
+    }
+    return nullptr;
+  };
   std::map<std::string, RangeBound> out;
   for (const Expr* c : conjuncts) {
     if (c == nullptr || c->kind != ExprKind::kBinary) continue;
@@ -92,16 +103,18 @@ std::map<std::string, RangeBound> ExtractBounds(
     }
     const Expr* l = c->left.get();
     const Expr* r = c->right.get();
-    // col <cmp> literal
+    // col <cmp> value
+    const Value* v = value_of(r);
     if (auto col = ColumnOf(l, op, aliases, schema);
-        col && r->kind == ExprKind::kLiteral && !r->literal.is_null()) {
-      ApplyBound(&out[*col], bop, r->literal, r->literal_offset);
+        col && v != nullptr && !v->is_null()) {
+      ApplyBound(&out[*col], bop, *v, r->literal_offset);
       continue;
     }
-    // literal <cmp> col  (mirror the comparison)
+    // value <cmp> col  (mirror the comparison)
+    v = value_of(l);
     if (auto col = ColumnOf(r, op, aliases, schema);
-        col && l->kind == ExprKind::kLiteral && !l->literal.is_null()) {
-      ApplyBound(&out[*col], Mirror(bop), l->literal, l->literal_offset);
+        col && v != nullptr && !v->is_null()) {
+      ApplyBound(&out[*col], Mirror(bop), *v, l->literal_offset);
     }
   }
   return out;

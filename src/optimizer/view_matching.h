@@ -29,12 +29,14 @@ struct RangeBound {
 };
 
 /// Per-column bounds implied by `conjuncts` for operand `op`. Only conjuncts
-/// of the form <column> <cmp> <literal> (or mirrored) contribute; a column
+/// of the form <column> <cmp> <literal> (or mirrored) contribute; with
+/// `params`, so does a parameter, read as its bound value. A column
 /// reference matches when its qualifier resolves to `op` via `aliases`, or —
 /// for bare references — when `schema` contains the column.
 std::map<std::string, RangeBound> ExtractBounds(
     const std::vector<const Expr*>& conjuncts, InputOperandId op,
-    const AliasMap& aliases, const Schema& schema);
+    const AliasMap& aliases, const Schema& schema,
+    const std::vector<Value>* params = nullptr);
 
 /// Combined selectivity of the bounds against `stats` (uniformity and
 /// independence assumptions).

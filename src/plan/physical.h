@@ -82,6 +82,9 @@ struct PhysicalOp {
   /// Residual predicate applied to each scanned row (also used as the filter
   /// predicate of kFilter and the join predicate of kNestedLoopJoin).
   std::unique_ptr<Expr> residual;
+  /// The access path was chosen at a range's values (ChooseAccessPath), so
+  /// the back end re-chooses it when a cached plan runs with other values.
+  bool range_priced = false;
 
   // -- kRemoteQuery ----------------------------------------------------------
   /// Statement shipped to the back-end (EXPLAIN renders it). May contain

@@ -130,29 +130,12 @@ bool HasProvenancelessLiteral(const Expr* e) {
   });
 }
 
-/// True when `e` compares a parameter by <, <=, > or >=.
-bool RangeOnParam(const Expr* e) {
-  return AnyNode(e, [](const Expr& n) {
-    return n.kind == ExprKind::kBinary && n.op >= BinaryOp::kLt &&
-           n.op <= BinaryOp::kGe &&
-           (n.left->kind == ExprKind::kParam ||
-            n.right->kind == ExprKind::kParam);
-  });
-}
-
-/// Value-dependent planning survives in two places: seek bounds whose
-/// literals lack provenance, and scans of *partial* materialized views
-/// (matched because this query's literal range fit the view's column range —
-/// a different value could select outside the view). With `bind_ranges`,
-/// also in a scan whose residual holds a range on a parameter: its access
-/// path (seek or full scan) was priced at that literal's selectivity.
-bool ValueGenericOp(const PhysicalOp* op, const Catalog& catalog,
-                    bool bind_ranges) {
+/// Value-dependent planning that can change rows survives in two places:
+/// seek bounds whose literals lack provenance, and scans of *partial*
+/// materialized views (matched because this query's literal range fit the
+/// view's column range — a different value could select outside the view).
+bool ValueGenericOp(const PhysicalOp* op, const Catalog& catalog) {
   if (op == nullptr) return true;
-  if (bind_ranges && op->kind == PhysOpKind::kLocalScan &&
-      RangeOnParam(op->residual.get())) {
-    return false;
-  }
   for (const auto& e : op->seek_lo) {
     if (HasProvenancelessLiteral(e.get())) return false;
   }
@@ -164,7 +147,7 @@ bool ValueGenericOp(const PhysicalOp* op, const Catalog& catalog,
     if (def == nullptr || !def->predicate.empty()) return false;
   }
   for (const auto& c : op->children) {
-    if (!ValueGenericOp(c.get(), catalog, bind_ranges)) return false;
+    if (!ValueGenericOp(c.get(), catalog)) return false;
   }
   return true;
 }
@@ -172,7 +155,7 @@ bool ValueGenericOp(const PhysicalOp* op, const Catalog& catalog,
 }  // namespace
 
 bool ParameterizePlan(QueryPlan* plan, const std::vector<ParamSlot>& slots,
-                      const Catalog& catalog, bool bind_ranges) {
+                      const Catalog& catalog) {
   RewriteState st;
   st.matched.assign(slots.size(), 0);
   for (size_t i = 0; i < slots.size(); ++i) st.by_offset[slots[i].offset] = i;
@@ -189,10 +172,10 @@ bool ParameterizePlan(QueryPlan* plan, const std::vector<ParamSlot>& slots,
   for (size_t m : st.matched) {
     if (m == 0) all_matched = false;
   }
-  bool generic = ValueGenericOp(plan->root.get(), catalog, bind_ranges);
+  bool generic = ValueGenericOp(plan->root.get(), catalog);
   for (const auto& [stmt, sub] : plan->subplans) {
     (void)stmt;
-    if (!ValueGenericOp(sub.root.get(), catalog, bind_ranges)) generic = false;
+    if (!ValueGenericOp(sub.root.get(), catalog)) generic = false;
   }
   return all_matched && generic;
 }
@@ -352,13 +335,15 @@ PlanCache::LookupResult PlanCache::Lookup(
 }
 
 PlanCache::LookupResult PlanCache::LookupTemplate(
-    std::string_view key, const std::vector<Value>& params) {
+    std::string_view key, const std::vector<Value>& params,
+    const std::function<bool(const PlanCacheEntry&)>& fits) {
   const double start_ms = lookup_ms_ != nullptr ? NowMs() : 0;
   LookupResult out;
   out.version_at_lookup = version();
   std::optional<L2Node> found =
       Find(l2_, TypedKey(key, params), out.version_at_lookup);
-  const bool hit = found && Reusable(*found->entry, params, nullptr);
+  const bool hit =
+      found && Reusable(*found->entry, params, nullptr) && fits(*found->entry);
   Count(hit, start_ms);
   if (hit) out.hit = PlanCacheHit{std::move(found->entry), {}};
   return out;

@@ -2,6 +2,7 @@
 #define RCC_PLAN_PLAN_CACHE_H_
 
 #include <atomic>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -57,10 +58,16 @@ NormalizedSql NormalizeSql(std::string_view sql);
 struct PlanCacheEntry {
   std::shared_ptr<const QueryPlan> plan;
   /// True: the plan is value-generic — every slot literal was rewritten to a
-  /// kParam and no value-dependent planning decision (partial-view match,
-  /// provenance-less seek bound) survives. False: value-bound — the entry
-  /// only matches queries whose slot values equal creation_values exactly.
+  /// kParam and no value-dependent planning decision that could change its
+  /// rows (partial-view match, provenance-less seek bound) survives. False:
+  /// value-bound — the entry only matches queries whose slot values equal
+  /// creation_values exactly.
   bool parameterized = false;
+  /// Some scan's access path was priced at a range on a slot. Rows stay
+  /// exact at any values, but the path may not be the cheapest: the back end
+  /// re-chooses it on each hit (AccessPathsHold). False for point lookups,
+  /// which then pay nothing.
+  bool range_priced = false;
   /// Slot values the plan was built from (also the params to bind when a
   /// value-bound entry hits: binding identical values is identical to the
   /// literals the plan was optimized with).
@@ -89,12 +96,12 @@ struct PlanCacheHit {
 
 /// Rewrites plan literals that came from parameter slots into kParam nodes
 /// (matched by source byte offset; a slot can match several clones: seek
-/// bound, residual, remote branch). True when the plan is safe for
-/// value-generic reuse (see PlanCacheEntry::parameterized). `bind_ranges`
-/// (the back end's rule) also keeps value-bound a scan whose access path was
-/// priced at a range literal, so a literal that flips the path re-plans.
+/// bound, residual, remote branch). True when the plan returns the right
+/// rows at any slot values (see PlanCacheEntry::parameterized). A scan
+/// whose access path was priced at a range literal stays value-generic:
+/// the path's cost, not its rows, depends on the value.
 bool ParameterizePlan(QueryPlan* plan, const std::vector<ParamSlot>& slots,
-                      const Catalog& catalog, bool bind_ranges = false);
+                      const Catalog& catalog);
 
 /// Sharded LRU plan cache with two levels and versioned invalidation.
 ///
@@ -149,10 +156,13 @@ class PlanCache {
 
   /// The template level alone, for a caller that already holds a template
   /// key and its slot values (the back end): no raw text and no lexing. The
-  /// key is typed by the values, so a slot's type is what it carries. A hit
-  /// leaves `hit->params` empty: the caller binds its own.
-  LookupResult LookupTemplate(std::string_view key,
-                              const std::vector<Value>& params);
+  /// key is typed by the values, so a slot's type is what it carries. A
+  /// found entry hits only if `fits` accepts it (called outside any lock);
+  /// a refusal counts as a miss. A hit leaves `hit->params` empty: the
+  /// caller binds its own.
+  LookupResult LookupTemplate(
+      std::string_view key, const std::vector<Value>& params,
+      const std::function<bool(const PlanCacheEntry&)>& fits);
   void InsertTemplate(std::string_view key, const std::vector<Value>& params,
                       std::shared_ptr<PlanCacheEntry> entry,
                       uint64_t version_at_lookup);

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -502,10 +503,8 @@ ExecutedQuery BackendRun(BackendServer* backend, const std::string& sql) {
   return result.ok() ? std::move(*result) : ExecutedQuery{};
 }
 
-/// The index the back end's optimizer seeks for `sql`'s scan; "" for a
-/// full scan of the clustered table.
-std::string BackendAccessPath(const BackendServer& backend,
-                              const std::string& sql) {
+/// The back end's plan for `sql`, planned afresh.
+QueryPlan BackendPlan(const BackendServer& backend, const std::string& sql) {
   auto stmt = ParseSelect(sql);
   EXPECT_TRUE(stmt.ok());
   auto resolved = ResolveQuery(**stmt, backend.catalog());
@@ -514,9 +513,28 @@ std::string BackendAccessPath(const BackendServer& backend,
   opts.mode = PlanMode::kBackend;
   auto plan = Optimize(std::move(*resolved), backend.catalog(), opts);
   EXPECT_TRUE(plan.ok());
-  const PhysicalOp* op = plan->root.get();
+  return std::move(*plan);
+}
+
+/// The index the back end's optimizer seeks for `sql`'s scan; "" for a
+/// clustered-key seek or a full scan of the table.
+std::string BackendAccessPath(const BackendServer& backend,
+                              const std::string& sql) {
+  QueryPlan plan = BackendPlan(backend, sql);
+  const PhysicalOp* op = plan.root.get();
   while (op->kind != PhysOpKind::kLocalScan) op = op->children[0].get();
   return op->index_name;
+}
+
+/// Books rows on the master whose column `col` passes `keep`.
+size_t CountBooks(const BackendServer& backend, size_t col,
+                  const std::function<bool(const Value&)>& keep) {
+  size_t n = 0;
+  backend.table("Books")->Scan([&](const Row& row) {
+    if (keep(row[col])) ++n;
+    return true;
+  });
+  return n;
 }
 
 TEST(BackendPlanCacheTest, CorrelatedRemoteInnerMissesOnceThenHits) {
@@ -573,29 +591,87 @@ TEST(BackendPlanCacheTest, CreateTableInvalidates) {
   EXPECT_EQ(pc.misses() - misses, 2);
 }
 
-TEST(BackendPlanCacheTest, RangeTemplateReplansWhenItsLiteralFlipsThePath) {
+TEST(BackendPlanCacheTest, RangeTemplateReplansOnlyWhenItsLiteralFlipsThePath) {
   BookstoreFixture fx;
   BackendServer* backend = fx.sys.backend();
   const PlanCache& pc = backend->plan_cache();
-  // One template, two literals: the narrow range seeks the price index, the
-  // wide one scans the table.
-  const std::string narrow = "SELECT isbn FROM Books WHERE price > 149.5";
-  const std::string wide = "SELECT isbn FROM Books WHERE price > 6.5";
-  ASSERT_EQ(BackendAccessPath(*backend, narrow), "idx_books_price");
-  ASSERT_EQ(BackendAccessPath(*backend, wide), "");
-  // The plan is value-bound, so it is not kept: every call re-plans and
-  // the wide literal gets the scan.
+  // One template, four literals: the two narrow ranges seek the price index,
+  // the two wide ones scan the table.
+  struct Step {
+    double price;
+    std::string path;  // what a fresh plan picks at this literal
+    int64_t misses;    // cumulative back-end misses after the call
+    int64_t hits;      // cumulative back-end hits after the call
+  };
+  const std::vector<Step> steps = {
+      {149.5, "idx_books_price", 1, 0},  // plans and keeps the seek
+      {149.0, "idx_books_price", 1, 1},  // the seek still wins: a hit
+      {6.5, "", 2, 1},                   // flips to a scan: re-plans
+      {7.5, "", 2, 2},                   // the kept scan still wins
+  };
   const int64_t misses = pc.misses();
-  BackendRun(backend, narrow);
-  ExecutedQuery r = BackendRun(backend, wide);
+  const int64_t hits = pc.hits();
+  const size_t size = pc.size();
+  for (const Step& step : steps) {
+    const std::string q =
+        StrPrintf("SELECT isbn FROM Books WHERE price > %.1f", step.price);
+    ASSERT_EQ(BackendAccessPath(*backend, q), step.path) << q;
+    ExecutedQuery r = BackendRun(backend, q);
+    EXPECT_EQ(pc.misses() - misses, step.misses) << q;
+    EXPECT_EQ(pc.hits() - hits, step.hits) << q;
+    // One entry for the template: the flip replaced it.
+    EXPECT_EQ(pc.size(), size + 1) << q;
+    EXPECT_EQ(r.rows.size(),
+              CountBooks(*backend, 2, [&](const Value& v) {
+                return v.AsDouble() > step.price;
+              }))
+        << q;
+  }
+}
+
+TEST(BackendPlanCacheTest, ShippedKeyRangePlansOnceOverTwentyLiterals) {
+  BookstoreFixture fx;
+  Session* s = fx.session.get();
+  BackendServer* backend = fx.sys.backend();
+  const PlanCache& pc = backend->plan_cache();
+  // The shape of currency_rw's remote Orders reads: a range on the leading
+  // clustered-key column, priced at its literals and re-checked per hit.
+  // A range on a column no path leads is priced at no literal at all.
+  ASSERT_TRUE(HasRangePricedScan(BackendPlan(
+      *backend, "SELECT isbn FROM Books B WHERE B.isbn >= 1 AND B.isbn <= 4")));
+  ASSERT_FALSE(HasRangePricedScan(
+      BackendPlan(*backend, "SELECT isbn FROM Books B WHERE B.stock > 1")));
+  ASSERT_FALSE(HasRangePricedScan(
+      BackendPlan(*backend, "SELECT isbn FROM Books B WHERE B.isbn = 1")));
+  const int64_t misses = pc.misses();
+  const int64_t hits = pc.hits();
+  const size_t size = pc.size();
+  for (int64_t lo = 1; lo <= 20; ++lo) {
+    // No currency clause: the cache's remote branch ships the statement.
+    QueryResult r = MustExecute(
+        s, StrPrintf("SELECT isbn FROM Books B WHERE B.isbn >= %lld "
+                     "AND B.isbn <= %lld",
+                     static_cast<long long>(lo),
+                     static_cast<long long>(lo + 3)));
+    EXPECT_EQ(r.stats.remote_queries, 1);
+    EXPECT_EQ(IntColumn(r),
+              (std::vector<int64_t>{lo, lo + 1, lo + 2, lo + 3}));
+  }
+  EXPECT_EQ(pc.misses() - misses, 1);
+  EXPECT_EQ(pc.hits() - hits, 19);
+  EXPECT_EQ(pc.size(), size + 1);
+  for (int64_t stock = 0; stock < 20; ++stock) {
+    QueryResult r = MustExecute(
+        s, StrPrintf("SELECT isbn FROM Books B WHERE B.stock > %lld",
+                     static_cast<long long>(stock)));
+    EXPECT_EQ(r.stats.remote_queries, 1);
+    EXPECT_EQ(r.rows.size(), CountBooks(*backend, 3, [&](const Value& v) {
+                return v.AsInt() > stock;
+              }));
+  }
   EXPECT_EQ(pc.misses() - misses, 2);
-  EXPECT_EQ(pc.size(), 0u);
-  size_t expected = 0;
-  backend->table("Books")->Scan([&](const Row& row) {
-    if (row[2].AsDouble() > 6.5) ++expected;
-    return true;
-  });
-  EXPECT_EQ(r.rows.size(), expected);
+  EXPECT_EQ(pc.hits() - hits, 38);
+  EXPECT_EQ(pc.size(), size + 2);
 }
 
 TEST(BackendPlanCacheTest, OneKeyUpdatePlansItsTargetRowsOnce) {
