@@ -179,7 +179,7 @@ int Run() {
   ctx.clock = sys->clock();
   ctx.events = &events;
   auto drain = [&](bool batch_protocol) {
-    auto iter = BuildIterator(*guarded.root, &ctx, &guarded.aliases);
+    auto iter = BuildIterator(*guarded.root, &ctx);
     if (!iter.ok() || !(*iter)->Open(nullptr).ok()) std::abort();
     int64_t rows = 0;
     if (batch_protocol) {

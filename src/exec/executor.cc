@@ -56,8 +56,7 @@ Result<ExecutedQuery> ExecutePlan(const QueryPlan& plan, ExecContext* ctx) {
   auto t0 = std::chrono::steady_clock::now();
   SubplanTrees subplans;
   for (const auto& [stmt, sub] : plan.subplans) {
-    RCC_ASSIGN_OR_RETURN(subplans[stmt],
-                         BuildIterator(*sub.root, ctx, &sub.aliases));
+    RCC_ASSIGN_OR_RETURN(subplans[stmt], BuildIterator(*sub.root, ctx));
   }
   const SubqueryEvaluator subqueries = [&subplans](const auto&... args) {
     return EvaluateSubquery(subplans, args...);
@@ -68,8 +67,7 @@ Result<ExecutedQuery> ExecutePlan(const QueryPlan& plan, ExecContext* ctx) {
     ExecContext* ctx;
     ~Uninstall() { ctx->subqueries = nullptr; }
   } uninstall{ctx};
-  RCC_ASSIGN_OR_RETURN(auto iter, BuildIterator(*plan.root, ctx,
-                                                &plan.aliases));
+  RCC_ASSIGN_OR_RETURN(auto iter, BuildIterator(*plan.root, ctx));
   RCC_RETURN_NOT_OK(iter->Open(nullptr));
   double setup_ms = MsSince(t0);
 

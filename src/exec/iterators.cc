@@ -28,11 +28,10 @@ std::string HashKeyOf(const std::vector<Value>& vals, bool* has_null) {
   return key;
 }
 
-/// Common base handling the op/ctx/aliases triple and residual evaluation.
+/// Common base handling the op/ctx pair and residual evaluation.
 class IterBase : public RowIterator {
  public:
-  IterBase(const PhysicalOp& op, ExecContext* ctx, const AliasMap* aliases)
-      : op_(op), ctx_(ctx), aliases_(aliases) {}
+  IterBase(const PhysicalOp& op, ExecContext* ctx) : op_(op), ctx_(ctx) {}
 
   const RowLayout& layout() const override { return op_.layout; }
 
@@ -40,20 +39,10 @@ class IterBase : public RowIterator {
   /// The execution's EXISTS/IN evaluator (see ExecContext::subqueries).
   const SubqueryEvaluator* subq() const { return ctx_->subqueries; }
 
-  /// Builds the scope for a row of `layout` (this operator's output by
-  /// default) nested in `outer`.
-  EvalScope ScopeFor(const Row& row, const EvalScope* outer) const {
-    return ScopeOver(op_.layout, row, outer);
-  }
-  EvalScope ScopeOver(const RowLayout& layout, const Row& row,
-                      const EvalScope* outer) const {
-    EvalScope s;
-    s.layout = &layout;
-    s.row = &row;
-    s.aliases = aliases_;
-    s.outer = outer;
-    s.params = ctx_->params;
-    return s;
+  /// The scope holding `row` nested in `outer`. Which row an expression
+  /// reads at which depth was fixed when the plan was bound (plan/bind.h).
+  EvalScope ScopeOf(const Row& row, const EvalScope* outer) const {
+    return EvalScope{&row, outer, ctx_->params};
   }
 
   /// Evaluates every expression of `exprs` in `scope`.
@@ -71,13 +60,11 @@ class IterBase : public RowIterator {
 
   Result<bool> PassesResidual(const Row& row, const EvalScope* outer) const {
     if (op_.residual == nullptr) return true;
-    EvalScope scope = ScopeFor(row, outer);
-    return EvalPredicate(*op_.residual, scope, subq());
+    return EvalPredicate(*op_.residual, ScopeOf(row, outer), subq());
   }
 
   const PhysicalOp& op_;
   ExecContext* ctx_;
-  const AliasMap* aliases_;
 };
 
 // -- Scan ---------------------------------------------------------------------
@@ -96,21 +83,18 @@ class ScanIterator : public IterBase {
     if (table_->schema().num_columns() != op_.layout.num_slots()) {
       return Status::Internal("scan layout mismatch for " + op_.target.name);
     }
-    // Evaluate (possibly parameterized) seek bounds.
+    // Evaluate (possibly parameterized) seek bounds in the scope the scan
+    // is opened in; at the plan root only parameters are in scope.
     lo_.clear();
     hi_.clear();
-    EvalScope seek_scope;
-    seek_scope.aliases = aliases_;
-    seek_scope.outer = outer;
-    seek_scope.params = ctx_->params;
+    const EvalScope top{nullptr, nullptr, ctx_->params};
+    const EvalScope& seek_scope = outer != nullptr ? *outer : top;
     for (const auto& e : op_.seek_lo) {
-      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, outer ? *outer : seek_scope,
-                                             subq()));
+      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, seek_scope, subq()));
       lo_.push_back(std::move(v));
     }
     for (const auto& e : op_.seek_hi) {
-      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, outer ? *outer : seek_scope,
-                                             subq()));
+      RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, seek_scope, subq()));
       hi_.push_back(std::move(v));
     }
 
@@ -197,8 +181,8 @@ class ScanIterator : public IterBase {
 class FilterIterator : public IterBase {
  public:
   FilterIterator(const PhysicalOp& op, ExecContext* ctx,
-                 const AliasMap* aliases, std::unique_ptr<RowIterator> child)
-      : IterBase(op, ctx, aliases), child_(std::move(child)) {}
+                 std::unique_ptr<RowIterator> child)
+      : IterBase(op, ctx), child_(std::move(child)) {}
 
   Status Open(const EvalScope* outer) override {
     outer_ = outer;
@@ -261,8 +245,8 @@ class FilterIterator : public IterBase {
 class ProjectIterator : public IterBase {
  public:
   ProjectIterator(const PhysicalOp& op, ExecContext* ctx,
-                  const AliasMap* aliases, std::unique_ptr<RowIterator> child)
-      : IterBase(op, ctx, aliases), child_(std::move(child)) {}
+                  std::unique_ptr<RowIterator> child)
+      : IterBase(op, ctx), child_(std::move(child)) {}
 
   Status Open(const EvalScope* outer) override {
     outer_ = outer;
@@ -315,9 +299,7 @@ class ProjectIterator : public IterBase {
  private:
   /// Projects one input row; false = dropped as a DISTINCT duplicate.
   Result<bool> ProjectRow(const Row& row, Row* out) {
-    RCC_ASSIGN_OR_RETURN(
-        Row result,
-        EvalAll(op_.exprs, ScopeOver(child_->layout(), row, outer_)));
+    RCC_ASSIGN_OR_RETURN(Row result, EvalAll(op_.exprs, ScopeOf(row, outer_)));
     if (op_.distinct) {
       bool ignore = false;
       std::string key = HashKeyOf(result, &ignore);
@@ -339,10 +321,9 @@ class ProjectIterator : public IterBase {
 class NestedLoopJoinIterator : public IterBase {
  public:
   NestedLoopJoinIterator(const PhysicalOp& op, ExecContext* ctx,
-                         const AliasMap* aliases,
                          std::unique_ptr<RowIterator> outer_child,
                          std::unique_ptr<RowIterator> inner_child)
-      : IterBase(op, ctx, aliases),
+      : IterBase(op, ctx),
         outer_child_(std::move(outer_child)),
         inner_child_(std::move(inner_child)) {}
 
@@ -359,7 +340,7 @@ class NestedLoopJoinIterator : public IterBase {
         RCC_ASSIGN_OR_RETURN(bool more, outer_child_->Next(&left_row_));
         if (!more) return false;
         have_left_ = true;
-        left_scope_ = ScopeOver(outer_child_->layout(), left_row_, outer_);
+        left_scope_ = ScopeOf(left_row_, outer_);
         if (inner_open_) RCC_RETURN_NOT_OK(inner_child_->Close());
         RCC_RETURN_NOT_OK(inner_child_->Open(&left_scope_));
         inner_open_ = true;
@@ -404,10 +385,9 @@ class NestedLoopJoinIterator : public IterBase {
 class HashJoinIterator : public IterBase {
  public:
   HashJoinIterator(const PhysicalOp& op, ExecContext* ctx,
-                   const AliasMap* aliases,
                    std::unique_ptr<RowIterator> probe_child,
                    std::unique_ptr<RowIterator> build_child)
-      : IterBase(op, ctx, aliases),
+      : IterBase(op, ctx),
         probe_child_(std::move(probe_child)),
         build_child_(std::move(build_child)) {}
 
@@ -422,9 +402,8 @@ class HashJoinIterator : public IterBase {
     while (true) {
       RCC_ASSIGN_OR_RETURN(bool more, build_child_->Next(&row));
       if (!more) break;
-      RCC_ASSIGN_OR_RETURN(
-          std::vector<Value> keys,
-          EvalAll(op_.exprs2, ScopeOver(build_child_->layout(), row, outer_)));
+      RCC_ASSIGN_OR_RETURN(std::vector<Value> keys,
+                           EvalAll(op_.exprs2, ScopeOf(row, outer_)));
       bool has_null = false;
       std::string key = HashKeyOf(keys, &has_null);
       if (has_null) continue;  // NULL keys never join
@@ -447,10 +426,8 @@ class HashJoinIterator : public IterBase {
       }
       RCC_ASSIGN_OR_RETURN(bool more, probe_child_->Next(&probe_row_));
       if (!more) return false;
-      RCC_ASSIGN_OR_RETURN(
-          std::vector<Value> keys,
-          EvalAll(op_.exprs,
-                  ScopeOver(probe_child_->layout(), probe_row_, outer_)));
+      RCC_ASSIGN_OR_RETURN(std::vector<Value> keys,
+                           EvalAll(op_.exprs, ScopeOf(probe_row_, outer_)));
       bool has_null = false;
       std::string key = HashKeyOf(keys, &has_null);
       if (has_null) continue;
@@ -480,9 +457,9 @@ class HashJoinIterator : public IterBase {
 
 class SortIterator : public IterBase {
  public:
-  SortIterator(const PhysicalOp& op, ExecContext* ctx, const AliasMap* aliases,
+  SortIterator(const PhysicalOp& op, ExecContext* ctx,
                std::unique_ptr<RowIterator> child)
-      : IterBase(op, ctx, aliases), child_(std::move(child)) {}
+      : IterBase(op, ctx), child_(std::move(child)) {}
 
   Status Open(const EvalScope* outer) override {
     rows_.clear();
@@ -493,7 +470,7 @@ class SortIterator : public IterBase {
     while (true) {
       RCC_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
       if (!more) break;
-      EvalScope scope = ScopeFor(row, outer);
+      const EvalScope scope = ScopeOf(row, outer);
       std::vector<Value> keys;
       for (const auto& sk : op_.sort_keys) {
         RCC_ASSIGN_OR_RETURN(Value v, EvalExpr(*sk.expr, scope, subq()));
@@ -548,9 +525,8 @@ struct AggState {
 class HashAggregateIterator : public IterBase {
  public:
   HashAggregateIterator(const PhysicalOp& op, ExecContext* ctx,
-                        const AliasMap* aliases,
                         std::unique_ptr<RowIterator> child)
-      : IterBase(op, ctx, aliases), child_(std::move(child)) {}
+      : IterBase(op, ctx), child_(std::move(child)) {}
 
   Status Open(const EvalScope* outer) override {
     groups_.clear();
@@ -561,7 +537,7 @@ class HashAggregateIterator : public IterBase {
     while (true) {
       RCC_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
       if (!more) break;
-      const EvalScope scope = ScopeOver(child_->layout(), row, outer);
+      const EvalScope scope = ScopeOf(row, outer);
       RCC_ASSIGN_OR_RETURN(std::vector<Value> keys, EvalAll(op_.exprs, scope));
       bool ignore = false;
       std::string key = HashKeyOf(keys, &ignore);
@@ -658,61 +634,47 @@ class HashAggregateIterator : public IterBase {
 }  // namespace
 
 Result<std::unique_ptr<RowIterator>> BuildIterator(const PhysicalOp& op,
-                                                   ExecContext* ctx,
-                                                   const AliasMap* aliases) {
-  // A derived-table subtree resolves names in its own block's scope.
-  if (op.own_aliases != nullptr) aliases = op.own_aliases.get();
+                                                   ExecContext* ctx) {
   switch (op.kind) {
     case PhysOpKind::kLocalScan:
-      return std::unique_ptr<RowIterator>(
-          new ScanIterator(op, ctx, aliases));
+      return std::unique_ptr<RowIterator>(new ScanIterator(op, ctx));
     case PhysOpKind::kRemoteQuery:
       return std::unique_ptr<RowIterator>(new RemoteQueryIterator(op, ctx));
     case PhysOpKind::kFilter: {
-      RCC_ASSIGN_OR_RETURN(auto child,
-                           BuildIterator(*op.children[0], ctx, aliases));
+      RCC_ASSIGN_OR_RETURN(auto child, BuildIterator(*op.children[0], ctx));
       return std::unique_ptr<RowIterator>(
-          new FilterIterator(op, ctx, aliases, std::move(child)));
+          new FilterIterator(op, ctx, std::move(child)));
     }
     case PhysOpKind::kProject: {
-      RCC_ASSIGN_OR_RETURN(auto child,
-                           BuildIterator(*op.children[0], ctx, aliases));
+      RCC_ASSIGN_OR_RETURN(auto child, BuildIterator(*op.children[0], ctx));
       return std::unique_ptr<RowIterator>(
-          new ProjectIterator(op, ctx, aliases, std::move(child)));
+          new ProjectIterator(op, ctx, std::move(child)));
     }
     case PhysOpKind::kNestedLoopJoin: {
-      RCC_ASSIGN_OR_RETURN(auto left,
-                           BuildIterator(*op.children[0], ctx, aliases));
-      RCC_ASSIGN_OR_RETURN(auto right,
-                           BuildIterator(*op.children[1], ctx, aliases));
+      RCC_ASSIGN_OR_RETURN(auto left, BuildIterator(*op.children[0], ctx));
+      RCC_ASSIGN_OR_RETURN(auto right, BuildIterator(*op.children[1], ctx));
       return std::unique_ptr<RowIterator>(new NestedLoopJoinIterator(
-          op, ctx, aliases, std::move(left), std::move(right)));
+          op, ctx, std::move(left), std::move(right)));
     }
     case PhysOpKind::kHashJoin: {
-      RCC_ASSIGN_OR_RETURN(auto left,
-                           BuildIterator(*op.children[0], ctx, aliases));
-      RCC_ASSIGN_OR_RETURN(auto right,
-                           BuildIterator(*op.children[1], ctx, aliases));
+      RCC_ASSIGN_OR_RETURN(auto left, BuildIterator(*op.children[0], ctx));
+      RCC_ASSIGN_OR_RETURN(auto right, BuildIterator(*op.children[1], ctx));
       return std::unique_ptr<RowIterator>(new HashJoinIterator(
-          op, ctx, aliases, std::move(left), std::move(right)));
+          op, ctx, std::move(left), std::move(right)));
     }
     case PhysOpKind::kSort: {
-      RCC_ASSIGN_OR_RETURN(auto child,
-                           BuildIterator(*op.children[0], ctx, aliases));
+      RCC_ASSIGN_OR_RETURN(auto child, BuildIterator(*op.children[0], ctx));
       return std::unique_ptr<RowIterator>(
-          new SortIterator(op, ctx, aliases, std::move(child)));
+          new SortIterator(op, ctx, std::move(child)));
     }
     case PhysOpKind::kHashAggregate: {
-      RCC_ASSIGN_OR_RETURN(auto child,
-                           BuildIterator(*op.children[0], ctx, aliases));
+      RCC_ASSIGN_OR_RETURN(auto child, BuildIterator(*op.children[0], ctx));
       return std::unique_ptr<RowIterator>(
-          new HashAggregateIterator(op, ctx, aliases, std::move(child)));
+          new HashAggregateIterator(op, ctx, std::move(child)));
     }
     case PhysOpKind::kSwitchUnion: {
-      RCC_ASSIGN_OR_RETURN(auto local,
-                           BuildIterator(*op.children[0], ctx, aliases));
-      RCC_ASSIGN_OR_RETURN(auto remote,
-                           BuildIterator(*op.children[1], ctx, aliases));
+      RCC_ASSIGN_OR_RETURN(auto local, BuildIterator(*op.children[0], ctx));
+      RCC_ASSIGN_OR_RETURN(auto remote, BuildIterator(*op.children[1], ctx));
       return std::unique_ptr<RowIterator>(new SwitchUnionIterator(
           op, ctx, std::move(local), std::move(remote)));
     }

@@ -7,14 +7,12 @@
 
 namespace rcc {
 
-/// Builds the iterator tree for a physical plan. `aliases` is the alias map
-/// of the block the plan belongs to (subquery plans pass their own). A tree
+/// Builds the iterator tree for a bound physical plan (plan/bind.h). A tree
 /// is built once per execution and may be re-opened (see RowIterator);
 /// stateful operators — a SwitchUnion's guard verdict, a RemoteQuery's
 /// serve record — keep what they decided across re-opens.
 Result<std::unique_ptr<RowIterator>> BuildIterator(const PhysicalOp& op,
-                                                   ExecContext* ctx,
-                                                   const AliasMap* aliases);
+                                                   ExecContext* ctx);
 
 }  // namespace rcc
 

@@ -9,10 +9,10 @@ Status RemoteQueryIterator::Open(const EvalScope* outer) {
   rows_.clear();
   pos_ = 0;
   // Gather the template's slot values: its literals and plan-cache
-  // parameters, then the outer row's correlated values.
-  EvalScope scope;
-  scope.outer = outer;
-  scope.params = ctx_->params;
+  // parameters, then the outer row's correlated values, all evaluated in
+  // the scope this op is opened in.
+  const EvalScope top{nullptr, nullptr, ctx_->params};
+  const EvalScope& scope = outer != nullptr ? *outer : top;
   std::vector<Value> params;
   params.reserve(op_.remote_args.size());
   for (const auto& arg : op_.remote_args) {
@@ -38,16 +38,17 @@ Status RemoteQueryIterator::Open(const EvalScope* outer) {
   return Status::OK();
 }
 
+// Open re-fetches and Close clears, so each fetched row is moved out once.
 Result<bool> RemoteQueryIterator::Next(Row* out) {
   if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
+  *out = std::move(rows_[pos_++]);
   return true;
 }
 
 Result<bool> RemoteQueryIterator::NextBatch(RowBatch* out, size_t max_rows) {
   out->Clear();
   while (pos_ < rows_.size() && out->rows.size() < max_rows) {
-    out->rows.push_back(rows_[pos_++]);
+    out->rows.push_back(std::move(rows_[pos_++]));
   }
   return !out->rows.empty();
 }

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "optimizer/view_matching.h"
+#include "plan/bind.h"
 
 namespace rcc {
 
@@ -120,6 +121,13 @@ class Planner {
   Planner(const Catalog& catalog, const OptimizerOptions& opts)
       : catalog_(catalog), opts_(opts) {}
 
+  /// Plans `resolved`: the cheapest candidate that satisfies its
+  /// constraint, with no remote templates and no bound names. Enough for a
+  /// cost estimate, also of a correlated statement, whose outer references
+  /// no scope of its own plan can bind.
+  Result<QueryPlan> Choose(ResolvedQuery resolved);
+  /// Choose, then build each remote op's template and bind every column
+  /// reference to its row slot: the plan an executor runs.
   Result<QueryPlan> Run(ResolvedQuery resolved);
 
  private:
@@ -1587,7 +1595,7 @@ void BuildRemoteTemplates(PhysicalOp* op) {
   for (auto& c : op->children) BuildRemoteTemplates(c.get());
 }
 
-Result<QueryPlan> Planner::Run(ResolvedQuery resolved) {
+Result<QueryPlan> Planner::Choose(ResolvedQuery resolved) {
   resolved_ = std::move(resolved);
   next_pseudo_ = static_cast<uint32_t>(resolved_.operands.size());
   op_block_.assign(resolved_.operands.size(), 0);
@@ -1643,11 +1651,17 @@ Result<QueryPlan> Planner::Run(ResolvedQuery resolved) {
   QueryPlan plan;
   plan.root = std::move(best->root);
   plan.subplans = std::move(best->subplans);
-  BuildRemoteTemplates(plan.root.get());
-  for (auto& [stmt, sub] : plan.subplans) BuildRemoteTemplates(sub.root.get());
   plan.aliases = blocks_.at(resolved_.stmt.get()).aliases;
   plan.est_cost = best->cost;
   plan.resolved = std::move(resolved_);
+  return plan;
+}
+
+Result<QueryPlan> Planner::Run(ResolvedQuery resolved) {
+  RCC_ASSIGN_OR_RETURN(QueryPlan plan, Choose(std::move(resolved)));
+  BuildRemoteTemplates(plan.root.get());
+  for (auto& [stmt, sub] : plan.subplans) BuildRemoteTemplates(sub.root.get());
+  RCC_RETURN_NOT_OK(BindPlan(&plan));
   return plan;
 }
 
@@ -1772,7 +1786,7 @@ Result<RemoteEstimate> EstimateBackendQuery(const SelectStmt& stmt,
   opts.mode = PlanMode::kBackend;
   opts.costs = costs;
   Planner planner(catalog, opts);
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan, planner.Run(std::move(resolved)));
+  RCC_ASSIGN_OR_RETURN(QueryPlan plan, planner.Choose(std::move(resolved)));
   RemoteEstimate est;
   est.cost = plan.root->est_cost;
   est.rows = plan.root->est_rows;

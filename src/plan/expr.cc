@@ -67,30 +67,6 @@ std::string RowLayout::ToString() const {
 
 namespace {
 
-/// Resolves a column reference, walking outward through enclosing scopes for
-/// correlated references.
-Result<Value> ResolveColumn(const Expr& expr, const EvalScope& scope) {
-  for (const EvalScope* s = &scope; s != nullptr; s = s->outer) {
-    if (s->layout == nullptr || s->row == nullptr) continue;
-    if (!expr.table.empty()) {
-      if (s->aliases != nullptr) {
-        auto it = s->aliases->find(ToLower(expr.table));
-        if (it != s->aliases->end()) {
-          auto slot = s->layout->Find(it->second, expr.column);
-          if (slot) return (*s->row)[*slot];
-          // The alias is in scope but the column is not in this layout —
-          // keep walking outward (shadowing is not supported).
-        }
-      }
-    } else {
-      RCC_ASSIGN_OR_RETURN(auto slot, s->layout->FindUnqualified(expr.column));
-      if (slot) return (*s->row)[*slot];
-    }
-  }
-  return Status::NotFound("unresolved column reference '" + expr.ToString() +
-                          "'");
-}
-
 Result<Value> EvalBinary(const Expr& expr, const EvalScope& scope,
                          const SubqueryEvaluator* subq) {
   // AND/OR get short-circuit, three-valued handling.
@@ -194,8 +170,17 @@ Result<Value> EvalExpr(const Expr& expr, const EvalScope& scope,
                               std::to_string(expr.param_index) +
                               " not bound at execution");
     }
-    case ExprKind::kColumnRef:
-      return ResolveColumn(expr, scope);
+    case ExprKind::kColumnRef: {
+      const EvalScope* s = &scope;
+      for (uint32_t d = expr.scope_depth; d > 0 && s != nullptr; --d) {
+        s = s->outer;
+      }
+      if (s == nullptr || s->row == nullptr || expr.slot >= s->row->size()) {
+        return Status::NotFound("unbound column reference '" +
+                                expr.ToString() + "'");
+      }
+      return (*s->row)[expr.slot];
+    }
     case ExprKind::kBinary:
       return EvalBinary(expr, scope, subq);
     case ExprKind::kNot: {

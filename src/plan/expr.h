@@ -23,8 +23,9 @@ struct BoundColumn {
 };
 
 /// The row shape produced by a physical operator: a schema plus the operand
-/// provenance of every slot, so expressions can be resolved by
-/// (alias → operand, column) lookup at any level of the plan.
+/// provenance of every slot. The bind pass (plan/bind.h) resolves each
+/// column reference against these once per plan, by (alias → operand,
+/// column) lookup; rows are then read by slot.
 class RowLayout {
  public:
   RowLayout() = default;
@@ -52,18 +53,19 @@ class RowLayout {
 };
 
 /// Name-resolution scope for one block: alias → operand id. Derived-table
-/// aliases are not included (their columns surface through inner operands).
+/// aliases map to the derived table's pseudo operand, which tags its output
+/// slots. Used at plan time only.
 using AliasMap = std::map<std::string, InputOperandId>;  // lower-cased alias
 
-/// Evaluation context: the current row in its layout, the block's alias map,
-/// and the enclosing scope for correlated column references.
+/// Evaluation context: the current row and the enclosing scope for
+/// correlated column references. A bound column reference reads slot
+/// `slot` of the row `scope_depth` hops out along `outer`; the bind pass
+/// replays the chain the executor builds, so no name is looked up here.
 struct EvalScope {
-  const RowLayout* layout = nullptr;
   const Row* row = nullptr;
-  const AliasMap* aliases = nullptr;
   const EvalScope* outer = nullptr;
-  /// Execution-time values for kParam nodes (plan-cache reuse); resolved by
-  /// walking the scope chain outward, like column references.
+  /// Execution-time values for kParam nodes (plan-cache reuse); the first
+  /// non-null vector walking outward is used.
   const std::vector<Value>* params = nullptr;
 };
 
@@ -88,10 +90,10 @@ Result<bool> EvalPredicate(const Expr& expr, const EvalScope& scope,
 /// Splits a predicate into its conjuncts (flattening nested ANDs).
 std::vector<const Expr*> SplitConjuncts(const Expr* expr);
 
-/// Collects the column names of `operand` referenced anywhere in `expr`,
-/// resolving qualifiers through `aliases` (bare names resolve to `operand`
-/// only when unambiguous within `layout_hint` — pass nullptr to collect all
-/// bare names too).
+/// Collects the (lower-cased) column names of `operand` referenced anywhere
+/// in `expr`, correlated references inside its subqueries included,
+/// resolving qualifiers through `aliases`. Bare names are collected for
+/// every operand; the caller keeps those its schema has.
 void CollectColumnsOf(const Expr* expr, InputOperandId operand,
                       const AliasMap& aliases,
                       std::set<std::string>* columns);

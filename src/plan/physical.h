@@ -124,9 +124,9 @@ struct PhysicalOp {
   double est_cost = 0;
   ConsistencyProperty delivered;
 
-  /// Set on the root of a derived-table (nested block) subtree: expressions
-  /// in this subtree resolve against the nested block's alias map, not the
-  /// enclosing block's.
+  /// Set on the root of a derived-table (nested block) subtree: BindPlan
+  /// resolves the names in this subtree against the nested block's alias
+  /// map, not the enclosing block's.
   std::shared_ptr<AliasMap> own_aliases;
 
   /// Multi-line indented plan rendering for tests/diagnostics.
@@ -157,6 +157,8 @@ std::string_view PlanShapeName(PlanShape shape);
 
 /// A complete optimized query: the operator tree, the (outer block's) alias
 /// map, subquery plans, and the normalized constraint the plan satisfies.
+/// Optimize returns it bound (plan/bind.h): the alias maps are not needed to
+/// execute it.
 struct QueryPlan {
   std::unique_ptr<PhysicalOp> root;
   AliasMap aliases;

@@ -76,6 +76,8 @@ std::unique_ptr<Expr> Expr::Clone() const {
   out->param_index = param_index;
   out->table = table;
   out->column = column;
+  out->scope_depth = scope_depth;
+  out->slot = slot;
   out->op = op;
   if (left) out->left = left->Clone();
   if (right) out->right = right->Clone();

@@ -64,6 +64,12 @@ struct Expr {
   // kColumnRef: optional qualifier ("B" in B.isbn).
   std::string table;
   std::string column;
+  /// kColumnRef, once its plan is bound (BindPlan): the value is slot
+  /// `slot` of the row `scope_depth` hops out along the EvalScope chain.
+  /// kUnboundSlot until then; evaluating an unbound reference fails.
+  static constexpr uint32_t kUnboundSlot = 0xFFFFFFFFu;
+  uint32_t scope_depth = 0;
+  uint32_t slot = kUnboundSlot;
 
   // kBinary / kNot
   BinaryOp op = BinaryOp::kEq;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <set>
 
 #include "test_util.h"
@@ -517,6 +518,237 @@ TEST_F(ExecTest, PhaseTimingsPopulated) {
       "CURRENCY BOUND 1 HOUR ON (B)");
   EXPECT_GE(r.stats.setup_ms, 0.0);
   EXPECT_GT(r.stats.setup_ms + r.stats.run_ms + r.stats.shutdown_ms, 0.0);
+}
+
+// -- Bound column references -------------------------------------------------
+// Every column reference is bound to a (scope depth, slot) pair once per plan
+// (plan/bind.h); each case runs a plan whose references reach past their own
+// operator's row and checks its rows against the master tables.
+
+class BindTest : public ExecTest {
+ protected:
+  const Table& Master(const std::string& name) {
+    const Table* t = fx_.sys.backend()->table(name);
+    EXPECT_NE(t, nullptr) << name;
+    return *t;
+  }
+
+  /// Sorted rows of `r`, for order-insensitive comparison.
+  static std::vector<Row> Sorted(std::vector<Row> rows) {
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+        int c = a[i].Compare(b[i]);
+        if (c != 0) return c < 0;
+      }
+      return a.size() < b.size();
+    });
+    return rows;
+  }
+
+  /// The largest scope depth any column reference of `plan` is bound to.
+  static uint32_t MaxDepth(const QueryPlan& plan) {
+    uint32_t depth = 0;
+    auto expr = [&](const Expr* e) {
+      VisitNodes(e, [&](const Expr* n) {
+        if (n->kind == ExprKind::kColumnRef) {
+          depth = std::max(depth, n->scope_depth);
+        }
+      });
+    };
+    std::function<void(const PhysicalOp&)> op = [&](const PhysicalOp& o) {
+      for (const auto& e : o.seek_lo) expr(e.get());
+      for (const auto& e : o.seek_hi) expr(e.get());
+      expr(o.residual.get());
+      for (const auto& e : o.remote_args) expr(e.get());
+      for (const auto& e : o.exprs) expr(e.get());
+      for (const auto& e : o.exprs2) expr(e.get());
+      for (const auto& a : o.aggs) expr(a.arg.get());
+      for (const auto& k : o.sort_keys) expr(k.expr.get());
+      for (const auto& c : o.children) op(*c);
+    };
+    op(*plan.root);
+    for (const auto& [stmt, sub] : plan.subplans) op(*sub.root);
+    return depth;
+  }
+
+  /// First operator of `kind` in `op`'s tree (pre-order), or nullptr.
+  static const PhysicalOp* Find(const PhysicalOp& op, PhysOpKind kind) {
+    if (op.kind == kind) return &op;
+    for (const auto& c : op.children) {
+      if (const PhysicalOp* found = Find(*c, kind)) return found;
+    }
+    return nullptr;
+  }
+};
+
+TEST_F(BindTest, NestedExistsReadsARowTwoScopesOut) {
+  // The innermost block compares against B, two blocks out.
+  const std::string sql =
+      "SELECT B.isbn FROM Books B WHERE B.isbn <= 40 AND EXISTS ("
+      " SELECT 1 FROM Sales S WHERE S.isbn = B.isbn AND S.year = 2003"
+      " AND EXISTS (SELECT 1 FROM Reviews R"
+      "  WHERE R.rating = 5 AND R.review_id > S.sale_id - S.sale_id"
+      "  AND R.isbn + 0 = B.isbn"
+      "  CURRENCY BOUND 1 HOUR ON (R))"
+      " CURRENCY BOUND 1 HOUR ON (S)) "
+      "CURRENCY BOUND 1 HOUR ON (B)";
+  EXPECT_EQ(MaxDepth(MustPrepare(fx_.session.get(), sql)), 2u);
+  std::set<int64_t> sold;
+  for (const auto& [key, row] : Master("Sales").rows()) {
+    if (row[2].AsInt() == 2003) sold.insert(row[1].AsInt());
+  }
+  std::set<int64_t> starred;
+  for (const auto& [key, row] : Master("Reviews").rows()) {
+    if (row[2].AsInt() == 5) starred.insert(row[0].AsInt());
+  }
+  std::vector<int64_t> expected;
+  for (const auto& [key, row] : Master("Books").rows()) {
+    const int64_t isbn = row[0].AsInt();
+    if (isbn <= 40 && sold.count(isbn) > 0 && starred.count(isbn) > 0) {
+      expected.push_back(isbn);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(IsbnSet(Run(sql)), expected);
+}
+
+TEST_F(BindTest, IndexNestedLoopInnerSeekReadsTheLeftRow) {
+  const std::string sql =
+      "SELECT B.isbn, R.review_id, R.rating FROM Books B, Reviews R "
+      "WHERE B.isbn = R.isbn AND B.isbn <= 30 AND B.price > 50 "
+      "CURRENCY BOUND 1 HOUR ON (B), 1 HOUR ON (R)";
+  QueryPlan plan = MustPrepare(fx_.session.get(), sql);
+  const PhysicalOp* join = Find(*plan.root, PhysOpKind::kNestedLoopJoin);
+  ASSERT_NE(join, nullptr) << plan.DescribeTree();
+  const PhysicalOp* inner =
+      Find(*join->children[1], PhysOpKind::kLocalScan);
+  ASSERT_NE(inner, nullptr);
+  ASSERT_FALSE(inner->seek_lo.empty());
+  EXPECT_EQ(inner->seek_lo[0]->kind, ExprKind::kColumnRef);
+  std::set<int64_t> books;
+  for (const auto& [key, row] : Master("Books").rows()) {
+    if (row[0].AsInt() <= 30 && row[2].AsDouble() > 50) {
+      books.insert(row[0].AsInt());
+    }
+  }
+  std::vector<Row> expected;
+  for (const auto& [key, row] : Master("Reviews").rows()) {
+    if (books.count(row[0].AsInt()) > 0) {
+      expected.push_back({row[0], row[1], row[2]});
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(Sorted(Run(sql).rows), Sorted(expected));
+}
+
+TEST_F(BindTest, DerivedTableResolvesInItsOwnBlock) {
+  // T's rows carry its own block's names; the outer block reads them by
+  // T's alias and joins them with a base table.
+  const std::string sql =
+      "SELECT B.isbn, B.price, T.n FROM Books B, "
+      "(SELECT R.isbn AS k, count(*) AS n FROM Reviews R "
+      " WHERE R.isbn <= 25 GROUP BY R.isbn CURRENCY BOUND 1 HOUR ON (R)) T "
+      "WHERE B.isbn = T.k CURRENCY BOUND 1 HOUR ON (B)";
+  QueryPlan plan = MustPrepare(fx_.session.get(), sql);
+  std::function<bool(const PhysicalOp&)> has_own =
+      [&](const PhysicalOp& op) {
+        if (op.own_aliases != nullptr) return true;
+        for (const auto& c : op.children) {
+          if (has_own(*c)) return true;
+        }
+        return false;
+      };
+  EXPECT_TRUE(has_own(*plan.root));
+  std::map<int64_t, int64_t> counts;
+  for (const auto& [key, row] : Master("Reviews").rows()) {
+    if (row[0].AsInt() <= 25) ++counts[row[0].AsInt()];
+  }
+  std::vector<Row> expected;
+  for (const auto& [key, row] : Master("Books").rows()) {
+    auto it = counts.find(row[0].AsInt());
+    if (it != counts.end()) {
+      expected.push_back({row[0], row[2], Value::Int(it->second)});
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(Sorted(Run(sql).rows), Sorted(expected));
+}
+
+TEST_F(BindTest, HavingAndOrderByOnAggregates) {
+  // Both clauses read hidden aggregate slots of the aggregation's output.
+  QueryResult r = Run(
+      "SELECT R.isbn, count(*) AS n FROM Reviews R WHERE R.isbn <= 60 "
+      "GROUP BY R.isbn HAVING sum(R.rating) > 8 "
+      "ORDER BY max(R.rating) DESC, R.isbn "
+      "CURRENCY BOUND 1 HOUR ON (R)");
+  struct Group {
+    int64_t n = 0;
+    int64_t sum = 0;
+    int64_t max = 0;
+  };
+  std::map<int64_t, Group> groups;
+  for (const auto& [key, row] : Master("Reviews").rows()) {
+    if (row[0].AsInt() > 60) continue;
+    Group& g = groups[row[0].AsInt()];
+    ++g.n;
+    g.sum += row[2].AsInt();
+    g.max = std::max(g.max, row[2].AsInt());
+  }
+  std::vector<std::pair<int64_t, Group>> kept;
+  for (const auto& [isbn, g] : groups) {
+    if (g.sum > 8) kept.emplace_back(isbn, g);
+  }
+  std::stable_sort(kept.begin(), kept.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.max > b.second.max;
+                   });
+  std::vector<Row> expected;
+  for (const auto& [isbn, g] : kept) {
+    expected.push_back({Value::Int(isbn), Value::Int(g.n)});
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_NE(expected.size(), groups.size());  // HAVING drops some groups
+  EXPECT_EQ(r.rows, expected);
+}
+
+TEST_F(BindTest, CorrelatedRemoteFetchShipsTheOuterValue) {
+  // No currency clause in the subquery: Sales is fetched from the back end
+  // per outer row, the slot filled from B's row.
+  const std::string sql =
+      "SELECT B.isbn FROM Books B WHERE B.isbn <= 20 AND EXISTS ("
+      " SELECT 1 FROM Sales S WHERE S.isbn = B.isbn AND S.year = 2003) "
+      "CURRENCY BOUND 1 HOUR ON (B)";
+  QueryPlan plan = MustPrepare(fx_.session.get(), sql);
+  const PhysicalOp* remote = nullptr;
+  for (const auto& [stmt, sub] : plan.subplans) {
+    if (remote == nullptr) remote = Find(*sub.root, PhysOpKind::kRemoteQuery);
+  }
+  ASSERT_NE(remote, nullptr) << plan.DescribeTree();
+  bool outer_arg = false;
+  for (const auto& arg : remote->remote_args) {
+    outer_arg = outer_arg || arg->kind == ExprKind::kColumnRef;
+  }
+  EXPECT_TRUE(outer_arg);
+  std::set<int64_t> sold;
+  for (const auto& [key, row] : Master("Sales").rows()) {
+    if (row[2].AsInt() == 2003 && row[1].AsInt() <= 20) {
+      sold.insert(row[1].AsInt());
+    }
+  }
+  ASSERT_FALSE(sold.empty());
+  QueryResult r = Run(sql);
+  EXPECT_EQ(IsbnSet(r), std::vector<int64_t>(sold.begin(), sold.end()));
+  EXPECT_EQ(r.stats.remote_queries, 20);  // one fetch per outer book
+}
+
+TEST_F(BindTest, AmbiguousBareColumnFailsWhenThePlanIsBuilt) {
+  // `isbn` names a column of both tables; the resolver leaves it bare.
+  auto plan = fx_.session->Prepare(
+      "SELECT isbn FROM Books B, Reviews R WHERE B.isbn = R.isbn "
+      "AND B.isbn = 3 CURRENCY BOUND 1 HOUR ON (B), 1 HOUR ON (R)");
+  ASSERT_FALSE(plan.ok());
+  EXPECT_NE(plan.status().ToString().find("ambiguous"), std::string::npos)
+      << plan.status().ToString();
 }
 
 // -- ORDER BY ----------------------------------------------------------------

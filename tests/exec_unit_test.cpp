@@ -10,6 +10,7 @@
 #include "exec/read_handle.h"
 #include "exec/remote.h"
 #include "exec/switch_union.h"
+#include "plan/bind.h"
 #include "replication/region.h"
 #include "sql/parser.h"
 
@@ -47,6 +48,14 @@ class ExecUnitTest : public ::testing::Test {
       scan->layout.Add(0, c.name, c.type);
     }
     return scan;
+  }
+
+  /// Binds the hand-built tree under `aliases`, then builds its iterators.
+  Result<std::unique_ptr<RowIterator>> Build(PhysicalOp* root,
+                                             const AliasMap& aliases) {
+    Status st = BindTree(root, aliases, nullptr);
+    if (!st.ok()) return st;
+    return BuildIterator(*root, &ctx_);
   }
 
   std::vector<Row> Drain(RowIterator* iter) {
@@ -98,7 +107,7 @@ class ExecUnitTest : public ::testing::Test {
 
 TEST_F(ExecUnitTest, FullScan) {
   auto scan = MakeScan();
-  auto iter = BuildIterator(*scan, &ctx_, &aliases_);
+  auto iter = Build(scan.get(), aliases_);
   ASSERT_TRUE(iter.ok());
   EXPECT_EQ(Drain(iter->get()).size(), 20u);
 }
@@ -107,7 +116,7 @@ TEST_F(ExecUnitTest, ClusteredSeek) {
   auto scan = MakeScan();
   scan->seek_lo.push_back(Expr::MakeLiteral(Value::Int(5)));
   scan->seek_hi.push_back(Expr::MakeLiteral(Value::Int(8)));
-  auto iter = BuildIterator(*scan, &ctx_, &aliases_);
+  auto iter = Build(scan.get(), aliases_);
   ASSERT_TRUE(iter.ok());
   auto rows = Drain(iter->get());
   ASSERT_EQ(rows.size(), 4u);
@@ -121,7 +130,7 @@ TEST_F(ExecUnitTest, SecondaryIndexSeekWithResidual) {
   scan->seek_lo.push_back(Expr::MakeLiteral(Value::Int(2)));
   scan->seek_hi.push_back(Expr::MakeLiteral(Value::Int(2)));
   scan->residual = Pred("i.price > 100");
-  auto iter = BuildIterator(*scan, &ctx_, &aliases_);
+  auto iter = Build(scan.get(), aliases_);
   ASSERT_TRUE(iter.ok());
   // grp == 2: ids 2,6,10,14,18; price > 100 keeps 14, 18.
   auto rows = Drain(iter->get());
@@ -135,7 +144,7 @@ TEST_F(ExecUnitTest, SecondaryIndexSeekWithResidual) {
 TEST_F(ExecUnitTest, MissingIndexSurfaces) {
   auto scan = MakeScan();
   scan->index_name = "nope";
-  auto iter = BuildIterator(*scan, &ctx_, &aliases_);
+  auto iter = Build(scan.get(), aliases_);
   ASSERT_TRUE(iter.ok());
   EXPECT_TRUE((*iter)->Open(nullptr).IsNotFound());
 }
@@ -143,7 +152,7 @@ TEST_F(ExecUnitTest, MissingIndexSurfaces) {
 TEST_F(ExecUnitTest, MissingTableSurfaces) {
   auto scan = MakeScan();
   scan->target.name = "missing";
-  auto iter = BuildIterator(*scan, &ctx_, &aliases_);
+  auto iter = Build(scan.get(), aliases_);
   ASSERT_TRUE(iter.ok());
   EXPECT_TRUE((*iter)->Open(nullptr).IsNotFound());
 }
@@ -152,7 +161,7 @@ TEST_F(ExecUnitTest, IteratorsReopenCleanly) {
   auto scan = MakeScan();
   scan->seek_lo.push_back(Expr::MakeLiteral(Value::Int(1)));
   scan->seek_hi.push_back(Expr::MakeLiteral(Value::Int(3)));
-  auto iter = BuildIterator(*scan, &ctx_, &aliases_);
+  auto iter = Build(scan.get(), aliases_);
   ASSERT_TRUE(iter.ok());
   EXPECT_EQ(Drain(iter->get()).size(), 3u);
   EXPECT_EQ(Drain(iter->get()).size(), 3u);  // re-open produces same rows
@@ -179,7 +188,7 @@ TEST_F(ExecUnitTest, HashJoinSelfJoin) {
   join->children.push_back(std::move(left));
   join->children.push_back(std::move(right));
 
-  auto iter = BuildIterator(*join, &ctx_, &aliases);
+  auto iter = Build(join.get(), aliases);
   ASSERT_TRUE(iter.ok());
   // Each of ids 1,2 joins the 5 rows of its group.
   auto rows = Drain(iter->get());
@@ -209,7 +218,7 @@ TEST_F(ExecUnitTest, NestedLoopJoinWithParameterizedSeek) {
   join->children.push_back(std::move(outer));
   join->children.push_back(std::move(inner));
 
-  auto iter = BuildIterator(*join, &ctx_, &aliases);
+  auto iter = Build(join.get(), aliases);
   ASSERT_TRUE(iter.ok());
   auto rows = Drain(iter->get());
   ASSERT_EQ(rows.size(), 3u);  // each outer row matches exactly itself
@@ -237,7 +246,7 @@ TEST_F(ExecUnitTest, SortAndProject) {
   sort->sort_keys.push_back(std::move(key));
   sort->children.push_back(std::move(project));
 
-  auto iter = BuildIterator(*sort, &ctx_, &aliases_);
+  auto iter = Build(sort.get(), aliases_);
   ASSERT_TRUE(iter.ok());
   auto rows = Drain(iter->get());
   ASSERT_EQ(rows.size(), 5u);
@@ -259,7 +268,7 @@ TEST_F(ExecUnitTest, HashAggregate) {
   agg->aggs.push_back(std::move(count));
   agg->children.push_back(std::move(scan));
 
-  auto iter = BuildIterator(*agg, &ctx_, &aliases_);
+  auto iter = Build(agg.get(), aliases_);
   ASSERT_TRUE(iter.ok());
   auto rows = Drain(iter->get());
   ASSERT_EQ(rows.size(), 4u);  // groups 0..3
@@ -374,13 +383,13 @@ struct OuterRow {
       : row{std::move(value)} {
     layout.Add(7, column, ValueType::kInt64);
     aliases[alias] = 7;
-    scope.layout = &layout;
+    bind = BindScope{&layout, &aliases, nullptr};
     scope.row = &row;
-    scope.aliases = &aliases;
   }
   RowLayout layout;
   Row row;
   AliasMap aliases;
+  BindScope bind;
   EvalScope scope;
 };
 
@@ -402,6 +411,7 @@ TEST(TemplateTest, SlotsLiteralsThenOuterRefs) {
   EXPECT_EQ(args[0]->kind, ExprKind::kLiteral);
   EXPECT_EQ(args[0]->literal.AsInt(), 3);
   OuterRow outer("outert", "x", Value::Int(42));
+  ASSERT_TRUE(BindExpr(args[1].get(), &outer.bind).ok());
   auto v = EvalExpr(*args[1], outer.scope, nullptr);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->AsInt(), 42);
@@ -488,6 +498,7 @@ TEST(TemplateTest, OpenShipsTemplateWithGatheredValues) {
   RemoteQueryIterator iter(h.op, &h.ctx);
   for (int64_t x : {42, 43}) {
     OuterRow outer("outert", "x", Value::Int(x));
+    ASSERT_TRUE(BindTree(&h.op, AliasMap(), &outer.bind).ok());
     ASSERT_TRUE(iter.Open(&outer.scope).ok());
     ASSERT_TRUE(iter.Close().ok());
   }
@@ -501,9 +512,12 @@ TEST(TemplateTest, OpenShipsTemplateWithGatheredValues) {
 
 TEST(TemplateTest, UnresolvableOuterRefFails) {
   RemoteOpHarness h("SELECT S.a FROM SalesT S WHERE S.k = Ghost.x");
+  // No scope names Ghost: the op fails to bind, and left unbound it fails
+  // to open.
+  OuterRow outer("outert", "x", Value::Int(42));
+  EXPECT_TRUE(BindTree(&h.op, AliasMap(), &outer.bind).IsNotFound());
   RemoteQueryIterator iter(h.op, &h.ctx);
-  EvalScope empty;
-  EXPECT_FALSE(iter.Open(&empty).ok());
+  EXPECT_FALSE(iter.Open(&outer.scope).ok());
   EXPECT_TRUE(h.reader.keys.empty());  // nothing shipped
 }
 

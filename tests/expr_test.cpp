@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "plan/bind.h"
 #include "plan/expr.h"
 #include "sql/parser.h"
 
@@ -22,20 +23,27 @@ class ExprEvalTest : public ::testing::Test {
     aliases_["t"] = 0;
     aliases_["s"] = 1;
     row_ = {Value::Int(10), Value::Double(2.5), Value::Str("hello")};
-    scope_.layout = &layout_;
+    bind_ = BindScope{&layout_, &aliases_, nullptr};
     scope_.row = &row_;
-    scope_.aliases = &aliases_;
+  }
+
+  /// Parses `text` and binds its column references against `bind_`.
+  std::unique_ptr<Expr> Bound(const std::string& text) {
+    auto expr = ParseExpr(text);
+    Status st = BindExpr(expr.get(), &bind_);
+    EXPECT_TRUE(st.ok()) << text << ": " << st.ToString();
+    return expr;
   }
 
   Value Eval(const std::string& text) {
-    auto expr = ParseExpr(text);
+    auto expr = Bound(text);
     auto v = EvalExpr(*expr, scope_, nullptr);
     EXPECT_TRUE(v.ok()) << text << ": " << v.status().ToString();
     return v.ok() ? *v : Value::Null();
   }
 
   bool Pred(const std::string& text) {
-    auto expr = ParseExpr(text);
+    auto expr = Bound(text);
     auto v = EvalPredicate(*expr, scope_, nullptr);
     EXPECT_TRUE(v.ok()) << text;
     return v.ok() && *v;
@@ -44,6 +52,7 @@ class ExprEvalTest : public ::testing::Test {
   RowLayout layout_;
   AliasMap aliases_;
   Row row_;
+  BindScope bind_;
   EvalScope scope_;
 };
 
@@ -54,7 +63,10 @@ TEST_F(ExprEvalTest, ColumnResolution) {
 }
 
 TEST_F(ExprEvalTest, UnresolvedColumnFails) {
+  // The reference fails to bind, and an unbound reference fails to
+  // evaluate.
   auto expr = ParseExpr("t.zzz");
+  EXPECT_TRUE(BindExpr(expr.get(), &bind_).IsNotFound());
   EXPECT_FALSE(EvalExpr(*expr, scope_, nullptr).ok());
 }
 
@@ -62,13 +74,9 @@ TEST_F(ExprEvalTest, AmbiguousBareColumnFails) {
   RowLayout ambiguous;
   ambiguous.Add(0, "x", ValueType::kInt64);
   ambiguous.Add(1, "x", ValueType::kInt64);
-  Row r{Value::Int(1), Value::Int(2)};
-  EvalScope s;
-  s.layout = &ambiguous;
-  s.row = &r;
-  s.aliases = &aliases_;
+  const BindScope s{&ambiguous, &aliases_, nullptr};
   auto expr = ParseExpr("x = 1");
-  EXPECT_FALSE(EvalExpr(*expr, s, nullptr).ok());
+  EXPECT_FALSE(BindExpr(expr.get(), &s).ok());
 }
 
 TEST_F(ExprEvalTest, Arithmetic) {
@@ -115,20 +123,23 @@ TEST_F(ExprEvalTest, CorrelatedLookupThroughOuterScope) {
   Row inner_row{Value::Int(99)};
   AliasMap inner_aliases;
   inner_aliases["u"] = 2;
+  const BindScope inner_bind{&inner, &inner_aliases, &bind_};
   EvalScope inner_scope;
-  inner_scope.layout = &inner;
   inner_scope.row = &inner_row;
-  inner_scope.aliases = &inner_aliases;
   inner_scope.outer = &scope_;
-  // t.a resolves through the outer scope chain.
+  // t.a resolves through the outer scope chain: one hop out, slot 0.
   auto expr = ParseExpr("u.y > t.a");
+  ASSERT_TRUE(BindExpr(expr.get(), &inner_bind).ok());
+  EXPECT_EQ(expr->left->scope_depth, 0u);
+  EXPECT_EQ(expr->right->scope_depth, 1u);
+  EXPECT_EQ(expr->right->slot, 0u);
   auto v = EvalPredicate(*expr, inner_scope, nullptr);
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(*v);
 }
 
 TEST_F(ExprEvalTest, SubqueryWithoutEvaluatorFails) {
-  auto expr = ParseExpr("EXISTS (SELECT 1 FROM s)");
+  auto expr = Bound("EXISTS (SELECT 1 FROM s)");
   EXPECT_FALSE(EvalExpr(*expr, scope_, nullptr).ok());
 }
 
