@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "exec/iterators.h"
 #include "guard_bench_common.h"
 #include "plan/plan_cache.h"
 #include "sql/parser.h"
@@ -162,69 +161,6 @@ int Run() {
               static_cast<long long>(misses), hit_rate,
               static_cast<long long>(cache.invalidations()));
 
-  // --- Per-batch guard probe at batch size 1 -----------------------------
-  // The switch-union guard moved from per-row (Next) to per-batch
-  // (NextBatch) probing. At max_rows = 1 the batch protocol degenerates to
-  // one probe per row — exactly the per-row regime — so it must not be
-  // slower than draining the same guarded plan through Next().
-  QueryPlan guarded = bench::PrepareWith(
-      sys.get(),
-      "SELECT c_custkey, c_name, c_acctbal FROM Customer C "
-      "WHERE C.c_custkey = 42 CURRENCY BOUND 10 MIN ON (C)",
-      /*view_matching=*/true, /*guards=*/true);
-  EventStream events;
-  CacheDbms::Reader reader(sys->cache());
-  ExecContext ctx;
-  ctx.reader = &reader;
-  ctx.clock = sys->clock();
-  ctx.events = &events;
-  auto drain = [&](bool batch_protocol) {
-    auto iter = BuildIterator(*guarded.root, &ctx);
-    if (!iter.ok() || !(*iter)->Open(nullptr).ok()) std::abort();
-    int64_t rows = 0;
-    if (batch_protocol) {
-      RowBatch b;
-      while (true) {
-        auto more = (*iter)->NextBatch(&b, /*max_rows=*/1);
-        if (!more.ok()) std::abort();
-        if (!*more) break;
-        rows += static_cast<int64_t>(b.size());
-      }
-    } else {
-      Row row;
-      while (true) {
-        auto more = (*iter)->Next(&row);
-        if (!more.ok()) std::abort();
-        if (!*more) break;
-        ++rows;
-      }
-    }
-    if (!(*iter)->Close().ok() || rows != 1) std::abort();
-  };
-  // Best-of-chunks: scheduler noise only ever adds time.
-  auto best_of = [&](bool batch_protocol) {
-    double best = -1;
-    for (int c = 0; c < 7; ++c) {
-      double t0 = NowNs();
-      for (int i = 0; i < 2000; ++i) drain(batch_protocol);
-      double per = (NowNs() - t0) / 2000.0;
-      if (best < 0 || per < best) best = per;
-    }
-    return best;
-  };
-  drain(true);  // warm-up
-  double per_row_ns = best_of(false);
-  double per_batch1_ns = best_of(true);
-  bench::PrintHeader("Guard probe: per-batch protocol at batch size 1");
-  std::printf("  %-34s %12.0f ns/query\n", "Next() drain (per-row probes)",
-              per_row_ns);
-  std::printf("  %-34s %12.0f ns/query\n", "NextBatch(1) drain (batch probes)",
-              per_batch1_ns);
-  bool batch_ok = per_batch1_ns <= per_row_ns * 1.10;
-  std::printf("  acceptance (no slower, 10%% tolerance): %s\n",
-              batch_ok ? "PASS" : "FAIL");
-  pass = pass && batch_ok;
-
   obs::MetricsRegistry& metrics = sys->metrics();
   metrics.gauge("rcc.plancache.hit_rate")->Set(hit_rate);
   metrics.gauge("rcc.plancache.cold_plan_p50_ns")->Set(cold_p50);
@@ -232,8 +168,6 @@ int Run() {
   metrics.gauge("rcc.plancache.l2_lookup_p50_ns")->Set(l2_p50);
   metrics.gauge("rcc.plancache.hit_speedup_l1")->Set(speedup_l1);
   metrics.gauge("rcc.plancache.hit_speedup_l2")->Set(speedup_l2);
-  metrics.gauge("rcc.guard.batch1_drain_p50_ns")->Set(per_batch1_ns);
-  metrics.gauge("rcc.guard.row_drain_p50_ns")->Set(per_row_ns);
   bench::DumpMetricsJson(*sys, "bench_plan_cache");
   return pass ? 0 : 1;
 }

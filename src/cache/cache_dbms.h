@@ -63,9 +63,10 @@ struct PreparedExecOptions {
   uint64_t session_tag = 0;
   /// Execution-time parameter values for kParam slots of a cached plan.
   const std::vector<Value>* params = nullptr;
-  /// Real-time cancellation deadline (default: none). Checked at executor
-  /// batch boundaries and in the remote retry loop; an expired statement
-  /// answers DeadlineExceeded and releases its snapshot pin immediately.
+  /// Real-time cancellation deadline (default: none). Checked by the
+  /// executor before the first row and every 256 rows, and in the remote
+  /// retry loop; an expired statement answers DeadlineExceeded and releases
+  /// its snapshot pin immediately.
   Deadline deadline;
   /// Overload-shedding hint from the admission layer: prefer the permitted
   /// degraded-local branch over a remote round-trip (see

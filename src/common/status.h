@@ -30,10 +30,10 @@ enum class StatusCode {
   /// operation status of a failed call.
   kStaleOk,
   /// A statement's deadline expired before it finished; the work was
-  /// cancelled at a batch boundary and its snapshot pin released. Retryable
-  /// by the client (with a fresh deadline). Deliberately distinct from
-  /// kUnavailable: the conformance oracle's degrade-refusal rule keys on
-  /// Unavailable refusals, and a timeout is not a currency refusal.
+  /// cancelled in the executor's row drain and its snapshot pin released.
+  /// Retryable by the client (with a fresh deadline). Deliberately distinct
+  /// from kUnavailable: the conformance oracle's degrade-refusal rule keys
+  /// on Unavailable refusals, and a timeout is not a currency refusal.
   kDeadlineExceeded,
   /// The server's admission queue is over its configured limit or queue
   /// delay; the statement was rejected before execution. Retryable after

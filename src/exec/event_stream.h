@@ -63,8 +63,8 @@ struct LinkRecord {
   SimTimeMs backend_ms = 0;
 };
 
-/// The statement's real-time deadline expired, at an executor batch
-/// boundary or in the remote retry loop.
+/// The statement's real-time deadline expired, in the executor's row drain
+/// or in the remote retry loop.
 struct DeadlineRecord {};
 
 /// One plan run's row count and phase times (real milliseconds).

@@ -63,9 +63,9 @@ struct Deadline {
     return d;
   }
 
-  /// True once the deadline has passed. Cancellation points (executor batch
-  /// boundaries, remote retry-loop iterations) poll this; without a
-  /// deadline it is one compare.
+  /// True once the deadline has passed. Cancellation points (the executor's
+  /// drain, every 256 rows; remote retry-loop iterations) poll this; without
+  /// a deadline it is one compare.
   bool expired() const {
     return at != std::chrono::steady_clock::time_point::max() &&
            std::chrono::steady_clock::now() >= at;
@@ -100,7 +100,7 @@ struct ExecStats {
   /// degraded-local branch (only when the degrade mode and timeline floor
   /// permit — see SwitchUnionIterator). A subset of degraded_serves.
   int64_t shed_serves = 0;
-  /// Statements cancelled at a batch boundary or retry-loop iteration
+  /// Statements cancelled in the executor's drain or a retry-loop iteration
   /// because their real-time deadline expired.
   int64_t deadline_timeouts = 0;
   /// Guard probes against a region with no known local heartbeat (region
@@ -141,10 +141,10 @@ struct ExecContext {
   /// Degradation policy for remote-branch failures (see DegradeMode).
   DegradeMode degrade = DegradeMode::kNone;
 
-  /// Real-time deadline for this statement; default = none. Checked at
-  /// executor batch boundaries and inside the remote retry loop, so a
-  /// timed-out statement frees its worker (and snapshot pin) within one
-  /// batch boundary instead of running to completion.
+  /// Real-time deadline for this statement; default = none. Checked by the
+  /// executor before the first row and every 256 rows, and inside the remote
+  /// retry loop, so a timed-out statement frees its worker (and snapshot
+  /// pin) within 256 rows instead of running to completion.
   Deadline deadline;
 
   /// Overload-shedding hint from the admission layer: when true, a
@@ -171,17 +171,6 @@ struct ExecContext {
   const std::vector<Value>* params = nullptr;
 };
 
-/// A batch of rows moved between operators in one virtual call (vectorized
-/// execution). Rows are moved in, not copied; `rows` keeps its capacity
-/// across Clear() so steady-state batches don't reallocate.
-struct RowBatch {
-  std::vector<Row> rows;
-
-  void Clear() { rows.clear(); }
-  bool empty() const { return rows.empty(); }
-  size_t size() const { return rows.size(); }
-};
-
 /// Volcano-style iterator. Open may be called again after Close: the inner
 /// side of a nested-loop join and an EXISTS/IN subplan are built once per
 /// execution and re-opened per outer row, with the outer row's scope. Open
@@ -195,13 +184,6 @@ class RowIterator {
   virtual Status Open(const EvalScope* outer) = 0;
   /// Produces the next row; returns false at end of stream.
   virtual Result<bool> Next(Row* out) = 0;
-  /// Produces up to `max_rows` rows into `out` (cleared first). Returns
-  /// false exactly when the stream is exhausted AND the batch is empty —
-  /// never true with an empty batch, so callers may loop on the return
-  /// value alone. The default shim loops Next(), so row-at-a-time operators
-  /// compose with batch-at-a-time callers unchanged; hot operators override
-  /// it natively.
-  virtual Result<bool> NextBatch(RowBatch* out, size_t max_rows);
   virtual Status Close() = 0;
 
   /// Row shape produced by this iterator.

@@ -71,28 +71,28 @@ Result<ExecutedQuery> ExecutePlan(const QueryPlan& plan, ExecContext* ctx) {
   RCC_RETURN_NOT_OK(iter->Open(nullptr));
   double setup_ms = MsSince(t0);
 
-  // Run phase: drain the tree batch-at-a-time (vectorized operators produce
-  // natively; row-at-a-time operators go through the NextBatch shim). Every
-  // batch boundary is a cancellation point: a statement whose real-time
-  // deadline has passed stops here, frees its worker, and lets the context
-  // (and with it the snapshot pin) unwind — it never runs to completion
-  // just because it already started.
-  constexpr size_t kDrainBatchRows = 256;
+  // Run phase: drain the tree row by row. Before the first row and every
+  // 256 rows the drain checks the statement's real-time deadline: a
+  // statement whose deadline has passed stops here, frees its worker, and
+  // lets the context (and with it the snapshot pin) unwind — it never runs
+  // to completion just because it already started.
+  constexpr size_t kRowsPerDeadlineCheck = 256;
   auto t1 = std::chrono::steady_clock::now();
   ExecutedQuery out;
   out.layout = iter->layout();
-  RowBatch batch;
+  Row row;
   while (true) {
-    if (ctx->deadline.expired()) {
+    if (out.rows.size() % kRowsPerDeadlineCheck == 0 &&
+        ctx->deadline.expired()) {
       ctx->events->Record(DeadlineRecord{});
       ctx->events->Record(RunRecord{.run_ms = MsSince(t1)});
       (void)iter->Close();
       return Status::DeadlineExceeded(
-          "statement deadline expired at executor batch boundary");
+          "statement deadline expired during the executor's row drain");
     }
-    RCC_ASSIGN_OR_RETURN(bool more, iter->NextBatch(&batch, kDrainBatchRows));
+    RCC_ASSIGN_OR_RETURN(bool more, iter->Next(&row));
     if (!more) break;
-    for (Row& row : batch.rows) out.rows.push_back(std::move(row));
+    out.rows.push_back(std::move(row));
   }
   double run_ms = MsSince(t1);
 

@@ -119,25 +119,23 @@ class ScanIterator : public IterBase {
 
   Result<bool> Next(Row* out) override {
     while (true) {
-      RCC_ASSIGN_OR_RETURN(const Row* candidate, NextCandidate());
-      if (candidate == nullptr) return false;
+      const Row* candidate = nullptr;
+      if (use_index_) {
+        if (pk_pos_ >= pks_.size()) return false;
+        candidate = table_->Get(pks_[pk_pos_++]);
+        if (candidate == nullptr) continue;  // index raced storage (unused)
+      } else {
+        if (it_ == end_) return false;
+        if (!hi_.empty() && Table::ExceedsUpper(it_->first, hi_)) return false;
+        candidate = &it_->second;
+        ++it_;
+      }
       RCC_ASSIGN_OR_RETURN(bool ok, PassesResidual(*candidate, outer_));
       if (ok) {
         *out = *candidate;
         return true;
       }
     }
-  }
-
-  Result<bool> NextBatch(RowBatch* out, size_t max_rows) override {
-    out->Clear();
-    while (out->rows.size() < max_rows) {
-      RCC_ASSIGN_OR_RETURN(const Row* candidate, NextCandidate());
-      if (candidate == nullptr) break;
-      RCC_ASSIGN_OR_RETURN(bool ok, PassesResidual(*candidate, outer_));
-      if (ok) out->rows.push_back(*candidate);
-    }
-    return !out->rows.empty();
   }
 
   Status Close() override {
@@ -147,24 +145,6 @@ class ScanIterator : public IterBase {
   }
 
  private:
-  /// Advances to the next stored row in range; nullptr at end of scan. The
-  /// residual is applied by the callers (shared by Next and NextBatch).
-  Result<const Row*> NextCandidate() {
-    while (true) {
-      if (use_index_) {
-        if (pk_pos_ >= pks_.size()) return nullptr;
-        const Row* candidate = table_->Get(pks_[pk_pos_++]);
-        if (candidate == nullptr) continue;  // index raced storage (unused)
-        return candidate;
-      }
-      if (it_ == end_) return nullptr;
-      if (!hi_.empty() && Table::ExceedsUpper(it_->first, hi_)) return nullptr;
-      const Row* candidate = &it_->second;
-      ++it_;
-      return candidate;
-    }
-  }
-
   const EvalScope* outer_ = nullptr;
   const Table* table_ = nullptr;
   TableKey lo_;
@@ -186,21 +166,11 @@ class FilterIterator : public IterBase {
 
   Status Open(const EvalScope* outer) override {
     outer_ = outer;
-    buf_.Clear();
-    buf_pos_ = 0;
     return child_->Open(outer);
   }
 
   Result<bool> Next(Row* out) override {
     while (true) {
-      // Drain any batch buffer first so Next and NextBatch can interleave.
-      if (buf_pos_ < buf_.rows.size()) {
-        Row row = std::move(buf_.rows[buf_pos_++]);
-        RCC_ASSIGN_OR_RETURN(bool ok, PassesResidual(row, outer_));
-        if (!ok) continue;
-        *out = std::move(row);
-        return true;
-      }
       Row row;
       RCC_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
       if (!more) return false;
@@ -212,34 +182,11 @@ class FilterIterator : public IterBase {
     }
   }
 
-  Result<bool> NextBatch(RowBatch* out, size_t max_rows) override {
-    out->Clear();
-    while (out->rows.size() < max_rows) {
-      if (buf_pos_ >= buf_.rows.size()) {
-        RCC_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&buf_, max_rows));
-        buf_pos_ = 0;
-        if (!more) break;
-      }
-      while (buf_pos_ < buf_.rows.size() && out->rows.size() < max_rows) {
-        Row& row = buf_.rows[buf_pos_++];
-        RCC_ASSIGN_OR_RETURN(bool ok, PassesResidual(row, outer_));
-        if (ok) out->rows.push_back(std::move(row));
-      }
-    }
-    return !out->rows.empty();
-  }
-
-  Status Close() override {
-    buf_.Clear();
-    buf_pos_ = 0;
-    return child_->Close();
-  }
+  Status Close() override { return child_->Close(); }
 
  private:
   std::unique_ptr<RowIterator> child_;
   const EvalScope* outer_ = nullptr;
-  RowBatch buf_;
-  size_t buf_pos_ = 0;
 };
 
 class ProjectIterator : public IterBase {
@@ -251,48 +198,21 @@ class ProjectIterator : public IterBase {
   Status Open(const EvalScope* outer) override {
     outer_ = outer;
     seen_.clear();
-    buf_.Clear();
-    buf_pos_ = 0;
     return child_->Open(outer);
   }
 
   Result<bool> Next(Row* out) override {
+    Row row;
     while (true) {
-      Row row;
-      // Drain any batch buffer first so Next and NextBatch can interleave.
-      if (buf_pos_ < buf_.rows.size()) {
-        row = std::move(buf_.rows[buf_pos_++]);
-      } else {
-        RCC_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
-        if (!more) return false;
-      }
+      RCC_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
+      if (!more) return false;
       RCC_ASSIGN_OR_RETURN(bool keep, ProjectRow(row, out));
       if (keep) return true;
     }
   }
 
-  Result<bool> NextBatch(RowBatch* out, size_t max_rows) override {
-    out->Clear();
-    Row result;
-    while (out->rows.size() < max_rows) {
-      if (buf_pos_ >= buf_.rows.size()) {
-        RCC_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&buf_, max_rows));
-        buf_pos_ = 0;
-        if (!more) break;
-      }
-      while (buf_pos_ < buf_.rows.size() && out->rows.size() < max_rows) {
-        RCC_ASSIGN_OR_RETURN(bool keep,
-                             ProjectRow(buf_.rows[buf_pos_++], &result));
-        if (keep) out->rows.push_back(std::move(result));
-      }
-    }
-    return !out->rows.empty();
-  }
-
   Status Close() override {
     seen_.clear();
-    buf_.Clear();
-    buf_pos_ = 0;
     return child_->Close();
   }
 
@@ -312,8 +232,6 @@ class ProjectIterator : public IterBase {
   std::unique_ptr<RowIterator> child_;
   const EvalScope* outer_ = nullptr;
   std::set<std::string> seen_;  // DISTINCT bookkeeping
-  RowBatch buf_;
-  size_t buf_pos_ = 0;
 };
 
 // -- Joins --------------------------------------------------------------------

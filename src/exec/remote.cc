@@ -45,14 +45,6 @@ Result<bool> RemoteQueryIterator::Next(Row* out) {
   return true;
 }
 
-Result<bool> RemoteQueryIterator::NextBatch(RowBatch* out, size_t max_rows) {
-  out->Clear();
-  while (pos_ < rows_.size() && out->rows.size() < max_rows) {
-    out->rows.push_back(std::move(rows_[pos_++]));
-  }
-  return !out->rows.empty();
-}
-
 Status RemoteQueryIterator::Close() {
   rows_.clear();
   pos_ = 0;

@@ -16,7 +16,6 @@ class RemoteQueryIterator : public RowIterator {
 
   Status Open(const EvalScope* outer) override;
   Result<bool> Next(Row* out) override;
-  Result<bool> NextBatch(RowBatch* out, size_t max_rows) override;
   Status Close() override;
   const RowLayout& layout() const override { return op_.layout; }
 

@@ -26,15 +26,12 @@ class SwitchUnionIterator : public RowIterator {
         remote_(std::move(remote)) {}
 
   Status Open(const EvalScope* outer) override;
-  /// Next and NextBatch forward to the chosen branch without re-probing:
-  /// the currency decision is fixed at Open, and a local branch reads the
-  /// snapshot the guard certified, frozen by ReadHandle::MarkServed — a
-  /// later quarantine or delivery publishes a new snapshot this statement
-  /// never sees, so certification cannot be withdrawn mid-drain.
+  /// Next forwards to the chosen branch without re-probing: the currency
+  /// decision is fixed at Open, and a local branch reads the snapshot the
+  /// guard certified, frozen by ReadHandle::MarkServed — a later quarantine
+  /// or delivery publishes a new snapshot this statement never sees, so
+  /// certification cannot be withdrawn mid-drain.
   Result<bool> Next(Row* out) override { return chosen_->Next(out); }
-  Result<bool> NextBatch(RowBatch* out, size_t max_rows) override {
-    return chosen_->NextBatch(out, max_rows);
-  }
   Status Close() override;
   const RowLayout& layout() const override { return op_.layout; }
 

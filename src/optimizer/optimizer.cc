@@ -870,22 +870,8 @@ Result<UnitPlan> Planner::BuildRemoteUnit(
 
 Result<UnitPlan> Planner::BuildBackendUnit(const BlockCtx& ctx,
                                            InputOperandId op) {
-  const TableDef* table = resolved_.operands[op].table;
-  ScanTarget target;
-  target.is_view = false;
-  target.name = table->name;
-  RCC_ASSIGN_OR_RETURN(
-      auto scan, BuildScan(ctx, op, target, table->schema,
-                           table->clustered_key, table->secondary_indexes,
-                           StatsOf(op), 1.0, std::string(), nullptr));
-  scan->delivered = ConsistencyProperty::Leaf(kBackendRegion, op);
-
-  UnitPlan unit;
-  unit.ops.insert(op);
-  unit.seek_op = op;
-  unit.rows = scan->est_rows;
-  unit.cost = scan->est_cost;
-  unit.op = std::move(scan);
+  RCC_ASSIGN_OR_RETURN(UnitPlan unit,
+                       BuildBackendUnitParam(ctx, op, "", nullptr));
   unit.rebuild = [this, &ctx, op](const std::string& column,
                                   const Expr& outer_ref) {
     return BuildBackendUnitParam(ctx, op, column, &outer_ref);
@@ -1075,12 +1061,8 @@ Result<std::unique_ptr<PhysicalOp>> Planner::JoinUnits(
       double nlj_rows = std::max(1.0, rows * probe.rows);
       double nlj_cost = cost + rows * probe.cost +
                         nlj_rows * opts_.costs.cpu_per_row;
-      double d = 1.0;
-      {
-        auto it = ctx.aliases.find(ToLower(seek_column));
-        (void)it;
-        d = DistinctOf(next.seek_op, seek_column, std::max(1.0, next.rows));
-      }
+      double d =
+          DistinctOf(next.seek_op, seek_column, std::max(1.0, next.rows));
       double hash_rows =
           std::max(1.0, rows * next.rows / std::max(1.0, d));
       double hash_cost = cost + next.cost +
@@ -1237,24 +1219,20 @@ Result<std::unique_ptr<PhysicalOp>> Planner::PlanBlock(
     }
     if (!remote_ops.empty()) {
       // Strategy choice: fetch each table separately (local join) vs. one
-      // combined remote query (remote join). Cost decides.
-      bool combined_better = false;
-      if (remote_ops.size() > 1) {
-        double split_cost = 0;
-        for (InputOperandId op : remote_ops) {
-          RCC_ASSIGN_OR_RETURN(UnitPlan u, BuildRemoteUnit(ctx, {op}));
-          split_cost += u.cost;
-        }
-        RCC_ASSIGN_OR_RETURN(UnitPlan comb, BuildRemoteUnit(ctx, remote_ops));
-        combined_better = comb.cost < split_cost;
+      // combined remote query (remote join). Cost decides, and the units
+      // priced for the choice are the ones kept.
+      const size_t first_remote = units.size();
+      double split_cost = 0;
+      for (InputOperandId op : remote_ops) {
+        RCC_ASSIGN_OR_RETURN(UnitPlan u, BuildRemoteUnit(ctx, {op}));
+        split_cost += u.cost;
+        units.push_back(std::move(u));
       }
-      if (combined_better) {
+      if (remote_ops.size() > 1) {
         RCC_ASSIGN_OR_RETURN(UnitPlan comb, BuildRemoteUnit(ctx, remote_ops));
-        units.push_back(std::move(comb));
-      } else {
-        for (InputOperandId op : remote_ops) {
-          RCC_ASSIGN_OR_RETURN(UnitPlan u, BuildRemoteUnit(ctx, {op}));
-          units.push_back(std::move(u));
+        if (comb.cost < split_cost) {
+          units.erase(units.begin() + first_remote, units.end());
+          units.push_back(std::move(comb));
         }
       }
     }

@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 
+#include "exec/event_stream.h"
+#include "exec/executor.h"
 #include "test_util.h"
 
 namespace rcc {
@@ -749,6 +751,45 @@ TEST_F(BindTest, AmbiguousBareColumnFailsWhenThePlanIsBuilt) {
   ASSERT_FALSE(plan.ok());
   EXPECT_NE(plan.status().ToString().find("ambiguous"), std::string::npos)
       << plan.status().ToString();
+}
+
+// -- Row drain ---------------------------------------------------------------
+
+TEST(RowDrainTest, LongBackEndRangeComesBackOnceInClusteredKeyOrder) {
+  // ExecutePlan drains the root with Next and checks the deadline before
+  // the first row and every 256 rows. A range spanning several checks,
+  // under a deadline that has not expired, must come back whole.
+  testing_util::TpcdFixture fx;
+  const Table* orders = fx.sys.backend()->table("Orders");
+  ASSERT_NE(orders, nullptr);
+  constexpr int64_t kLastCustomer = 80;
+  std::vector<std::string> expected;
+  for (const auto& [key, row] : orders->rows()) {
+    if (key[0].AsInt() <= kLastCustomer) expected.push_back(RowToString(row));
+  }
+  ASSERT_GT(expected.size(), 512u);
+
+  // No currency clause: the default bound sends Orders to the back end.
+  QueryPlan plan = MustPrepare(
+      fx.session.get(), "SELECT * FROM Orders O WHERE O.o_custkey <= " +
+                            std::to_string(kLastCustomer));
+  EventStream events;
+  CacheDbms::Reader reader(fx.sys.cache());
+  ExecContext ctx;
+  ctx.reader = &reader;
+  ctx.clock = fx.sys.backend()->clock();
+  ctx.events = &events;
+  ctx.deadline = Deadline::After(std::chrono::steady_clock::now(), 600000);
+  auto executed = ExecutePlan(plan, &ctx);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+
+  std::vector<std::string> got;
+  for (const Row& row : executed->rows) got.push_back(RowToString(row));
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(events.stats().remote_queries, 1);
+  EXPECT_EQ(events.stats().rows_returned,
+            static_cast<int64_t>(expected.size()));
+  EXPECT_EQ(events.stats().deadline_timeouts, 0);
 }
 
 // -- ORDER BY ----------------------------------------------------------------
