@@ -93,8 +93,9 @@ Result<TxnTimestamp> BackendServer::ExecuteTransaction(
 Result<ExecutedQuery> BackendServer::Execute(const BackendCall& call) {
   // A hit re-chooses each range-priced access path at these values; a
   // choice that flips makes it a miss, and the new plan replaces the entry.
+  const std::string key = PlanCache::TypedKey(call.tmpl.key, call.params);
   PlanCache::LookupResult found = plans_.LookupTemplate(
-      call.tmpl.key, call.params, [&](const PlanCacheEntry& e) {
+      key, call.params, [&](const PlanCacheEntry& e) {
         return !e.range_priced ||
                AccessPathsHold(*e.plan, call.params, catalog_, costs_);
       });
@@ -102,7 +103,7 @@ Result<ExecutedQuery> BackendServer::Execute(const BackendCall& call) {
   if (found.hit) {
     entry = std::move(found.hit->entry);
   } else {
-    RCC_ASSIGN_OR_RETURN(entry, Plan(call, found.version_at_lookup));
+    RCC_ASSIGN_OR_RETURN(entry, Plan(call, key, found.version_at_lookup));
   }
   EventStream events;
   ExecContext ctx;
@@ -114,7 +115,7 @@ Result<ExecutedQuery> BackendServer::Execute(const BackendCall& call) {
 }
 
 Result<std::shared_ptr<const PlanCacheEntry>> BackendServer::Plan(
-    const BackendCall& call, uint64_t version) {
+    const BackendCall& call, const std::string& key, uint64_t version) {
   // Bind each slot as a literal stamped with its slot number as offset, so
   // ParameterizePlan finds every site a value reached. (A slot without a
   // value stays a parameter and fails at execution as unbound.)
@@ -146,7 +147,7 @@ Result<std::shared_ptr<const PlanCacheEntry>> BackendServer::Plan(
   // with other values re-plans either way, and replacing the entry on every
   // such call cost more than the rare exact repeat saved.
   if (entry->parameterized) {
-    plans_.InsertTemplate(call.tmpl.key, call.params, entry, version);
+    plans_.InsertTemplate(key, entry, version);
   }
   return std::shared_ptr<const PlanCacheEntry>(std::move(entry));
 }

@@ -97,8 +97,9 @@ class BackendServer : private ReadHandle {
 
  private:
   Table* mutable_table(std::string_view name);
-  /// Plans `call` on a cache miss and publishes the entry.
+  /// Plans `call` on a cache miss and publishes the entry under `key`.
   Result<std::shared_ptr<const PlanCacheEntry>> Plan(const BackendCall& call,
+                                                     const std::string& key,
                                                      uint64_t version);
 
   VirtualClock* clock_;

@@ -223,17 +223,20 @@ Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::NewEntry(
 
 Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::PlanText(
     std::string_view sql, const NormalizedSql& norm, DegradeMode degrade,
-    bool timeordered) const {
+    bool timeordered, bool match_views) const {
   ParseOptions popts;
   popts.record_literal_offsets = true;
   RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(sql, popts));
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan, Prepare(*select));
+  OptimizerOptions opts = default_options();
+  opts.enable_view_matching = match_views;
+  RCC_ASSIGN_OR_RETURN(QueryPlan plan, Prepare(*select, opts));
   auto entry = std::make_shared<PlanCacheEntry>();
   if (norm.ok) {
     entry->parameterized = ParameterizePlan(&plan, norm.slots, catalog_);
     for (const ParamSlot& slot : norm.slots) {
       entry->creation_values.push_back(slot.value);
     }
+    entry->template_text = norm.text;
   }
   entry->plan = std::make_shared<QueryPlan>(std::move(plan));
   entry->created_degrade = degrade;
@@ -244,34 +247,57 @@ Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::PlanText(
 
 Result<CachedPlan> CacheDbms::LookupOrPlan(std::string_view sql,
                                            DegradeMode degrade,
-                                           bool timeordered,
-                                           const PlanCacheEntry* priced_like) {
-  PlanCache::LookupResult looked = plan_cache_.Lookup(
-      sql, degrade, timeordered,
-      priced_like != nullptr ? &priced_like->creation_values : nullptr);
+                                           bool timeordered) {
+  PlanCache::LookupResult looked =
+      plan_cache_.Lookup(sql, degrade, timeordered);
   if (looked.hit.has_value()) {
     return CachedPlan{std::move(looked.hit->entry),
                       std::move(looked.hit->params), /*hit=*/true};
   }
+  RCC_ASSIGN_OR_RETURN(
+      std::shared_ptr<PlanCacheEntry> entry,
+      PlanText(sql, looked.norm, degrade, timeordered, /*match_views=*/true));
+  plan_cache_.Insert(looked.norm, sql, degrade, timeordered, entry,
+                     looked.version_at_lookup);
   std::vector<Value> params;
   for (const ParamSlot& slot : looked.norm.slots) params.push_back(slot.value);
+  return CachedPlan{std::move(entry), std::move(params), /*hit=*/false};
+}
+
+Result<CachedPlan> CacheDbms::LookupOrPlan(std::string_view sql,
+                                           std::string_view tmpl,
+                                           const std::vector<Value>& params,
+                                           DegradeMode degrade,
+                                           bool timeordered, bool match_views,
+                                           const PlanCacheEntry* priced_like) {
+  const std::string key =
+      PlanCache::ContextKey(tmpl, degrade, timeordered, match_views);
+  // A value-generic entry priced at other literals than `priced_like`'s is
+  // a miss: a caller comparing costs across caches needs one set.
+  PlanCache::LookupResult looked = plan_cache_.LookupTemplate(
+      key, params, [priced_like](const PlanCacheEntry& e) {
+        return priced_like == nullptr || !e.parameterized ||
+               e.creation_values == priced_like->creation_values;
+      });
+  if (looked.hit.has_value()) {
+    return CachedPlan{std::move(looked.hit->entry), params, /*hit=*/true};
+  }
   std::shared_ptr<PlanCacheEntry> entry;
   if (priced_like != nullptr) {
     const std::string& text = priced_like->creation_sql;
-    RCC_ASSIGN_OR_RETURN(
-        entry, PlanText(text, NormalizeSql(text), degrade, timeordered));
+    RCC_ASSIGN_OR_RETURN(entry, PlanText(text, NormalizeSql(text), degrade,
+                                         timeordered, match_views));
     // Bound to the reference's literals, the plan cannot run this text's.
     if (!entry->parameterized && entry->creation_values != params) {
       entry = nullptr;
     }
   }
   if (entry == nullptr) {
-    RCC_ASSIGN_OR_RETURN(entry,
-                         PlanText(sql, looked.norm, degrade, timeordered));
+    RCC_ASSIGN_OR_RETURN(entry, PlanText(sql, NormalizeSql(sql), degrade,
+                                         timeordered, match_views));
   }
-  plan_cache_.Insert(looked.norm, sql, degrade, timeordered, entry,
-                     looked.version_at_lookup);
-  return CachedPlan{std::move(entry), std::move(params), /*hit=*/false};
+  plan_cache_.InsertTemplate(key, entry, looked.version_at_lookup);
+  return CachedPlan{std::move(entry), params, /*hit=*/false};
 }
 
 const Table* CacheDbms::Reader::ScanTable(const ScanTarget& target) {

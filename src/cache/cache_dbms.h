@@ -170,25 +170,34 @@ class CacheDbms {
   /// The plan for SQL text `sql` (SELECT keyword on) under a session's
   /// degrade mode and timeline flag: a plan-cache lookup, or on a miss lex,
   /// parse, Prepare, ParameterizePlan and Insert. Every plain SELECT of the
-  /// system and every node plan of the fleet router comes from here.
-  ///
-  /// `priced_like` (the fleet router's anchor entry for the same template)
-  /// keeps the returned plan's est_cost comparable with it: a value-generic
-  /// entry built from other literals is a miss, and a miss plans
-  /// `priced_like->creation_sql` rather than `sql` (unless that plan comes
-  /// out bound to literals other than `sql`'s). Either way the entry is
-  /// published under `sql`'s keys.
+  /// system and the fleet router's anchor plan come from here.
   Result<CachedPlan> LookupOrPlan(std::string_view sql, DegradeMode degrade,
-                                  bool timeordered,
-                                  const PlanCacheEntry* priced_like = nullptr);
+                                  bool timeordered);
+
+  /// The plan for `sql` looked up by its normalized form alone: `tmpl` (the
+  /// fleet router's anchor entry's template_text) and `params` (this text's
+  /// slot values), at the template level only (PlanCache::LookupTemplate).
+  /// A hit never lexes and never touches L1; a miss plans and publishes
+  /// under `tmpl` alone. The router's peers and its backend tier
+  /// (`match_views` false: every operand fetched remotely) come from here.
+  ///
+  /// `priced_like` (the anchor's entry) keeps the returned plan's est_cost
+  /// comparable with it: a value-generic entry built from other literals is
+  /// a miss, and a miss plans `priced_like->creation_sql` rather than `sql`
+  /// (unless that plan comes out bound to literals other than `params`).
+  Result<CachedPlan> LookupOrPlan(std::string_view sql, std::string_view tmpl,
+                                  const std::vector<Value>& params,
+                                  DegradeMode degrade, bool timeordered,
+                                  bool match_views,
+                                  const PlanCacheEntry* priced_like);
 
   /// A fresh, unpublished entry for a parsed statement behaving under
-  /// `degrade`, with no bind parameters: the fleet router's AST entry and,
-  /// with `match_views` false (every operand fetched remotely), its backend
-  /// tier.
-  Result<std::shared_ptr<PlanCacheEntry>> NewEntry(
-      const SelectStmt& stmt, DegradeMode degrade,
-      bool match_views = true) const;
+  /// `degrade`, with no bind parameters: the fleet router's AST entry
+  /// (RouteSelect), on every node and, with `match_views` false, for its
+  /// backend tier.
+  Result<std::shared_ptr<PlanCacheEntry>> NewEntry(const SelectStmt& stmt,
+                                                   DegradeMode degrade,
+                                                   bool match_views) const;
 
   /// Declared at namespace scope so it can default the argument below.
   using PreparedExecOptions = rcc::PreparedExecOptions;
@@ -316,10 +325,11 @@ class CacheDbms {
   };
 
   /// LookupOrPlan's miss path for one text: parse (with literal offsets),
-  /// Prepare and parameterize against `norm`'s slots; not yet published.
+  /// Prepare (view matching per `match_views`) and parameterize against
+  /// `norm`'s slots; not yet published.
   Result<std::shared_ptr<PlanCacheEntry>> PlanText(
       std::string_view sql, const NormalizedSql& norm, DegradeMode degrade,
-      bool timeordered) const;
+      bool timeordered, bool match_views) const;
 
   /// Folds one finished query's stats into the registry instruments.
   void RecordQueryMetrics(const ExecStats& stats, SimTimeMs now) const;

@@ -32,7 +32,8 @@ struct RoutedStatementOptions {
 /// no router executes against the system's single cache exactly as before;
 /// a Session handed a router forwards every plain SELECT and keeps
 /// EXPLAIN/DML/session statements local. Implementations must be
-/// thread-safe: the network front end funnels statements from pool threads.
+/// thread-safe: the network front end runs each statement on the event-loop
+/// thread that owns its connection, with several loops running at once.
 class StatementRouter {
  public:
   virtual ~StatementRouter() = default;

@@ -4,7 +4,6 @@
 
 #include "exec/currency_verdict.h"
 #include "fleet/fleet.h"
-#include "sql/parser.h"
 
 namespace rcc {
 namespace fleet {
@@ -33,6 +32,14 @@ std::vector<Requirement> RequirementsOf(const QueryPlan& plan) {
     }
   }
   return reqs;
+}
+
+/// A fresh plan for the AST entry, outside any plan cache.
+Result<CachedPlan> Prepared(CacheDbms* cache, const SelectStmt& stmt,
+                            DegradeMode degrade, bool match_views) {
+  RCC_ASSIGN_OR_RETURN(auto entry,
+                       cache->NewEntry(stmt, degrade, match_views));
+  return CachedPlan{std::move(entry), {}, /*hit=*/false};
 }
 
 }  // namespace
@@ -68,23 +75,31 @@ Result<CacheQueryOutcome> FleetRouter::Route(
     std::string_view sql, const SelectStmt* stmt,
     const RoutedStatementOptions& opts) {
   const int n = fleet_->node_count();
-  // A node's plan: its plan-cache entry for the text (priced like `like`),
-  // or for the AST entry a fresh Prepare.
-  auto plan_on = [&](int node,
-                     const PlanCacheEntry* like) -> Result<CachedPlan> {
-    CacheDbms* cache = fleet_->node(node);
-    if (stmt == nullptr) {
-      return cache->LookupOrPlan(sql, opts.degrade, opts.timeordered, like);
-    }
-    RCC_ASSIGN_OR_RETURN(auto entry, cache->NewEntry(*stmt, opts.degrade));
-    return CachedPlan{std::move(entry), {}, /*hit=*/false};
-  };
   // The anchor's plan supplies the requirements (the normalized constraint
   // and its operand → base-table binding are node-independent: every node
   // shadows the same backend schema, only view sets differ) and is the
-  // reference every peer's cached plan is priced like.
-  RCC_ASSIGN_OR_RETURN(const CachedPlan ref, plan_on(1, nullptr));
+  // reference every peer's cached plan is priced like. Its lookup is the
+  // only one that reads the text: an L1 hit, or one lex and an L2 lookup.
+  RCC_ASSIGN_OR_RETURN(
+      const CachedPlan ref,
+      stmt == nullptr ? fleet_->node(1)->LookupOrPlan(sql, opts.degrade,
+                                                      opts.timeordered)
+                      : Prepared(fleet_->node(1), *stmt, opts.degrade,
+                                 /*match_views=*/true));
   const std::vector<Requirement> reqs = RequirementsOf(*ref.entry->plan);
+  // Any other node's plan (view-matched, priced like `ref`), or with
+  // `match_views` false the backend tier's all-remote plan: looked up by the
+  // anchor entry's template and this text's slot values, with no lexing.
+  // The AST entry prepares afresh.
+  auto plan_on = [&](int node, bool match_views) -> Result<CachedPlan> {
+    CacheDbms* cache = fleet_->node(node);
+    if (stmt != nullptr) {
+      return Prepared(cache, *stmt, opts.degrade, match_views);
+    }
+    return cache->LookupOrPlan(sql, ref.entry->template_text, ref.params,
+                               opts.degrade, opts.timeordered, match_views,
+                               match_views ? ref.entry.get() : nullptr);
+  };
 
   EventStream own;
   EventStream& events = opts.events != nullptr ? *opts.events : own;
@@ -101,7 +116,6 @@ Result<CacheQueryOutcome> FleetRouter::Route(
   // serial mode), so replaying the first attempt's observations would record
   // heartbeats the install stream has since superseded. Each route line must
   // reflect the fleet at the moment it was dispatched.
-  std::unique_ptr<SelectStmt> parsed;  // the text's AST, for the backend tier
   std::vector<bool> tried(n + 1, false);
   for (;;) {
     // Probe every node's delivered currency per requirement, as of `now`. A
@@ -157,7 +171,8 @@ Result<CacheQueryOutcome> FleetRouter::Route(
     CachedPlan plan;
     for (int node = 1; node <= n; ++node) {
       if (skip[node]) continue;
-      Result<CachedPlan> p = node == 1 ? ref : plan_on(node, ref.entry.get());
+      Result<CachedPlan> p =
+          node == 1 ? ref : plan_on(node, /*match_views=*/true);
       if (!p.ok()) continue;  // treat an unplannable node as ineligible
       if (best == 0 || p->entry->plan->est_cost < plan.entry->plan->est_cost) {
         best = node;
@@ -166,18 +181,12 @@ Result<CacheQueryOutcome> FleetRouter::Route(
     }
     // Backend tier, when no untried node is eligible: an all-remote plan on
     // the anchor (view matching off forces every operand to a backend fetch,
-    // which is always current).
+    // which is always current), cached in the anchor's plan cache under the
+    // same template as its view-matched plan.
     const bool backend = best == 0;
     if (backend) {
       best = 1;
-      if (stmt == nullptr) {
-        RCC_ASSIGN_OR_RETURN(parsed, ParseSelect(sql));
-        stmt = parsed.get();
-      }
-      RCC_ASSIGN_OR_RETURN(auto entry, fleet_->node(1)->NewEntry(
-                                           *stmt, opts.degrade,
-                                           /*match_views=*/false));
-      plan = CachedPlan{std::move(entry), {}, /*hit=*/false};
+      RCC_ASSIGN_OR_RETURN(plan, plan_on(1, /*match_views=*/false));
     }
     // Every attempt records its route under a fresh query id before
     // executing, and the execution reuses the id.

@@ -25,15 +25,20 @@ class FleetSystem;
 ///
 /// Two entries share that one ladder and differ only in where a node's plan
 /// comes from. RouteSql (sessions, the server) reads each node's own plan
-/// cache (CacheDbms::LookupOrPlan): a routed hit neither parses nor plans,
-/// and peers are priced at the anchor entry's literals so their costs
-/// compare. RouteSelect (an AST) prepares on every node afresh.
+/// cache, and lexes the text at most once: the anchor's lookup is the only
+/// one that reads it (an L1 hit, or one lex and an L2 hit). Its entry's
+/// template and the text's slot values then key every peer's lookup, at the
+/// template level only, so a peer never lexes and keeps no per-text L1
+/// entry. Peers are priced at the anchor entry's literals so their costs
+/// compare. A routed hit neither parses nor plans. RouteSelect (an AST)
+/// prepares on every node afresh.
 ///
 /// A failed attempt falls through to the next-cheapest eligible peer; when
 /// no cache node is eligible (or all eligible ones failed) the statement
-/// runs as an all-remote plan on the anchor — the backend tier. Deadline
-/// expiry never falls through: the budget is spent, retrying elsewhere only
-/// adds latency.
+/// runs as an all-remote plan on the anchor — the backend tier. RouteSql
+/// caches that plan in the anchor's plan cache under the same template,
+/// keyed apart by view matching off. Deadline expiry never falls through:
+/// the budget is spent, retrying elsewhere only adds latency.
 ///
 /// Eligibility per probe is CurrencyVerdict::Permits, the rule the degrade
 /// and shed ladders apply:

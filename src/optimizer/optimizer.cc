@@ -104,6 +104,9 @@ struct UnitPlan {
   std::function<Result<UnitPlan>(const std::string& column,
                                  const Expr& outer_ref)>
       rebuild;
+  /// Join conjuncts the unit already enforces: a combined remote query's,
+  /// pushed into its statement. JoinUnits does not apply them again.
+  std::vector<const Expr*> pushed;
 };
 
 struct JoinDecision {
@@ -165,7 +168,7 @@ class Planner {
       const Expr* param_outer);
   Result<std::unique_ptr<PhysicalOp>> JoinUnits(
       const BlockCtx& ctx, std::vector<UnitPlan> units,
-      const std::vector<const Expr*>& conjuncts);
+      const std::vector<const Expr*>& block_conjuncts);
 
   // -- helpers ---------------------------------------------------------------
   const ResolvedOperand& OperandInfo(InputOperandId op) const {
@@ -865,6 +868,7 @@ Result<UnitPlan> Planner::BuildRemoteUnit(
   unit.rows = remote->est_rows;
   unit.cost = remote->est_cost;
   unit.op = std::move(remote);
+  unit.pushed = std::move(extra);
   return unit;
 }
 
@@ -907,7 +911,16 @@ Result<UnitPlan> Planner::BuildBackendUnitParam(const BlockCtx& ctx,
 
 Result<std::unique_ptr<PhysicalOp>> Planner::JoinUnits(
     const BlockCtx& ctx, std::vector<UnitPlan> units,
-    const std::vector<const Expr*>& conjuncts) {
+    const std::vector<const Expr*>& block_conjuncts) {
+  std::vector<const Expr*> conjuncts;
+  for (const Expr* c : block_conjuncts) {
+    const bool pushed = std::any_of(
+        units.begin(), units.end(), [c](const UnitPlan& u) {
+          return std::find(u.pushed.begin(), u.pushed.end(), c) !=
+                 u.pushed.end();
+        });
+    if (!pushed) conjuncts.push_back(c);
+  }
   if (units.size() == 1) {
     // All residual conjuncts apply here (conjuncts referencing only outer
     // blocks evaluate through the outer scope at run time).

@@ -194,9 +194,11 @@ PlanCache::PlanCache(Config cfg) : cfg_(cfg) {
   }
 }
 
-std::string PlanCache::MakeKey(std::string_view text, DegradeMode degrade,
-                               bool timeordered) {
-  std::string key(text);
+std::string PlanCache::ContextKey(std::string_view text, DegradeMode degrade,
+                                  bool timeordered, bool match_views) {
+  std::string key;
+  key.reserve(text.size() + 4);
+  key.append(text);
   key.push_back('\x1f');
 #ifdef RCC_PLANCACHE_MUTATE
   // Planted bug (conformance-oracle target): the degrade mode is dropped
@@ -218,6 +220,7 @@ std::string PlanCache::MakeKey(std::string_view text, DegradeMode degrade,
   }
 #endif
   key.push_back(timeordered ? 't' : '-');
+  key.push_back(match_views ? 'v' : 'r');
   return key;
 }
 
@@ -233,11 +236,8 @@ void PlanCache::Count(bool hit, double start_ms) {
 }
 
 bool PlanCache::Reusable(const PlanCacheEntry& e,
-                         const std::vector<Value>& params,
-                         const std::vector<Value>* priced_at) {
-  if (e.parameterized) {
-    return priced_at == nullptr || e.creation_values == *priced_at;
-  }
+                         const std::vector<Value>& params) {
+  if (e.parameterized) return true;
   // Value-bound: only an exact value match may reuse the plan. Types
   // already agree (the template's typed slots force it); compare values.
   if (params.size() != e.creation_values.size()) return false;
@@ -295,19 +295,18 @@ std::string PlanCache::TypedKey(std::string_view key,
   return out;
 }
 
-PlanCache::LookupResult PlanCache::Lookup(
-    std::string_view sql, DegradeMode degrade, bool timeordered,
-    const std::vector<Value>* priced_at) {
+PlanCache::LookupResult PlanCache::Lookup(std::string_view sql,
+                                          DegradeMode degrade,
+                                          bool timeordered) {
   const double start_ms = lookup_ms_ != nullptr ? NowMs() : 0;
   LookupResult out;
   out.version_at_lookup = version();
 
   // L1: exact raw text. The common case for fixed query pools; skips the
   // lexer entirely.
-  const std::string l1_key = MakeKey(sql, degrade, timeordered);
+  const std::string l1_key = ContextKey(sql, degrade, timeordered, true);
   std::optional<L1Node> exact = Find(l1_, l1_key, out.version_at_lookup);
-  if (exact && (priced_at == nullptr || !exact->entry->parameterized ||
-                exact->entry->creation_values == *priced_at)) {
+  if (exact) {
     Count(true, start_ms);
     out.hit = PlanCacheHit{std::move(exact->entry), std::move(exact->params)};
     return out;
@@ -317,13 +316,13 @@ PlanCache::LookupResult PlanCache::Lookup(
   out.norm = NormalizeSql(sql);
   std::optional<L2Node> found;
   if (out.norm.ok) {
-    found = Find(l2_, MakeKey(out.norm.text, degrade, timeordered),
+    found = Find(l2_, ContextKey(out.norm.text, degrade, timeordered, true),
                  out.version_at_lookup);
   }
   std::vector<Value> params;
   params.reserve(out.norm.slots.size());
   for (const ParamSlot& s : out.norm.slots) params.push_back(s.value);
-  if (!found || !Reusable(*found->entry, params, priced_at)) {
+  if (!found || !Reusable(*found->entry, params)) {
     Count(false, start_ms);
     return out;
   }
@@ -335,15 +334,14 @@ PlanCache::LookupResult PlanCache::Lookup(
 }
 
 PlanCache::LookupResult PlanCache::LookupTemplate(
-    std::string_view key, const std::vector<Value>& params,
+    const std::string& key, const std::vector<Value>& params,
     const std::function<bool(const PlanCacheEntry&)>& fits) {
   const double start_ms = lookup_ms_ != nullptr ? NowMs() : 0;
   LookupResult out;
   out.version_at_lookup = version();
-  std::optional<L2Node> found =
-      Find(l2_, TypedKey(key, params), out.version_at_lookup);
+  std::optional<L2Node> found = Find(l2_, key, out.version_at_lookup);
   const bool hit =
-      found && Reusable(*found->entry, params, nullptr) && fits(*found->entry);
+      found && Reusable(*found->entry, params) && fits(*found->entry);
   Count(hit, start_ms);
   if (hit) out.hit = PlanCacheHit{std::move(found->entry), {}};
   return out;
@@ -362,18 +360,18 @@ void PlanCache::Insert(const NormalizedSql& norm, std::string_view raw_sql,
   std::vector<Value> params;
   params.reserve(norm.slots.size());
   for (const ParamSlot& s : norm.slots) params.push_back(s.value);
-  Put(l2_, MakeKey(norm.text, degrade, timeordered), L2Node{frozen, {}});
-  Put(l1_, MakeKey(raw_sql, degrade, timeordered),
+  Put(l2_, ContextKey(norm.text, degrade, timeordered, true),
+      L2Node{frozen, {}});
+  Put(l1_, ContextKey(raw_sql, degrade, timeordered, true),
       L1Node{frozen, std::move(params), {}});
 }
 
-void PlanCache::InsertTemplate(std::string_view key,
-                               const std::vector<Value>& params,
+void PlanCache::InsertTemplate(const std::string& key,
                                std::shared_ptr<PlanCacheEntry> entry,
                                uint64_t version_at_lookup) {
   if (version() != version_at_lookup) return;
   entry->version = version_at_lookup;
-  Put(l2_, TypedKey(key, params), L2Node{std::move(entry), {}});
+  Put(l2_, key, L2Node{std::move(entry), {}});
 }
 
 void PlanCache::Invalidate() {

@@ -76,6 +76,10 @@ struct PlanCacheEntry {
   /// peer's plan at the anchor's literals by planning this text on it, so
   /// Eq. 1 costs of a value-generic template compare like for like.
   std::string creation_sql;
+  /// The normalized template of creation_sql (NormalizedSql::text): the
+  /// entry's L2 key text. An L1 hit carries it too, so the fleet router
+  /// hands the anchor's to every peer and lexes a routed text at most once.
+  std::string template_text;
   /// Degrade mode the plan was created under. The cache key includes the
   /// mode, so on every legitimate hit this equals the session's current
   /// mode; executing with it is what makes the RCC_PLANCACHE_MUTATE build
@@ -110,11 +114,13 @@ bool ParameterizePlan(QueryPlan* plan, const std::vector<ParamSlot>& slots,
 ///  - L2: normalized template (+ context) -> entry. A hit costs one lex pass;
 ///    the slot values become the bind parameters.
 ///
-/// The context suffix is (degrade mode, timeordered flag): the same SQL under
-/// SET DEGRADE NONE and ALWAYS are *different* cache keys, because degrade
-/// mode changes run-time behavior (refusal vs degraded serve). Invalidation
-/// is a single version bump: entries are validated lazily on lookup and
-/// dropped when their version is stale.
+/// The context suffix is (degrade mode, timeordered flag, view matching):
+/// the same SQL under SET DEGRADE NONE and ALWAYS are *different* cache keys,
+/// because degrade mode changes run-time behavior (refusal vs degraded
+/// serve); view matching off keys the fleet's all-remote backend-tier plan
+/// apart from the view-matched one. Invalidation is a single version bump:
+/// entries are validated lazily on lookup and dropped when their version is
+/// stale.
 ///
 /// Thread safety: shards carry their own mutexes; entries are immutable
 /// shared_ptrs, so a hit handed to one session stays valid while another
@@ -139,13 +145,10 @@ class PlanCache {
     uint64_t version_at_lookup = 0;
   };
 
-  /// With `priced_at`, a value-generic entry built from other literals is a
-  /// miss: its Eq. 1 cost was priced at them, and a caller comparing costs
-  /// across caches (the fleet router) needs one set of literals. A
-  /// value-bound entry only ever hits on this text's own literals.
+  /// The view-matched plan for raw text `sql`: L1, then (one lex) L2, whose
+  /// hit is promoted into L1.
   LookupResult Lookup(std::string_view sql, DegradeMode degrade,
-                      bool timeordered,
-                      const std::vector<Value>* priced_at = nullptr);
+                      bool timeordered);
 
   /// Publishes a freshly built plan under both levels. `norm` and
   /// `version_at_lookup` come from the Lookup that missed.
@@ -155,17 +158,27 @@ class PlanCache {
               uint64_t version_at_lookup);
 
   /// The template level alone, for a caller that already holds a template
-  /// key and its slot values (the back end): no raw text and no lexing. The
-  /// key is typed by the values, so a slot's type is what it carries. A
-  /// found entry hits only if `fits` accepts it (called outside any lock);
-  /// a refusal counts as a miss. A hit leaves `hit->params` empty: the
-  /// caller binds its own.
+  /// key and the slot values it binds: no raw text, no lexing, and L1 is
+  /// neither read nor promoted into. The fleet router's peers and backend
+  /// tier key by ContextKey on the anchor entry's template_text, the back
+  /// end by TypedKey. A found entry hits only if it may run with `params`
+  /// and `fits` accepts it (called outside any lock); a refusal counts as a
+  /// miss. A hit leaves `hit->params` empty: the caller binds its own.
   LookupResult LookupTemplate(
-      std::string_view key, const std::vector<Value>& params,
+      const std::string& key, const std::vector<Value>& params,
       const std::function<bool(const PlanCacheEntry&)>& fits);
-  void InsertTemplate(std::string_view key, const std::vector<Value>& params,
+  void InsertTemplate(const std::string& key,
                       std::shared_ptr<PlanCacheEntry> entry,
                       uint64_t version_at_lookup);
+
+  /// `text` (raw at L1, a normalized template at L2) keyed under its
+  /// context.
+  static std::string ContextKey(std::string_view text, DegradeMode degrade,
+                                bool timeordered, bool match_views);
+  /// A back-end template key typed by the values bound to it, so a slot's
+  /// type is what it carries.
+  static std::string TypedKey(std::string_view key,
+                              const std::vector<Value>& params);
 
   /// Drops every cached plan (lazily): catalog, statistics, view-set or
   /// region-health changes call this.
@@ -207,14 +220,9 @@ class PlanCache {
   template <typename Node>
   using Level = std::vector<std::unique_ptr<Shard<Node>>>;
 
-  static std::string MakeKey(std::string_view text, DegradeMode degrade,
-                             bool timeordered);
-  static std::string TypedKey(std::string_view key,
-                              const std::vector<Value>& params);
-  /// Whether `e` may run with `params` (and was priced at `priced_at`).
+  /// Whether `e` may run with `params`.
   static bool Reusable(const PlanCacheEntry& e,
-                       const std::vector<Value>& params,
-                       const std::vector<Value>* priced_at);
+                       const std::vector<Value>& params);
   size_t ShardOf(std::string_view key) const;
   void Count(bool hit, double start_ms);
   /// The live node under `key`, made most recent; a stale one is dropped.

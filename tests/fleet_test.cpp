@@ -4,14 +4,16 @@
 // fall-through, deadline short-circuit), a property test randomizes per-node
 // heartbeats against an independent re-derivation of the router's choice,
 // the plan-cache cases pin the SQL-text path (one plan per node per
-// template, per-node invalidation, like-for-like pricing, routed batches),
-// and every recorded history replays clean through the multi-node
+// template, peers that look up by template alone, a backend tier that plans
+// once per template, per-node invalidation, like-for-like pricing, routed
+// batches), and every recorded history replays clean through the multi-node
 // conformance oracle. Epoch-pin hygiene is asserted after every scenario:
 // routed statements must never leak an MVCC snapshot pin on any node.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -587,6 +589,20 @@ std::string BooksBelow(int isbn) {
       isbn);
 }
 
+/// One template at 24 literals through `session`, 450 ms apart, under a
+/// bound every node meets: every statement looks the template up on all
+/// three nodes. `after_each` runs after each statement.
+void RouteBooksBelowLiterals(FleetSystem* f, Session* session,
+                             const std::function<void(int)>& after_each) {
+  for (int i = 0; i < 24; ++i) {
+    f->AdvanceBy(450);
+    auto res = session->Execute(BooksBelow(20 + i));
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res->rows.size(), static_cast<size_t>(19 + i));
+    after_each(i);
+  }
+}
+
 TEST(FleetPlanCacheTest, RoutedTemplatePlansAtMostOncePerNode) {
   FleetSystem f(ThreeNodeConfig());
   sim::HistoryRecorder recorder(11);
@@ -595,14 +611,8 @@ TEST(FleetPlanCacheTest, RoutedTemplatePlansAtMostOncePerNode) {
   std::unique_ptr<Session> session = f.CreateSession();
   const PlanCacheCounts before = CountPlanCaches(&f);
 
-  // One template, 24 literals, a bound every node meets: every statement
-  // looks the template up on all three nodes, and each node plans it once.
-  for (int i = 0; i < 24; ++i) {
-    f.AdvanceBy(450);
-    auto res = session->Execute(BooksBelow(20 + i));
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    EXPECT_EQ(res->rows.size(), static_cast<size_t>(19 + i));
-  }
+  // Each node plans the template once.
+  RouteBooksBelowLiterals(&f, session.get(), [](int) {});
 
   const PlanCacheCounts after = CountPlanCaches(&f);
   for (int n = 1; n <= 3; ++n) {
@@ -612,6 +622,180 @@ TEST(FleetPlanCacheTest, RoutedTemplatePlansAtMostOncePerNode) {
   sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.routes_checked, 24);
+  ExpectNoLeakedPins(&f);
+}
+
+TEST(FleetPlanCacheTest, PeersDoNoPerTextWork) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(15);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+  const PlanCacheCounts before = CountPlanCaches(&f);
+
+  // A peer looks the anchor's template up at the template level only: after
+  // its first miss publishes the template, no routed text adds an entry (no
+  // L1 promotion per text), while the anchor keeps one L1 entry per text.
+  size_t peer_size[4] = {0, 0, 0, 0};
+  RouteBooksBelowLiterals(&f, session.get(), [&](int i) {
+    for (int n = 2; n <= 3; ++n) {
+      const size_t size = f.node(n)->plan_cache().size();
+      if (i == 0) {
+        peer_size[n] = size;
+      } else {
+        EXPECT_EQ(size, peer_size[n]) << "node " << n << ", text " << i;
+      }
+    }
+  });
+  const PlanCacheCounts after = CountPlanCaches(&f);
+  for (int n = 1; n <= 3; ++n) {
+    EXPECT_LE(after.misses[n] - before.misses[n], 1) << "node " << n;
+    EXPECT_GE(after.hits[n] - before.hits[n], 23) << "node " << n;
+  }
+  EXPECT_GT(f.node(1)->plan_cache().size(), 24u);
+
+  // One text into the backend tier under DEGRADE NONE and then ALWAYS (a
+  // timeline floor at `now` is above every node's heartbeat, so no node is
+  // eligible under either mode): the all-remote plan is cached per mode.
+  const std::string sql = BooksBelow(33);
+  for (DegradeMode mode : {DegradeMode::kNone, DegradeMode::kAlways}) {
+    RoutedStatementOptions opts;
+    opts.timeline_floor = f.Now();
+    opts.degrade = mode;
+    opts.timeordered = true;
+    auto out = f.router()->RouteSql(sql, opts);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->result.rows.size(), 32u);
+  }
+  const sim::History h = recorder.Snapshot();
+  auto routes = EventsOfKind(h, sim::HistoryEvent::Kind::kRoute);
+  ASSERT_EQ(routes.size(), 26u);
+  EXPECT_TRUE(routes[24]->backend_tier);
+  EXPECT_TRUE(routes[25]->backend_tier);
+  const NormalizedSql norm = NormalizeSql(sql);
+  std::vector<Value> params;
+  for (const ParamSlot& slot : norm.slots) params.push_back(slot.value);
+  for (DegradeMode mode : {DegradeMode::kNone, DegradeMode::kAlways}) {
+    auto found = f.node(1)->plan_cache().LookupTemplate(
+        PlanCache::ContextKey(norm.text, mode, /*timeordered=*/true,
+                              /*match_views=*/false),
+        params, [](const PlanCacheEntry&) { return true; });
+    ASSERT_TRUE(found.hit.has_value());
+#ifdef RCC_PLANCACHE_MUTATE
+    // Planted bug: the degrade-blind key folds both modes into the entry
+    // cached first, under NONE.
+    EXPECT_EQ(found.hit->entry->created_degrade, DegradeMode::kNone);
+#else
+    EXPECT_EQ(found.hit->entry->created_degrade, mode);
+#endif
+    EXPECT_EQ(found.hit->entry->plan->Shape(), PlanShape::kRemoteOnly);
+  }
+
+  sim::OracleReport report = sim::CheckHistory(h);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  ExpectNoLeakedPins(&f);
+}
+
+std::string BooksBelowWithin(int isbn, const char* bound) {
+  return StrPrintf(
+      "SELECT isbn, price FROM Books B WHERE B.isbn < %d "
+      "CURRENCY BOUND %s ON (B)",
+      isbn, bound);
+}
+
+/// Books rows with isbn below `isbn` in the master table.
+size_t MasterBooksBelow(FleetSystem* f, int isbn) {
+  size_t n = 0;
+  for (const auto& [key, row] : f->shard(0)->table("Books")->rows()) {
+    if (key[0].AsInt() < isbn) ++n;
+  }
+  return n;
+}
+
+TEST(FleetPlanCacheTest, BackendTierTemplatePlansOnce) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(16);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  CacheDbms* anchor = f.node(1);
+
+  // A 1 s bound no cache node meets (TightBoundFallsThroughToBackendTier):
+  // every literal goes to the backend tier. The anchor's view-matched entry
+  // is warmed first, so the anchor lookups counted below are one hit on it
+  // per statement plus the all-remote plan's: one miss, then hits.
+  ASSERT_TRUE(anchor->LookupOrPlan(BooksBelowWithin(10, "1 SECONDS"),
+                                   DegradeMode::kNone, false)
+                  .ok());
+  const PlanCacheCounts before = CountPlanCaches(&f);
+  for (int k = 20; k < 40; ++k) {
+    auto out = f.router()->RouteSql(BooksBelowWithin(k, "1 SECONDS"), {});
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->result.rows.size(), MasterBooksBelow(&f, k));
+  }
+  const PlanCacheCounts after = CountPlanCaches(&f);
+  EXPECT_EQ(after.misses[1] - before.misses[1], 1);
+  EXPECT_EQ(after.hits[1] - before.hits[1], 20 + 19);
+  // No peer is eligible, so no peer looks anything up.
+  for (int n = 2; n <= 3; ++n) {
+    EXPECT_EQ(after.misses[n] + after.hits[n],
+              before.misses[n] + before.hits[n])
+        << "node " << n;
+  }
+  sim::History h = recorder.Snapshot();
+  auto routes = EventsOfKind(h, sim::HistoryEvent::Kind::kRoute);
+  ASSERT_EQ(routes.size(), 20u);
+  for (const sim::HistoryEvent* route : routes) {
+    EXPECT_TRUE(route->backend_tier);
+  }
+
+  // The view-matched and all-remote plans of one template are keyed apart.
+  // A 1 h bound under a timeline floor at `now` goes to the backend tier
+  // (caching the template's all-remote plan); the same template at another
+  // literal under a low floor then hits the view-matched plan and serves
+  // locally on a cache node.
+  RoutedStatementOptions timeordered;
+  timeordered.timeordered = true;
+  timeordered.timeline_floor = f.Now();
+  ASSERT_TRUE(
+      f.router()->RouteSql(BooksBelowWithin(50, "1 HOUR"), timeordered).ok());
+  timeordered.timeline_floor = 1;
+  auto local =
+      f.router()->RouteSql(BooksBelowWithin(51, "1 HOUR"), timeordered);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_EQ(local->result.rows.size(), MasterBooksBelow(&f, 51));
+  h = recorder.Snapshot();
+  routes = EventsOfKind(h, sim::HistoryEvent::Kind::kRoute);
+  ASSERT_EQ(routes.size(), 22u);
+  EXPECT_TRUE(routes[20]->backend_tier);
+  EXPECT_FALSE(routes[21]->backend_tier);
+  bool served_locally = false;
+  for (const sim::HistoryEvent* serve :
+       EventsOfKind(h, sim::HistoryEvent::Kind::kServe)) {
+    if (serve->query == routes[21]->query) {
+      served_locally = served_locally || serve->local;
+    }
+  }
+  EXPECT_TRUE(served_locally);
+
+  // A statistics refresh on the anchor drops its plans: the backend-tier
+  // template re-plans once, then hits again.
+  ASSERT_TRUE(
+      anchor->UpdateStatistics("Books", anchor->catalog().GetStats("Books"))
+          .ok());
+  ASSERT_TRUE(anchor->LookupOrPlan(BooksBelowWithin(10, "1 SECONDS"),
+                                   DegradeMode::kNone, false)
+                  .ok());
+  const PlanCacheCounts replan0 = CountPlanCaches(&f);
+  for (int k : {41, 42}) {
+    auto out = f.router()->RouteSql(BooksBelowWithin(k, "1 SECONDS"), {});
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+  }
+  const PlanCacheCounts replan1 = CountPlanCaches(&f);
+  EXPECT_EQ(replan1.misses[1] - replan0.misses[1], 1);
+  EXPECT_EQ(replan1.hits[1] - replan0.hits[1], 3);
+
+  sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
+  EXPECT_TRUE(report.ok()) << report.Summary();
   ExpectNoLeakedPins(&f);
 }
 

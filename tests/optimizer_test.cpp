@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "common/strings.h"
 #include "optimizer/cost_model.h"
@@ -11,6 +13,7 @@
 namespace rcc {
 namespace {
 
+using testing_util::MustExecute;
 using testing_util::MustPrepare;
 using testing_util::TpcdFixture;
 
@@ -423,6 +426,47 @@ TEST_F(SelectivitySweepTest, BoundSweepMovesPlanMonotonically) {
                             << "toward local";
     prev_rank = std::max(prev_rank, r);
   }
+}
+
+TEST_F(PlanChoiceTest, AllRemoteJoinAppliesItsJoinPredicateOnce) {
+  // bench_microbench's 2-table join with no currency clause: the default
+  // bound sends both operands to the back end, and the combined remote
+  // query pushes the join predicate into its statement. The cache must not
+  // apply it again as a Filter over the fetched rows.
+  const std::string sql =
+      "SELECT C.c_name, O.o_orderkey, O.o_totalprice "
+      "FROM Customer C, Orders O "
+      "WHERE C.c_custkey = 42 AND O.o_custkey = C.c_custkey";
+  QueryPlan plan = MustPrepare(fx_.session.get(), sql);
+  ASSERT_NE(plan.root, nullptr);
+  const PhysicalOp* remote = plan.root.get();
+  while (remote->kind != PhysOpKind::kRemoteQuery) {
+    EXPECT_NE(remote->kind, PhysOpKind::kFilter) << plan.DescribeTree();
+    ASSERT_EQ(remote->children.size(), 1u) << plan.DescribeTree();
+    remote = remote->children[0].get();
+  }
+  EXPECT_EQ(remote->remote_operands.size(), 2u) << plan.DescribeTree();
+  EXPECT_EQ(plan.root->est_rows, remote->est_rows) << plan.DescribeTree();
+
+  const Table* customer = fx_.sys.backend()->table("Customer");
+  const Table* orders = fx_.sys.backend()->table("Orders");
+  const size_t c_name = *customer->schema().FindColumn("c_name");
+  const size_t o_custkey = *orders->schema().FindColumn("o_custkey");
+  const size_t o_orderkey = *orders->schema().FindColumn("o_orderkey");
+  const size_t o_totalprice = *orders->schema().FindColumn("o_totalprice");
+  const Row* c42 = customer->Get({Value::Int(42)});
+  ASSERT_NE(c42, nullptr);
+  std::multiset<std::string> expected;
+  for (const auto& [key, row] : orders->rows()) {
+    if (row[o_custkey].AsInt() != 42) continue;
+    expected.insert(RowToString(
+        {(*c42)[c_name], row[o_orderkey], row[o_totalprice]}));
+  }
+  ASSERT_FALSE(expected.empty());
+  QueryResult result = MustExecute(fx_.session.get(), sql);
+  std::multiset<std::string> got;
+  for (const Row& row : result.rows) got.insert(RowToString(row));
+  EXPECT_EQ(got, expected);
 }
 
 TEST_F(PlanChoiceTest, BackendEstimateReasonable) {
