@@ -210,17 +210,6 @@ Result<QueryPlan> CacheDbms::Prepare(const SelectStmt& stmt,
   return Optimize(std::move(resolved), catalog_, opts);
 }
 
-Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::NewEntry(
-    const SelectStmt& stmt, DegradeMode degrade, bool match_views) const {
-  OptimizerOptions opts = default_options();
-  opts.enable_view_matching = match_views;
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan, Prepare(stmt, opts));
-  auto entry = std::make_shared<PlanCacheEntry>();
-  entry->plan = std::make_shared<QueryPlan>(std::move(plan));
-  entry->created_degrade = degrade;
-  return entry;
-}
-
 Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::PlanText(
     std::string_view sql, const NormalizedSql& norm, DegradeMode degrade,
     bool timeordered, bool match_views) const {

@@ -191,14 +191,6 @@ class CacheDbms {
                                   bool match_views,
                                   const PlanCacheEntry* priced_like);
 
-  /// A fresh, unpublished entry for a parsed statement behaving under
-  /// `degrade`, with no bind parameters: the fleet router's AST entry
-  /// (RouteSelect), on every node and, with `match_views` false, for its
-  /// backend tier.
-  Result<std::shared_ptr<PlanCacheEntry>> NewEntry(const SelectStmt& stmt,
-                                                   DegradeMode degrade,
-                                                   bool match_views) const;
-
   /// Declared at namespace scope so it can default the argument below.
   using PreparedExecOptions = rcc::PreparedExecOptions;
   /// Executes a prepared plan.

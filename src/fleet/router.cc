@@ -34,14 +34,6 @@ std::vector<Requirement> RequirementsOf(const QueryPlan& plan) {
   return reqs;
 }
 
-/// A fresh plan for the AST entry, outside any plan cache.
-Result<CachedPlan> Prepared(CacheDbms* cache, const SelectStmt& stmt,
-                            DegradeMode degrade, bool match_views) {
-  RCC_ASSIGN_OR_RETURN(auto entry,
-                       cache->NewEntry(stmt, degrade, match_views));
-  return CachedPlan{std::move(entry), {}, /*hit=*/false};
-}
-
 }  // namespace
 
 FleetRouter::FleetRouter(FleetSystem* fleet) : fleet_(fleet) {
@@ -57,23 +49,12 @@ FleetRouter::FleetRouter(FleetSystem* fleet) : fleet_(fleet) {
   }
 }
 
-Result<CacheQueryOutcome> FleetRouter::RouteSql(
-    std::string_view sql, const RoutedStatementOptions& opts) {
-  return Route(sql, nullptr, opts);
-}
-
-Result<CacheQueryOutcome> FleetRouter::RouteSelect(
-    const SelectStmt& stmt, const RoutedStatementOptions& opts) {
-  return Route({}, &stmt, opts);
-}
-
 void FleetRouter::BeginConcurrentBatch() { fleet_->BeginConcurrentBatch(); }
 
 void FleetRouter::EndConcurrentBatch() { fleet_->EndConcurrentBatch(); }
 
-Result<CacheQueryOutcome> FleetRouter::Route(
-    std::string_view sql, const SelectStmt* stmt,
-    const RoutedStatementOptions& opts) {
+Result<CacheQueryOutcome> FleetRouter::RouteSql(
+    std::string_view sql, const RoutedStatementOptions& opts) {
   const int n = fleet_->node_count();
   // The anchor's plan supplies the requirements (the normalized constraint
   // and its operand → base-table binding are node-independent: every node
@@ -82,23 +63,15 @@ Result<CacheQueryOutcome> FleetRouter::Route(
   // only one that reads the text: an L1 hit, or one lex and an L2 lookup.
   RCC_ASSIGN_OR_RETURN(
       const CachedPlan ref,
-      stmt == nullptr ? fleet_->node(1)->LookupOrPlan(sql, opts.degrade,
-                                                      opts.timeordered)
-                      : Prepared(fleet_->node(1), *stmt, opts.degrade,
-                                 /*match_views=*/true));
+      fleet_->node(1)->LookupOrPlan(sql, opts.degrade, opts.timeordered));
   const std::vector<Requirement> reqs = RequirementsOf(*ref.entry->plan);
   // Any other node's plan (view-matched, priced like `ref`), or with
   // `match_views` false the backend tier's all-remote plan: looked up by the
   // anchor entry's template and this text's slot values, with no lexing.
-  // The AST entry prepares afresh.
-  auto plan_on = [&](int node, bool match_views) -> Result<CachedPlan> {
-    CacheDbms* cache = fleet_->node(node);
-    if (stmt != nullptr) {
-      return Prepared(cache, *stmt, opts.degrade, match_views);
-    }
-    return cache->LookupOrPlan(sql, ref.entry->template_text, ref.params,
-                               opts.degrade, opts.timeordered, match_views,
-                               match_views ? ref.entry.get() : nullptr);
+  auto plan_on = [&](int node, bool match_views) {
+    return fleet_->node(node)->LookupOrPlan(
+        sql, ref.entry->template_text, ref.params, opts.degrade,
+        opts.timeordered, match_views, match_views ? ref.entry.get() : nullptr);
   };
 
   EventStream own;

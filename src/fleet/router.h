@@ -23,21 +23,19 @@ class FleetSystem;
 /// cheapest eligible node by the optimizer's Eq. 1 plan cost (ties to the
 /// lowest node id).
 ///
-/// Two entries share that one ladder and differ only in where a node's plan
-/// comes from. RouteSql (sessions, the server) reads each node's own plan
-/// cache, and lexes the text at most once: the anchor's lookup is the only
-/// one that reads it (an L1 hit, or one lex and an L2 hit). Its entry's
-/// template and the text's slot values then key every peer's lookup, at the
-/// template level only, so a peer never lexes and keeps no per-text L1
-/// entry. Peers are priced at the anchor entry's literals so their costs
-/// compare. A routed hit neither parses nor plans. RouteSelect (an AST)
-/// prepares on every node afresh.
+/// Every node's plan comes from that node's own plan cache, and the text is
+/// lexed at most once: the anchor's lookup is the only one that reads it
+/// (an L1 hit, or one lex and an L2 hit). Its entry's template and the
+/// text's slot values then key every peer's lookup, at the template level
+/// only, so a peer never lexes and keeps no per-text L1 entry. Peers are
+/// priced at the anchor entry's literals so their costs compare. A routed
+/// hit neither parses nor plans.
 ///
 /// A failed attempt falls through to the next-cheapest eligible peer; when
 /// no cache node is eligible (or all eligible ones failed) the statement
-/// runs as an all-remote plan on the anchor — the backend tier. RouteSql
-/// caches that plan in the anchor's plan cache under the same template,
-/// keyed apart by view matching off. Deadline expiry never falls through:
+/// runs as an all-remote plan on the anchor — the backend tier. That plan
+/// is cached in the anchor's plan cache under the same template, keyed
+/// apart by view matching off. Deadline expiry never falls through:
 /// the budget is spent, retrying elsewhere only adds latency.
 ///
 /// Eligibility per probe is CurrencyVerdict::Permits, the rule the degrade
@@ -64,18 +62,11 @@ class FleetRouter : public StatementRouter {
 
   Result<CacheQueryOutcome> RouteSql(
       std::string_view sql, const RoutedStatementOptions& opts) override;
-  Result<CacheQueryOutcome> RouteSelect(
-      const SelectStmt& stmt, const RoutedStatementOptions& opts) override;
 
   void BeginConcurrentBatch() override;
   void EndConcurrentBatch() override;
 
  private:
-  /// The ladder: `stmt` null routes the text `sql` through the plan caches,
-  /// otherwise `stmt` is prepared on every node.
-  Result<CacheQueryOutcome> Route(std::string_view sql, const SelectStmt* stmt,
-                                  const RoutedStatementOptions& opts);
-
   FleetSystem* fleet_;
   HistorySink* sink_ = nullptr;
   obs::Counter* fallthroughs_ = nullptr;

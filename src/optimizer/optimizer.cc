@@ -105,7 +105,8 @@ struct UnitPlan {
                                  const Expr& outer_ref)>
       rebuild;
   /// Join conjuncts the unit already enforces: a combined remote query's,
-  /// pushed into its statement. JoinUnits does not apply them again.
+  /// pushed into its statement, or a multi-view local unit's, applied by
+  /// its local joins. JoinUnits does not apply them again.
   std::vector<const Expr*> pushed;
 };
 
@@ -607,6 +608,9 @@ Result<UnitPlan> Planner::BuildLocalUnit(
   std::unique_ptr<PhysicalOp> local;
   double local_cost = 0;
   double local_rows = 0;
+  // Join conjuncts the local joins apply (the remote branch applies a
+  // superset), so JoinUnits does not apply them again.
+  std::vector<const Expr*> applied;
   for (size_t i = 0; i < ops.size(); ++i) {
     InputOperandId op = ops[i];
     const ViewDef* view = placement[op].view;
@@ -723,6 +727,7 @@ Result<UnitPlan> Planner::BuildLocalUnit(
           sel *= kDefaultSel;
         }
       }
+      applied.insert(applied.end(), applicable.begin(), applicable.end());
       std::unique_ptr<PhysicalOp> inner =
           use_seek ? std::move(param_scan) : std::move(scan);
       join->kind = use_seek || join->exprs.empty()
@@ -761,6 +766,7 @@ Result<UnitPlan> Planner::BuildLocalUnit(
   UnitPlan unit;
   unit.ops.insert(ops.begin(), ops.end());
   if (ops.size() == 1) unit.seek_op = ops[0];
+  unit.pushed = std::move(applied);
 
   if (!opts_.enable_currency_guards) {
     unit.rows = project->est_rows;

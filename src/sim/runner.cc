@@ -61,21 +61,23 @@ const char* kTpcdQueries[] = {
     "SELECT c_custkey FROM Customer C WHERE C.c_custkey < 10",
 };
 
-Status ArmFaults(RccSystem* sys, const SimRunConfig& config) {
-  bool outage = config.faults == FaultMix::kOutage ||
-                config.faults == FaultMix::kCombined;
-  bool replication = config.faults == FaultMix::kReplication ||
-                     config.faults == FaultMix::kCombined;
-  if (outage) {
+/// The fault schedules of one cache. A fleet arms every node with
+/// node-distinct seeds so outages and delivery faults hit the nodes
+/// asynchronously; node 0 (a single-node run) XORs nothing into them.
+void ArmFaults(CacheDbms* cache, const SimRunConfig& config, int node,
+               double poison_probability) {
+  const uint64_t n = static_cast<uint64_t>(node);
+  if (config.faults == FaultMix::kOutage ||
+      config.faults == FaultMix::kCombined) {
     // Query channel down 30% of the time; the resilient policy rides the
     // short outages out and the degrade modes absorb the rest.
     FaultInjectorConfig fi;
-    fi.seed = config.seed ^ 0xFA17ABCDu;
+    fi.seed = config.seed ^ 0xFA17ABCDu ^ (n << 17);
     fi.outage_period_ms = 20000;
     fi.outage_down_ms = 6000;
     fi.base_latency_ms = 2;
     fi.transient_error_probability = 0.05;
-    sys->cache()->SetFaultInjector(fi);
+    cache->SetFaultInjector(fi);
     RemotePolicy policy;
     policy.timeout_ms = 400;
     policy.max_retries = 2;
@@ -83,22 +85,31 @@ Status ArmFaults(RccSystem* sys, const SimRunConfig& config) {
     policy.backoff_jitter_ms = 60;
     policy.breaker_threshold = 4;
     policy.breaker_cooldown_ms = 4000;
-    policy.seed = config.seed ^ 0x5EED51u;
-    sys->cache()->SetRemotePolicy(policy);
+    policy.seed = config.seed ^ 0x5EED51u ^ n;
+    cache->SetRemotePolicy(policy);
   }
-  if (replication) {
+  if (config.faults == FaultMix::kReplication ||
+      config.faults == FaultMix::kCombined) {
     ReplicationFaultConfig rf;
-    rf.seed = config.seed ^ 0x7E911u;
+    rf.seed = config.seed ^ 0x7E911u ^ (n << 9);
     rf.drop_probability = 0.15;
     rf.delay_probability = 0.2;
     rf.delay_ms = 9000;
     rf.duplicate_probability = 0.1;
     rf.stall_probability = 0.08;
     rf.stall_wakeups = 2;
-    rf.poison_probability = 0.02;
-    sys->cache()->SetReplicationFaults(rf);
+    rf.poison_probability = poison_probability;
+    cache->SetReplicationFaults(rf);
   }
-  return Status::OK();
+}
+
+BookstoreConfig BookstoreData(const SimRunConfig& config) {
+  BookstoreConfig w;
+  w.books = 120;
+  w.reviews_per_book = 2;
+  w.sales_per_book = 3;
+  w.seed = config.seed * 977 + 11;
+  return w;
 }
 
 /// Heterogeneous node specs, cycled for fleets larger than three: a
@@ -130,154 +141,123 @@ fleet::FleetConfig BuildFleetConfig(const SimRunConfig& config) {
   return fc;
 }
 
-/// The single-node fault schedules, armed per node with node-distinct seeds
-/// so outages and delivery faults hit the fleet asynchronously. Poison is
-/// boosted: node quarantines (and the router routing around them) are the
-/// point of the fleet run.
-Status ArmFleetFaults(fleet::FleetSystem* fleet, const SimRunConfig& config) {
-  bool outage = config.faults == FaultMix::kOutage ||
-                config.faults == FaultMix::kCombined;
-  bool replication = config.faults == FaultMix::kReplication ||
-                     config.faults == FaultMix::kCombined;
-  for (int node = 1; node <= fleet->node_count(); ++node) {
-    if (outage) {
-      FaultInjectorConfig fi;
-      fi.seed =
-          config.seed ^ 0xFA17ABCDu ^ (static_cast<uint64_t>(node) << 17);
-      fi.outage_period_ms = 20000;
-      fi.outage_down_ms = 6000;
-      fi.base_latency_ms = 2;
-      fi.transient_error_probability = 0.05;
-      fleet->node(node)->SetFaultInjector(fi);
-      RemotePolicy policy;
-      policy.timeout_ms = 400;
-      policy.max_retries = 2;
-      policy.backoff_base_ms = 200;
-      policy.backoff_jitter_ms = 60;
-      policy.breaker_threshold = 4;
-      policy.breaker_cooldown_ms = 4000;
-      policy.seed = config.seed ^ 0x5EED51u ^ static_cast<uint64_t>(node);
-      fleet->node(node)->SetRemotePolicy(policy);
-    }
-    if (replication) {
-      ReplicationFaultConfig rf;
-      rf.seed = config.seed ^ 0x7E911u ^ (static_cast<uint64_t>(node) << 9);
-      rf.drop_probability = 0.15;
-      rf.delay_probability = 0.2;
-      rf.delay_ms = 9000;
-      rf.duplicate_probability = 0.1;
-      rf.stall_probability = 0.08;
-      rf.stall_wakeups = 2;
-      rf.poison_probability = 0.05;
-      fleet->SetNodeReplicationFaults(node, rf);
-    }
-  }
-  return Status::OK();
-}
+/// How a serial batch of pooled queries is issued.
+using IssueBatch = void (*)(Session& session,
+                            const std::vector<std::string>& batch);
 
-/// The fleet counterpart of RunSimulation: same seeded statement schedule
-/// and step mix, but every plain SELECT goes through the FleetRouter, nodes
-/// fault independently, and the recorded history carries route events for
-/// the oracle's cross-node rules. Serial batches become three sequential
-/// routed queries — the router owns dispatch, so the batch executor's
-/// concurrent-batch contract does not apply here.
-Result<SimRunOutcome> RunFleetSimulation(const SimRunConfig& config) {
-  // The recorder must outlive the system (raw sink pointers).
-  HistoryRecorder recorder(config.seed);
-  fleet::FleetSystem fleet(BuildFleetConfig(config));
-  // Before regions exist, so initial populations are on record.
-  fleet.SetHistorySink(&recorder);
-
-  BookstoreConfig w;
-  w.books = 120;
-  w.reviews_per_book = 2;
-  w.sales_per_book = 3;
-  w.seed = config.seed * 977 + 11;
-  RCC_RETURN_NOT_OK(fleet.LoadBookstore(w));
-  RCC_RETURN_NOT_OK(fleet.SetupBookstore());
-  RCC_RETURN_NOT_OK(ArmFleetFaults(&fleet, config));
-
-  std::unique_ptr<Session> main_session = fleet.CreateSession();
-  std::unique_ptr<Session> time_session = fleet.CreateSession();
-
-  // Steady state: a few full refresh cycles on the slowest node.
-  fleet.AdvanceTo(30000);
+/// The seeded statement schedule both runs drive, from the sessions' first
+/// statement to the drained history and its oracle report. The runs differ
+/// only in what they pass: `clock` (the system whose virtual time the steps
+/// advance), the workload (its query pool and whether steps commit inline
+/// DML), `analyzed` (the caches a statistics tick refreshes) and
+/// `issue_batch`.
+SimRunOutcome RunSchedule(const SimRunConfig& config, SimWorkload workload,
+                          RccSystem& clock,
+                          const std::vector<CacheDbms*>& analyzed,
+                          IssueBatch issue_batch, Session& main_session,
+                          Session& time_session, HistoryRecorder& recorder) {
+  const bool bookstore = workload == SimWorkload::kBookstore;
+  const char* const* pool = bookstore ? kBookstoreQueries : kTpcdQueries;
+  int64_t pool_size = bookstore
+                          ? static_cast<int64_t>(std::size(kBookstoreQueries))
+                          : static_cast<int64_t>(std::size(kTpcdQueries));
 
   Rng rng(config.seed * 0x9E3779B9u + 1);
   SimRunOutcome out;
   int64_t next_sale_id = 1000000;
-  const int64_t pool_size = static_cast<int64_t>(std::size(kBookstoreQueries));
-  auto pick = [&]() { return kBookstoreQueries[rng.Uniform(0, pool_size - 1)]; };
+  auto pick = [&]() { return pool[rng.Uniform(0, pool_size - 1)]; };
 
+  // Sessions arrive with a configured degrade policy, not always the
+  // default: draw the starting mode per run. This also seeds the plan cache
+  // with pool plans created under varied modes, which is what gives the
+  // oracle a shot at a degrade-blind cache key (RCC_PLANCACHE_MUTATE): a
+  // run that warms up under ALWAYS and later rotates to NONE would serve
+  // degraded answers the session never authorized.
   {
     static const char* kInitModes[] = {"SET DEGRADE = NONE",
                                        "SET DEGRADE = BOUNDED",
                                        "SET DEGRADE = ALWAYS"};
     ++out.statements;
-    (void)main_session->Execute(kInitModes[rng.Uniform(0, 2)]);
+    (void)main_session.Execute(kInitModes[rng.Uniform(0, 2)]);
   }
 
   for (int step = 0; step < config.steps; ++step) {
-    fleet.AdvanceBy(rng.Uniform(300, 2600));
+    clock.AdvanceBy(rng.Uniform(300, 2600));
     int64_t roll = rng.Uniform(0, 99);
     if (roll < 45) {
       ++out.statements;
+      // A seeded fraction of queries carries the admission layer's shed
+      // hint, exactly as RccServer sets it under queue pressure. The hint
+      // is advisory: the guard ladder still decides, so histories must stay
+      // oracle-clean at any shed rate.
       Session::StatementOptions sopts;
-      sopts.shed_hint =
-          rng.Uniform(0, 99) < static_cast<int64_t>(config.shed_percent);
-      (void)main_session->Execute(pick(), sopts);
+      sopts.shed_hint = rng.Uniform(0, 99) <
+                        static_cast<int64_t>(config.shed_percent);
+      (void)main_session.Execute(pick(), sopts);
     } else if (roll < 60) {
       ++out.statements;
-      (void)time_session->Execute(pick());
+      (void)time_session.Execute(pick());
     } else if (roll < 72) {
       ++out.statements;
-      switch (rng.Uniform(0, 2)) {
-        case 0:
-          (void)main_session->Execute(StrPrintf(
-              "UPDATE Books SET price = price + 1 WHERE isbn <= %lld",
-              static_cast<long long>(rng.Uniform(2, 12))));
-          break;
-        case 1:
-          (void)main_session->Execute(StrPrintf(
-              "UPDATE Reviews SET rating = %lld WHERE isbn = %lld",
-              static_cast<long long>(rng.Uniform(1, 5)),
-              static_cast<long long>(rng.Uniform(1, 100))));
-          break;
-        default:
-          (void)main_session->Execute(StrPrintf(
-              "INSERT INTO Sales (sale_id, isbn, year, amount) "
-              "VALUES (%lld, %lld, 2004, 9.99)",
-              static_cast<long long>(next_sale_id++),
-              static_cast<long long>(rng.Uniform(1, 100))));
-          break;
+      if (bookstore) {
+        switch (rng.Uniform(0, 2)) {
+          case 0:
+            (void)main_session.Execute(StrPrintf(
+                "UPDATE Books SET price = price + 1 WHERE isbn <= %lld",
+                static_cast<long long>(rng.Uniform(2, 12))));
+            break;
+          case 1:
+            (void)main_session.Execute(StrPrintf(
+                "UPDATE Reviews SET rating = %lld WHERE isbn = %lld",
+                static_cast<long long>(rng.Uniform(1, 5)),
+                static_cast<long long>(rng.Uniform(1, 100))));
+            break;
+          default:
+            (void)main_session.Execute(StrPrintf(
+                "INSERT INTO Sales (sale_id, isbn, year, amount) "
+                "VALUES (%lld, %lld, 2004, 9.99)",
+                static_cast<long long>(next_sale_id++),
+                static_cast<long long>(rng.Uniform(1, 100))));
+            break;
+        }
+      } else {
+        // TPCD commits come from the update-traffic stream; spend the step
+        // on another query so the statement rate stays comparable.
+        (void)main_session.Execute(pick());
       }
     } else if (roll < 80) {
       ++out.statements;
       static const char* kModes[] = {"SET DEGRADE = NONE",
                                      "SET DEGRADE = BOUNDED",
                                      "SET DEGRADE = ALWAYS"};
-      (void)main_session->Execute(kModes[rng.Uniform(0, 2)]);
+      (void)main_session.Execute(kModes[rng.Uniform(0, 2)]);
     } else if (roll < 83) {
-      // Statistics churn on every node: the router prices per-node plans, so
+      // Statistics refresh (an ANALYZE tick): re-publishes the current stats
+      // for a hot table. Content-identical, so plan choices are unchanged —
+      // but it bumps the plan-cache version, forcing re-optimization and
+      // re-publication of pooled plans under the *current* session modes.
+      // This is the churn that makes a degrade-blind cache key (the
+      // RCC_PLANCACHE_MUTATE planted bug) observable to the oracle: plans
+      // re-created under ALWAYS get served after the mode rotates away.
+      // A fleet refreshes every node: the router prices per-node plans, so
       // each node's plan cache must survive re-optimization independently.
-      for (int node = 1; node <= fleet.node_count(); ++node) {
-        (void)fleet.node(node)->UpdateStatistics(
-            "Books", fleet.node(node)->catalog().GetStats("Books"));
+      const char* table = bookstore ? "Books" : "Customer";
+      for (CacheDbms* cache : analyzed) {
+        (void)cache->UpdateStatistics(table, cache->catalog().GetStats(table));
       }
     } else if (roll < 92) {
-      for (int i = 0; i < 3; ++i) {
-        ++out.statements;
-        (void)main_session->Execute(pick());
-      }
+      std::vector<std::string> batch = {pick(), pick(), pick()};
+      out.statements += static_cast<int64_t>(batch.size());
+      issue_batch(main_session, batch);
     } else {
       ++out.statements;
-      (void)time_session->Execute(time_session->in_timeordered()
-                                      ? "END TIMEORDERED"
-                                      : "BEGIN TIMEORDERED");
+      (void)time_session.Execute(time_session.in_timeordered()
+                                     ? "END TIMEORDERED"
+                                     : "BEGIN TIMEORDERED");
     }
   }
   // Drain: let in-flight deliveries land so histories end at a quiet point.
-  fleet.AdvanceBy(15000);
+  clock.AdvanceBy(15000);
 
   out.history = recorder.Snapshot();
   out.digest = out.history.Digest();
@@ -290,7 +270,6 @@ Result<SimRunOutcome> RunFleetSimulation(const SimRunConfig& config) {
       ++(ev.ok ? out.answered : out.failed);
     }
   }
-  fleet.SetHistorySink(nullptr);
   return out;
 }
 
@@ -321,10 +300,40 @@ const char* SimWorkloadName(SimWorkload workload) {
 }
 
 Result<SimRunOutcome> RunSimulation(const SimRunConfig& config) {
-  if (config.fleet_nodes >= 2) return RunFleetSimulation(config);
   // The recorder must outlive the system (the system holds a raw pointer to
   // it until destruction).
   HistoryRecorder recorder(config.seed);
+  if (config.fleet_nodes >= 2) {
+    // Every plain SELECT goes through the FleetRouter, nodes fault
+    // independently, and the recorded history carries route events for the
+    // oracle's cross-node rules. Poison is boosted: node quarantines (and
+    // the router routing around them) are the point of the fleet run.
+    fleet::FleetSystem fleet(BuildFleetConfig(config));
+    // Before regions exist, so initial populations are on record.
+    fleet.SetHistorySink(&recorder);
+    RCC_RETURN_NOT_OK(fleet.LoadBookstore(BookstoreData(config)));
+    RCC_RETURN_NOT_OK(fleet.SetupBookstore());
+    std::vector<CacheDbms*> nodes;
+    for (int node = 1; node <= fleet.node_count(); ++node) {
+      nodes.push_back(fleet.node(node));
+      ArmFaults(fleet.node(node), config, node, /*poison_probability=*/0.05);
+    }
+    std::unique_ptr<Session> main_session = fleet.CreateSession();
+    std::unique_ptr<Session> time_session = fleet.CreateSession();
+    // Steady state: a few full refresh cycles on the slowest node.
+    fleet.AdvanceTo(30000);
+    // The router owns dispatch, so the batch executor's concurrent-batch
+    // contract does not apply: a batch is three sequential routed queries.
+    SimRunOutcome out = RunSchedule(
+        config, SimWorkload::kBookstore, *fleet.anchor(), nodes,
+        [](Session& session, const std::vector<std::string>& batch) {
+          for (const std::string& sql : batch) (void)session.Execute(sql);
+        },
+        *main_session, *time_session, recorder);
+    fleet.SetHistorySink(nullptr);
+    return out;
+  }
+
   SystemConfig sys_cfg;
   sys_cfg.seed = config.seed;
   RccSystem sys(sys_cfg);
@@ -333,12 +342,7 @@ Result<SimRunOutcome> RunSimulation(const SimRunConfig& config) {
 
   bool bookstore = config.workload == SimWorkload::kBookstore;
   if (bookstore) {
-    BookstoreConfig w;
-    w.books = 120;
-    w.reviews_per_book = 2;
-    w.sales_per_book = 3;
-    w.seed = config.seed * 977 + 11;
-    RCC_RETURN_NOT_OK(LoadBookstore(&sys, w));
+    RCC_RETURN_NOT_OK(LoadBookstore(&sys, BookstoreData(config)));
     RCC_RETURN_NOT_OK(SetupBookstoreCache(&sys, /*refresh_interval_ms=*/8000,
                                           /*delay_ms=*/3000));
   } else {
@@ -351,126 +355,23 @@ Result<SimRunOutcome> RunSimulation(const SimRunConfig& config) {
     // instead, so both commit paths are exercised across the seed matrix.
     StartUpdateTraffic(&sys, /*period_ms=*/1200, config.seed ^ 0x0DDB411u);
   }
-  RCC_RETURN_NOT_OK(ArmFaults(&sys, config));
+  ArmFaults(sys.cache(), config, /*node=*/0, /*poison_probability=*/0.02);
 
   std::unique_ptr<Session> main_session = sys.CreateSession();
   std::unique_ptr<Session> time_session = sys.CreateSession();
 
-  const char* const* pool = bookstore ? kBookstoreQueries : kTpcdQueries;
-  int64_t pool_size = bookstore
-                          ? static_cast<int64_t>(std::size(kBookstoreQueries))
-                          : static_cast<int64_t>(std::size(kTpcdQueries));
-
   // Steady state: a few full refresh cycles.
   sys.AdvanceTo(bookstore ? 30000 : 65000);
 
-  Rng rng(config.seed * 0x9E3779B9u + 1);
-  SimRunOutcome out;
-  int64_t next_sale_id = 1000000;
-  auto pick = [&]() { return pool[rng.Uniform(0, pool_size - 1)]; };
-
-  // Sessions arrive with a configured degrade policy, not always the
-  // default: draw the starting mode per run. This also seeds the plan cache
-  // with pool plans created under varied modes, which is what gives the
-  // oracle a shot at a degrade-blind cache key (RCC_PLANCACHE_MUTATE): a
-  // run that warms up under ALWAYS and later rotates to NONE would serve
-  // degraded answers the session never authorized.
-  {
-    static const char* kInitModes[] = {"SET DEGRADE = NONE",
-                                       "SET DEGRADE = BOUNDED",
-                                       "SET DEGRADE = ALWAYS"};
-    ++out.statements;
-    (void)main_session->Execute(kInitModes[rng.Uniform(0, 2)]);
-  }
-
-  for (int step = 0; step < config.steps; ++step) {
-    sys.AdvanceBy(rng.Uniform(300, 2600));
-    int64_t roll = rng.Uniform(0, 99);
-    if (roll < 45) {
-      ++out.statements;
-      // A seeded fraction of queries carries the admission layer's shed
-      // hint, exactly as RccServer sets it under queue pressure. The hint
-      // is advisory: the guard ladder still decides, so histories must stay
-      // oracle-clean at any shed rate.
-      Session::StatementOptions sopts;
-      sopts.shed_hint = rng.Uniform(0, 99) <
-                        static_cast<int64_t>(config.shed_percent);
-      (void)main_session->Execute(pick(), sopts);
-    } else if (roll < 60) {
-      ++out.statements;
-      (void)time_session->Execute(pick());
-    } else if (roll < 72) {
-      ++out.statements;
-      if (bookstore) {
-        switch (rng.Uniform(0, 2)) {
-          case 0:
-            (void)main_session->Execute(StrPrintf(
-                "UPDATE Books SET price = price + 1 WHERE isbn <= %lld",
-                static_cast<long long>(rng.Uniform(2, 12))));
-            break;
-          case 1:
-            (void)main_session->Execute(StrPrintf(
-                "UPDATE Reviews SET rating = %lld WHERE isbn = %lld",
-                static_cast<long long>(rng.Uniform(1, 5)),
-                static_cast<long long>(rng.Uniform(1, 100))));
-            break;
-          default:
-            (void)main_session->Execute(StrPrintf(
-                "INSERT INTO Sales (sale_id, isbn, year, amount) "
-                "VALUES (%lld, %lld, 2004, 9.99)",
-                static_cast<long long>(next_sale_id++),
-                static_cast<long long>(rng.Uniform(1, 100))));
-            break;
-        }
-      } else {
-        // TPCD commits come from the update-traffic stream; spend the step
-        // on another query so the statement rate stays comparable.
-        (void)main_session->Execute(pick());
-      }
-    } else if (roll < 80) {
-      ++out.statements;
-      static const char* kModes[] = {"SET DEGRADE = NONE",
-                                     "SET DEGRADE = BOUNDED",
-                                     "SET DEGRADE = ALWAYS"};
-      (void)main_session->Execute(kModes[rng.Uniform(0, 2)]);
-    } else if (roll < 83) {
-      // Statistics refresh (an ANALYZE tick): re-publishes the current stats
-      // for a hot table. Content-identical, so plan choices are unchanged —
-      // but it bumps the plan-cache version, forcing re-optimization and
-      // re-publication of pooled plans under the *current* session modes.
-      // This is the churn that makes a degrade-blind cache key (the
-      // RCC_PLANCACHE_MUTATE planted bug) observable to the oracle: plans
-      // re-created under ALWAYS get served after the mode rotates away.
-      const char* table = bookstore ? "Books" : "Customer";
-      (void)sys.cache()->UpdateStatistics(
-          table, sys.cache()->catalog().GetStats(table));
-    } else if (roll < 92) {
-      // Serial batch under the concurrent-batch contract (workers=1 keeps
-      // the history deterministic; multi-worker runs are covered by tests
-      // that don't assert on digests).
-      std::vector<std::string> batch = {pick(), pick(), pick()};
-      out.statements += static_cast<int64_t>(batch.size());
-      (void)main_session->ExecuteBatch(batch, /*workers=*/1);
-    } else {
-      ++out.statements;
-      (void)time_session->Execute(time_session->in_timeordered()
-                                      ? "END TIMEORDERED"
-                                      : "BEGIN TIMEORDERED");
-    }
-  }
-  // Drain: let in-flight deliveries land so histories end at a quiet point.
-  sys.AdvanceBy(15000);
-
-  out.history = recorder.Snapshot();
-  out.digest = out.history.Digest();
-  out.report = CheckHistory(out.history);
-  for (const HistoryEvent& ev : out.history.events) {
-    if (ev.kind == HistoryEvent::Kind::kCommit) ++out.commits;
-    if (ev.kind == HistoryEvent::Kind::kServe && ev.shed) ++out.shed_serves;
-    if (ev.kind == HistoryEvent::Kind::kAnswer) {
-      ++(ev.ok ? out.answered : out.failed);
-    }
-  }
+  // Serial batch under the concurrent-batch contract (workers=1 keeps the
+  // history deterministic; multi-worker runs are covered by tests that
+  // don't assert on digests).
+  SimRunOutcome out = RunSchedule(
+      config, config.workload, sys, {sys.cache()},
+      [](Session& session, const std::vector<std::string>& batch) {
+        (void)session.ExecuteBatch(batch, /*workers=*/1);
+      },
+      *main_session, *time_session, recorder);
   sys.SetHistorySink(nullptr);
   return out;
 }

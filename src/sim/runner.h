@@ -42,11 +42,11 @@ struct SimRunConfig {
   /// pressure). Sheds serve degraded-local only when the guard ladder
   /// permits, so the oracle must stay violation-free at any rate.
   int shed_percent = 25;
-  /// >= 2 runs the fleet simulation instead: that many heterogeneous cache
-  /// nodes behind one backend, every SELECT dispatched by the FleetRouter,
-  /// per-node fault injection, and the multi-node oracle rules in force.
-  /// The fleet path is bookstore-only (a TPCD `workload` is mapped to
-  /// bookstore). 0 or 1 is the unchanged single-node run.
+  /// >= 2 drives the same statement schedule against a fleet instead: that
+  /// many heterogeneous cache nodes behind one backend, every SELECT
+  /// dispatched by the FleetRouter, per-node fault injection, and the
+  /// multi-node oracle rules in force. A fleet run is bookstore-only (a
+  /// TPCD `workload` is mapped to bookstore). 0 or 1 is a single-node run.
   int fleet_nodes = 0;
 };
 

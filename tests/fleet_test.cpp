@@ -68,12 +68,6 @@ Status SetupFleet(FleetSystem* f, sim::HistoryRecorder* recorder = nullptr) {
   return f->SetupBookstore();
 }
 
-Result<CacheQueryOutcome> RouteSql(FleetSystem* f, const std::string& sql,
-                                   RoutedStatementOptions opts = {}) {
-  RCC_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
-  return f->router()->RouteSelect(*stmt, opts);
-}
-
 std::vector<const sim::HistoryEvent*> EventsOfKind(
     const sim::History& h, sim::HistoryEvent::Kind kind) {
   std::vector<const sim::HistoryEvent*> out;
@@ -100,7 +94,9 @@ TEST(FleetRouterTest, UnconstrainedQueryKeepsTraditionalSemantics) {
   // default bound 0 ("current"), which no replica's delivered currency can
   // meet — the query keeps traditional semantics and serves from the
   // backend, on every node's probes recorded as ineligible.
-  auto out = RouteSql(&f, "SELECT isbn FROM Books B WHERE B.isbn < 30");
+  auto out = f.router()->RouteSql(
+      "SELECT isbn FROM Books B WHERE B.isbn < 30",
+      {});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   sim::History h = recorder.Snapshot();
@@ -131,7 +127,7 @@ TEST(FleetRouterTest, LooseBoundRoutesToCheapestEligibleNode) {
   const std::string sql =
       "SELECT isbn FROM Books B WHERE B.isbn < 30 "
       "CURRENCY BOUND 1 HOUR ON (B)";
-  auto out = RouteSql(&f, sql);
+  auto out = f.router()->RouteSql(sql, {});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   sim::History h = recorder.Snapshot();
@@ -169,9 +165,10 @@ TEST(FleetRouterTest, CoverageFailureExcludesPartialNode) {
 
   // Node 2 materializes no Reviews view, so a Reviews-constrained query must
   // record a coverage-failure probe for it and never choose it.
-  auto out = RouteSql(&f,
-                      "SELECT isbn, rating FROM Reviews R WHERE R.isbn < 20 "
-                      "CURRENCY BOUND 1 HOUR ON (R)");
+  auto out = f.router()->RouteSql(
+      "SELECT isbn, rating FROM Reviews R WHERE R.isbn < 20 "
+      "CURRENCY BOUND 1 HOUR ON (R)",
+      {});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   sim::History h = recorder.Snapshot();
@@ -209,9 +206,10 @@ TEST(FleetRouterTest, TightBoundFallsThroughToBackendTier) {
   // 1500ms delivery delay, so a 1s bound can never be met from any cache
   // node: the only eligible tier is the backend, whose data is current by
   // definition.
-  auto out = RouteSql(&f,
-                      "SELECT isbn, price FROM Books B WHERE B.isbn < 25 "
-                      "CURRENCY BOUND 1 SECONDS ON (B)");
+  auto out = f.router()->RouteSql(
+      "SELECT isbn, price FROM Books B WHERE B.isbn < 25 "
+      "CURRENCY BOUND 1 SECONDS ON (B)",
+      {});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   sim::History h = recorder.Snapshot();
@@ -246,10 +244,11 @@ TEST(FleetRouterTest, FailedNodeFallsThroughToPeer) {
   fi.transient_error_probability = 1.0;
   f.node(1)->SetFaultInjector(fi);
 
-  auto out = RouteSql(&f,
-                      "SELECT B.isbn, R.rating FROM Books B, Reviews R "
-                      "WHERE B.isbn = R.isbn AND B.isbn < 10 "
-                      "CURRENCY BOUND 1 HOUR ON (B, R)");
+  auto out = f.router()->RouteSql(
+      "SELECT B.isbn, R.rating FROM Books B, Reviews R "
+      "WHERE B.isbn = R.isbn AND B.isbn < 10 "
+      "CURRENCY BOUND 1 HOUR ON (B, R)",
+      {});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   sim::History h = recorder.Snapshot();
@@ -277,10 +276,10 @@ TEST(FleetRouterTest, ExpiredDeadlineDoesNotFallThrough) {
 
   RoutedStatementOptions opts;
   opts.deadline = Deadline::After(std::chrono::steady_clock::now(), 0);
-  auto out = RouteSql(&f,
-                      "SELECT isbn, price FROM Books B WHERE B.isbn < 25 "
-                      "CURRENCY BOUND 1 HOUR ON (B)",
-                      opts);
+  auto out = f.router()->RouteSql(
+      "SELECT isbn, price FROM Books B WHERE B.isbn < 25 "
+      "CURRENCY BOUND 1 HOUR ON (B)",
+      opts);
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsDeadlineExceeded()) << out.status().ToString();
   // The budget is spent: no retry on a peer was attempted.
@@ -328,9 +327,10 @@ TEST(FleetRouterTest, QuarantinedNodeIsNeverServedFrom) {
   // Queries issued while the heartbeat is withdrawn (virtual time frozen, so
   // no resync can land in between) must route around node 2.
   for (int i = 0; i < 8; ++i) {
-    auto out = RouteSql(&f,
-                        "SELECT isbn, price FROM Books B WHERE B.isbn < 30 "
-                        "CURRENCY BOUND 1 HOUR ON (B)");
+    auto out = f.router()->RouteSql(
+        "SELECT isbn, price FROM Books B WHERE B.isbn < 30 "
+        "CURRENCY BOUND 1 HOUR ON (B)",
+        {});
     ASSERT_TRUE(out.ok()) << out.status().ToString();
   }
 
@@ -372,7 +372,7 @@ TEST(FleetRouterTest, PerNodeRoutedMetricsMatchHistory) {
       "CURRENCY BOUND 1 HOUR ON (R)",
   };
   for (int i = 0; i < 9; ++i) {
-    auto out = RouteSql(&f, kPool[i % 3]);
+    auto out = f.router()->RouteSql(kPool[i % 3], {});
     ASSERT_TRUE(out.ok()) << out.status().ToString();
   }
 
@@ -544,7 +544,7 @@ TEST(FleetPropertyTest, RouterAlwaysPicksCheapestEligibleNode) {
       size_t routes_before =
           EventsOfKind(recorder.Snapshot(), sim::HistoryEvent::Kind::kRoute)
               .size();
-      auto out = f.router()->RouteSelect(**stmt, {});
+      auto out = f.router()->RouteSql(sql, {});
       ASSERT_TRUE(out.ok()) << out.status().ToString();
       sim::History h = recorder.Snapshot();
       auto routes = EventsOfKind(h, sim::HistoryEvent::Kind::kRoute);
@@ -799,6 +799,29 @@ TEST(FleetPlanCacheTest, BackendTierTemplatePlansOnce) {
   ExpectNoLeakedPins(&f);
 }
 
+TEST(FleetPlanCacheTest, AstEntryRoutesThroughThePlanCaches) {
+  FleetSystem f(ThreeNodeConfig());
+  ASSERT_TRUE(SetupFleet(&f).ok());
+  f.AdvanceTo(30000);
+
+  // A parsed statement routes as its rendered text, so once RouteSql has
+  // warmed the template on every node it plans nowhere and hits the anchor.
+  auto warm = ParseSelect(BooksBelow(20));
+  auto stmt = ParseSelect(BooksBelow(30));
+  ASSERT_TRUE(warm.ok() && stmt.ok());
+  ASSERT_TRUE(f.router()->RouteSql((*warm)->ToString(), {}).ok());
+  const PlanCacheCounts before = CountPlanCaches(&f);
+  auto out = f.router()->RouteSelect(**stmt, {});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->result.rows.size(), MasterBooksBelow(&f, 30));
+  const PlanCacheCounts after = CountPlanCaches(&f);
+  for (int n = 1; n <= 3; ++n) {
+    EXPECT_EQ(after.misses[n], before.misses[n]) << "node " << n;
+  }
+  EXPECT_GE(after.hits[1] - before.hits[1], 1);
+  ExpectNoLeakedPins(&f);
+}
+
 TEST(FleetPlanCacheTest, StatisticsChangeReplansOnlyThatNode) {
   FleetSystem f(ThreeNodeConfig());
   sim::HistoryRecorder recorder(12);
@@ -1016,9 +1039,10 @@ TEST(FleetShardingTest, MirroredShardsServeIdenticalData) {
   // Routed reads work no matter which shard backs the chosen node. (No
   // oracle replay here: mirrored shards have independent commit timestamp
   // spaces, and the recorded commit stream would be the anchor's only.)
-  auto out = RouteSql(&f,
-                      "SELECT isbn, price FROM Books B WHERE B.isbn < 25 "
-                      "CURRENCY BOUND 1 HOUR ON (B)");
+  auto out = f.router()->RouteSql(
+      "SELECT isbn, price FROM Books B WHERE B.isbn < 25 "
+      "CURRENCY BOUND 1 HOUR ON (B)",
+      {});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_GT(out->result.rows.size(), 0u);
 
@@ -1038,14 +1062,16 @@ TEST(FleetShardingTest, MirroredShardsServeIdenticalData) {
   ASSERT_TRUE(ts.ok()) << ts.status().ToString();
   f.AdvanceBy(20000);
 
-  auto strict = RouteSql(&f,
-                         "SELECT isbn FROM Books B WHERE B.isbn >= 9001 "
-                         "CURRENCY BOUND 1 SECONDS ON (B)");
+  auto strict = f.router()->RouteSql(
+      "SELECT isbn FROM Books B WHERE B.isbn >= 9001 "
+      "CURRENCY BOUND 1 SECONDS ON (B)",
+      {});
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict->result.rows.size(), 2u);
-  auto loose = RouteSql(&f,
-                        "SELECT isbn FROM Books B WHERE B.isbn >= 9001 "
-                        "CURRENCY BOUND 1 HOUR ON (B)");
+  auto loose = f.router()->RouteSql(
+      "SELECT isbn FROM Books B WHERE B.isbn >= 9001 "
+      "CURRENCY BOUND 1 HOUR ON (B)",
+      {});
   ASSERT_TRUE(loose.ok()) << loose.status().ToString();
   EXPECT_EQ(loose->result.rows.size(), 2u);
   ExpectNoLeakedPins(&f);

@@ -469,6 +469,44 @@ TEST_F(PlanChoiceTest, AllRemoteJoinAppliesItsJoinPredicateOnce) {
   EXPECT_EQ(got, expected);
 }
 
+TEST_F(PlanChoiceTest, LocalJoinUnitAppliesItsJoinPredicateOnce) {
+  // Books and Sales share one region, so the (B, S) class is one local unit:
+  // its local branch joins the two views and its remote branch pushes the
+  // join predicate into its statement. Both branches apply the predicate;
+  // the cache must not apply it again as a Filter over the SwitchUnion.
+  testing_util::BookstoreFixture bx;
+  bx.sys.AdvanceTo(40000);
+  const std::string sql =
+      "SELECT B.isbn, S.amount FROM Books B, Sales S "
+      "WHERE B.isbn = S.isbn AND B.isbn < 5 "
+      "CURRENCY BOUND 10 MIN ON (B, S)";
+  QueryPlan plan = MustPrepare(bx.session.get(), sql);
+  ASSERT_NE(plan.root, nullptr);
+  const PhysicalOp* sw = plan.root.get();
+  while (sw->kind != PhysOpKind::kSwitchUnion) {
+    EXPECT_NE(sw->kind, PhysOpKind::kFilter) << plan.DescribeTree();
+    ASSERT_EQ(sw->children.size(), 1u) << plan.DescribeTree();
+    sw = sw->children[0].get();
+  }
+  EXPECT_EQ(plan.root->est_rows, sw->est_rows) << plan.DescribeTree();
+
+  const Table* books = bx.sys.backend()->table("Books");
+  const Table* sales = bx.sys.backend()->table("Sales");
+  const size_t s_isbn = *sales->schema().FindColumn("isbn");
+  const size_t s_amount = *sales->schema().FindColumn("amount");
+  std::multiset<std::string> expected;
+  for (const auto& [key, row] : sales->rows()) {
+    const Value& isbn = row[s_isbn];
+    if (isbn.AsInt() >= 5 || books->Get({isbn}) == nullptr) continue;
+    expected.insert(RowToString({isbn, row[s_amount]}));
+  }
+  ASSERT_FALSE(expected.empty());
+  QueryResult result = MustExecute(bx.session.get(), sql);
+  std::multiset<std::string> got;
+  for (const Row& row : result.rows) got.insert(RowToString(row));
+  EXPECT_EQ(got, expected);
+}
+
 TEST_F(PlanChoiceTest, BackendEstimateReasonable) {
   auto select =
       ParseSelect("SELECT c_name FROM Customer C WHERE C.c_custkey = 1");

@@ -22,6 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "common/strings.h"
 #include "sim/runner.h"
 
 namespace rcc {
@@ -132,6 +137,49 @@ TEST(SimSeedMatrixTest, FleetMatrixStaysOracleClean) {
         << "seed " << c.seed << " mix " << FaultMixName(c.faults) << "\n"
         << run->report.Summary();
   }
+}
+
+TEST(SimSeedMatrixTest, DigestsMatchGolden) {
+  // Every History::Digest() of the matrix and of its three-node fleet
+  // slice, pinned in a golden file: a change to any recorded behaviour
+  // shows up as a diff of that file and has to be declared.
+  std::string actual;
+  auto record = [&actual](const char* run, const SeedCase& c,
+                          const SimRunConfig& cfg) {
+    auto out = RunSimulation(cfg);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    actual += StrPrintf("%s seed%llu %s %016llx\n", run,
+                        static_cast<unsigned long long>(c.seed),
+                        FaultMixName(c.faults),
+                        static_cast<unsigned long long>(out->digest));
+  };
+  for (const SeedCase& c : BuildMatrix()) {
+    SimRunConfig cfg;
+    cfg.seed = c.seed;
+    cfg.faults = c.faults;
+    cfg.workload = c.workload;
+    cfg.steps = 80;
+    record(SimWorkloadName(c.workload), c, cfg);
+  }
+  for (const SeedCase& c : BuildMatrix()) {
+    if (c.seed % 3 == 2) continue;
+    SimRunConfig cfg;
+    cfg.seed = c.seed;
+    cfg.faults = c.faults;
+    cfg.steps = 80;
+    cfg.fleet_nodes = 3;
+    record("fleet3", c, cfg);
+  }
+  const std::string golden_path =
+      std::string(RCC_TESTS_GOLDEN_DIR) + "/sim_digests.golden";
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
+                         << "; the digests are:\n"
+                         << actual;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(actual, golden.str())
+      << "simulation digests drifted from " << golden_path;
 }
 #endif
 
